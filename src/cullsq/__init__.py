@@ -16,7 +16,9 @@ from .errors import (
     InconsistentSystem,
     InvalidConfig,
     InvalidDimension,
+    InvalidInput,
     InvalidK,
+    InvalidRng,
     MissingLabels,
     NonpositiveWeight,
     RankDeficient,

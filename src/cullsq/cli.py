@@ -128,7 +128,7 @@ def _build_parser():
 _VERIFY_DEFAULTS = {
     "one-point": dict(n=100, d=5, trials=1),
     "k-points": dict(n=12, d=2, k=2),
-    "sampler": dict(n=10, d=2, k=2, trials=20_000),
+    "sampler": dict(n=10, d=2, k=2, trials=100_000),
     "precond": dict(n=256, d=8, trials=20),
     "kaczmarz": dict(n=400, d=5, trials=200),
     "jlt": dict(n=512, d=8, trials=20),

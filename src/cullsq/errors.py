@@ -5,6 +5,15 @@ class CullsqError(Exception):
     """Base class for every error raised by this package."""
 
 
+class InvalidInput(CullsqError, ValueError):
+    """An input array or option is malformed: wrong shape, too few rows,
+    non-finite entries, or a value outside its range."""
+
+
+class InvalidRng(CullsqError, TypeError):
+    """The random source has the wrong type for the call."""
+
+
 class ZeroRow(CullsqError):
     """The design matrix contains an all-zero row."""
 

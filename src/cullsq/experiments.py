@@ -32,8 +32,8 @@ from .designs import (
 from .errors import InvalidConfig
 from .influence import (
     ENUMERATION_LIMIT,
+    _acceptance_ratios,
     _batch_spec_norms,
-    _influence_weights,
     enumerate_subset_distribution,
     estimate_acceptance,
     rejection_sample_many,
@@ -422,10 +422,8 @@ def verify_sampler(cfg: ExperimentConfig) -> ExperimentReport:
 
     # acceptance ratio over every subset
     spec = _batch_spec_norms(svd.U, subsets_enum)
-    weights = _influence_weights(spec)
     q_weights = (1.0 / profile.ell)[subsets_enum].sum(axis=1)
-    thetas = weights * (k**2 / svd.d) / q_weights
-    max_theta = float(thetas.max())
+    max_theta = float(_acceptance_ratios(spec, q_weights, svd.d, k).max())
 
     draws, stats = rejection_sample_many(svd, profile, k, cfg.trials, rng.substream(1))
     encode = cfg.n ** np.arange(k - 1, -1, -1, dtype=np.int64)

@@ -17,6 +17,12 @@ according to the influence probabilities.  The acceptance probability is
 at least k^2 / (n * mu) with mu the mean inverse leverage, provided
 n >= 8 d k.
 
+One rejection loop serves every sampler; a single draw is a round of
+proposals that stops at its first acceptance.  A round of B proposals
+costs O(B k log k) time and holds O(B k d) memory (the gathered rows
+U_A), plus O(n) for the cumulative proposal weights built once per
+call: no array is sized by n per proposal.
+
 A full-enumeration routine doubles as the validation oracle at small n.
 """
 
@@ -81,53 +87,61 @@ def _inverse_cdf_draw(gen, cumulative: np.ndarray, size=None):
 
 
 def sample_sum_over_rows(f_values, k: int, rng) -> RowSubset:
-    """Draw a k-subset with probability proportional to its weight sum.
-
-    One row is drawn by inverse CDF over the weights, the remaining k-1
-    by a partial Fisher-Yates shuffle of the other n-1 indices, giving
-    subset probability sum_{i in A} f_i / (C(n-1, k-1) * sum_j f_j).
-    """
-    f = _check_weights(f_values)
-    n = f.shape[0]
-    if not (1 <= k <= n):
-        raise InvalidK(f"k={k} out of range for n={n}")
-    gen = as_generator(rng)
-    cumulative = np.cumsum(f)
-    first = int(_inverse_cdf_draw(gen, cumulative))
-    if k == 1:
-        return RowSubset.of([first])
-    pool = np.concatenate([np.arange(first), np.arange(first + 1, n)])
-    m = n - 1
-    for i in range(k - 1):
-        j = i + int(gen.integers(0, m - i))
-        pool[i], pool[j] = pool[j], pool[i]
-    return RowSubset.of(np.concatenate([[first], pool[: k - 1]]))
+    """Draw one k-subset with probability proportional to its weight sum,
+    sum_{i in A} f_i / (C(n-1, k-1) * sum_j f_j).  A draw of
+    :func:`sample_sum_over_rows_many` with count 1."""
+    return RowSubset.of(sample_sum_over_rows_many(f_values, k, 1, rng)[0])
 
 
 def sample_sum_over_rows_many(f_values, k: int, count: int, rng) -> np.ndarray:
-    """Vectorized version of :func:`sample_sum_over_rows`.
+    """Draw ``count`` independent k-subsets from the sum-over-rows
+    distribution, as a (count, k) array of sorted index rows.
 
-    Returns a (count, k) array of sorted index rows with the same
-    distribution (the k-1 uniform companions are realized as the k-1
-    smallest of n-1 i.i.d. random keys).
+    Each row is one index drawn by inverse CDF over the weights plus a
+    uniform (k-1)-subset of the other n-1 indices, which costs O(k) per
+    row (see :func:`_uniform_subsets`).
     """
     f = _check_weights(f_values)
     n = f.shape[0]
     if not (1 <= k <= n):
         raise InvalidK(f"k={k} out of range for n={n}")
     gen = as_generator(rng)
-    cumulative = np.cumsum(f)
-    return _propose_batch(gen, cumulative, n, k, count)
+    return _propose_batch(gen, np.cumsum(f), n, k, count)
+
+
+def _uniform_subsets(gen, m: int, size: int, batch: int) -> np.ndarray:
+    """(batch, size) sorted rows, each a uniform size-subset of range(m).
+
+    Values are drawn with replacement; the positions that repeat a value
+    are redrawn until no row has a duplicate.  The rule only looks at the
+    multiset a row holds, so it commutes with relabelling range(m) and the
+    final row is an exactly uniform subset.  Above m/2 the complement is
+    drawn instead, so the redraw loop stays short as size nears m.
+    """
+    if 2 * size > m:
+        drop = _uniform_subsets(gen, m, m - size, batch)
+        keep = np.ones((batch, m), dtype=bool)
+        keep[np.arange(batch)[:, None], drop] = False
+        return np.nonzero(keep)[1].reshape(batch, size)
+    rows = np.sort(gen.integers(0, m, size=(batch, size), dtype=np.intp), axis=1)
+    active = np.arange(batch)
+    while active.size:
+        sub = rows[active]
+        dup = np.zeros(sub.shape, dtype=bool)
+        dup[:, 1:] = sub[:, 1:] == sub[:, :-1]
+        hit = dup.any(axis=1)
+        active, sub, dup = active[hit], sub[hit], dup[hit]
+        sub[dup] = gen.integers(0, m, size=int(dup.sum()), dtype=np.intp)
+        sub.sort(axis=1)
+        rows[active] = sub
+    return rows
 
 
 def _propose_batch(gen, cumulative, n, k, batch) -> np.ndarray:
     first = _inverse_cdf_draw(gen, cumulative, batch)
-    if k == 1:
-        return first[:, None].astype(np.intp)
-    keys = gen.random((batch, n))
-    keys[np.arange(batch), first] = np.inf
-    rest = np.argpartition(keys, k - 1, axis=1)[:, : k - 1]
-    subsets = np.concatenate([first[:, None], rest], axis=1).astype(np.intp)
+    rest = _uniform_subsets(gen, n - 1, k - 1, batch)
+    rest += rest >= first[:, None]
+    subsets = np.concatenate([first[:, None], rest], axis=1)
     subsets.sort(axis=1)
     return subsets
 
@@ -148,11 +162,17 @@ def _batch_spec_norms(U: np.ndarray, subsets: np.ndarray) -> np.ndarray:
 def _influence_weights(spec: np.ndarray) -> np.ndarray:
     """Unnormalized influence weight (1-s)^2/s, zero at near-singular s."""
     spec = np.asarray(spec, dtype=float)
-    safe = np.clip(spec, 1e-300, None)
-    weights = np.where(
-        spec >= 1.0 - SPEC_SINGULAR_TOL, 0.0, (1.0 - spec) ** 2 / safe
-    )
-    return weights
+    weights = (1.0 - spec) ** 2 / np.clip(spec, 1e-300, None)
+    return np.where(spec >= 1.0 - SPEC_SINGULAR_TOL, 0.0, weights)
+
+
+def _acceptance_ratios(spec, q_weight, d: int, k: int) -> np.ndarray:
+    """theta = [(1-s)^2/s] / [(d/k^2) q], zero where s is within 1e-10 of
+    1.  Evaluated in log space, which keeps (1-s)^2 accurate as s -> 1."""
+    s = np.clip(spec, 1e-300, 1.0 - SPEC_SINGULAR_TOL)
+    with np.errstate(over="ignore"):
+        theta = np.exp(2.0 * np.log1p(-s) - np.log(s) - np.log((d / k**2) * q_weight))
+    return np.where(np.asarray(spec) < 1.0 - SPEC_SINGULAR_TOL, theta, 0.0)
 
 
 @dataclass(frozen=True)
@@ -172,28 +192,18 @@ def subset_influence(
     svd: ThinSvd, profile: LeverageProfile, subset: RowSubset
 ) -> SubsetInfluence:
     spec = partial_projection_norm(svd, subset)
-    k = subset.k
-    idx = subset.array()
-    q_weight = float(np.sum(1.0 / profile.ell[idx]))
-    denom = (svd.d / k**2) * q_weight
-    if spec >= 1.0 - SPEC_SINGULAR_TOL:
-        weight = 0.0
-        theta = 0.0
-    else:
-        # log-space evaluation keeps (1-spec)^2 accurate as spec -> 1
-        log_weight = 2.0 * math.log1p(-spec) - math.log(max(spec, 1e-300))
-        weight = math.exp(log_weight)
-        theta = math.exp(log_weight - math.log(denom))
+    q_weight = float(np.sum(1.0 / profile.ell[subset.array()]))
+    theta = float(_acceptance_ratios(spec, q_weight, svd.d, subset.k))
     return SubsetInfluence(
-        subset=subset, spec=spec, weight=weight, q_weight=q_weight, theta=theta
+        subset=subset, spec=spec, weight=float(_influence_weights(spec)),
+        q_weight=q_weight, theta=theta,
     )
 
 
 def default_max_trials(profile: LeverageProfile, k: int) -> int:
     """Proposal budget: 50x the expected trials implied by the
     k^2/(n*mu) acceptance lower bound."""
-    n = profile.n
-    return int(math.ceil(50.0 * n * profile.coherence_mu / k**2))
+    return int(math.ceil(50.0 * profile.n * profile.coherence_mu / k**2))
 
 
 class AcceptanceBound(NamedTuple):
@@ -215,6 +225,57 @@ def estimate_acceptance(profile: LeverageProfile, k: int) -> AcceptanceBound:
     return AcceptanceBound(lower_bound=bound, precondition_met=n >= 8 * d * k)
 
 
+class SamplerStats(NamedTuple):
+    proposals: int
+    accepted: int
+
+    @property
+    def acceptance_rate(self) -> float:
+        return self.accepted / self.proposals if self.proposals else 0.0
+
+
+def _accept_reject(svd, profile, k, count, rng, max_trials, batch):
+    """The rejection loop behind both public samplers.  Keeping the first
+    ``count`` accepted proposals of an i.i.d. stream gives exact draws
+    however the stream is cut into rounds.  A round proposes the count
+    still needed over the rate estimate (accepted + 1) / (proposals + 1),
+    floored at the k^2/(n mu) bound and capped at ``batch``.  Returns the
+    draws, the statistics and the stream position of the last draw kept.
+    """
+    n, d = svd.n, svd.d
+    if not (1 <= k < n):
+        raise InvalidK(f"k={k} out of range for n={n}")
+    if max_trials is None:
+        max_trials = default_max_trials(profile, k)
+    if min(count, max_trials, batch) < 1:
+        raise InvalidK("count, max_trials and batch must be at least 1")
+    budget = max_trials * count
+    gen = as_generator(rng)
+    inv_ell = 1.0 / profile.ell
+    cumulative = np.cumsum(inv_ell)
+    bound = estimate_acceptance(profile, k).lower_bound
+    out = np.empty((count, k), dtype=np.intp)
+    got = proposals = accepted = position = 0
+    while got < count:
+        if proposals >= budget:
+            raise TrialBudgetExceeded(proposals, accepted, bound)
+        need = count - got
+        rate = max((accepted + 1) / (proposals + 1), bound)
+        b = min(batch, budget - proposals, math.ceil(need / rate))
+        subs = _propose_batch(gen, cumulative, n, k, b)
+        spec = _batch_spec_norms(svd.U, subs)
+        theta = _acceptance_ratios(spec, inv_ell[subs].sum(axis=1), d, k)
+        hits = np.flatnonzero(gen.random(b) < theta)
+        kept = hits[:need]
+        out[got : got + kept.size] = subs[kept]
+        got += kept.size
+        if kept.size:
+            position = proposals + int(kept[-1]) + 1
+        proposals += b
+        accepted += hits.size
+    return out, SamplerStats(proposals=proposals, accepted=accepted), position
+
+
 def rejection_sample_subset(
     svd: ThinSvd,
     profile: LeverageProfile,
@@ -228,34 +289,8 @@ def rejection_sample_subset(
     accepted one included.  Raises :class:`TrialBudgetExceeded` after
     ``max_trials`` rejected proposals.
     """
-    n = svd.n
-    if not (1 <= k < n):
-        raise InvalidK(f"k={k} out of range for n={n}")
-    if max_trials is None:
-        max_trials = default_max_trials(profile, k)
-    if max_trials < 1:
-        raise InvalidK("max_trials must be at least 1")
-    gen = as_generator(rng)
-    f = 1.0 / profile.ell
-    for trial in range(1, max_trials + 1):
-        subset = sample_sum_over_rows(f, k, gen)
-        info = subset_influence(svd, profile, subset)
-        if gen.random() < info.theta:
-            return subset, trial
-    raise TrialBudgetExceeded(
-        trials=max_trials,
-        accepted=0,
-        acceptance_bound=estimate_acceptance(profile, k).lower_bound,
-    )
-
-
-class SamplerStats(NamedTuple):
-    proposals: int
-    accepted: int
-
-    @property
-    def acceptance_rate(self) -> float:
-        return self.accepted / self.proposals if self.proposals else 0.0
+    out, _, trials = _accept_reject(svd, profile, k, 1, rng, max_trials, DEFAULT_BATCH)
+    return RowSubset.of(out[0]), trials
 
 
 def rejection_sample_many(
@@ -269,49 +304,13 @@ def rejection_sample_many(
 ) -> Tuple[np.ndarray, SamplerStats]:
     """Draw ``count`` independent subsets from the joint influence.
 
-    Proposals are generated and tested in fixed-size batches, which is
-    distributionally identical to the one-at-a-time sampler (accepted
-    proposals of an i.i.d. proposal stream are i.i.d. draws from the
-    target).  Returns a (count, k) array of sorted index rows plus
-    proposal statistics covering every generated batch.
+    Proposals are made in rounds of at most ``batch`` (see
+    :func:`_accept_reject`), within ``max_trials`` proposals per subset.
+    Returns a (count, k) array of sorted index rows plus statistics over
+    every proposal made, those after the last draw kept included.
     """
-    n = svd.n
-    if not (1 <= k < n):
-        raise InvalidK(f"k={k} out of range for n={n}")
-    if count < 1:
-        raise InvalidK("count must be at least 1")
-    if max_trials is None:
-        max_trials = default_max_trials(profile, k)
-    budget = max_trials * count
-    gen = as_generator(rng)
-    f = 1.0 / profile.ell
-    cumulative = np.cumsum(f)
-    d = svd.d
-    out = np.empty((count, k), dtype=np.intp)
-    got = 0
-    proposals = 0
-    accepted_total = 0
-    while got < count:
-        if proposals >= budget:
-            raise TrialBudgetExceeded(
-                trials=proposals,
-                accepted=accepted_total,
-                acceptance_bound=estimate_acceptance(profile, k).lower_bound,
-            )
-        b = min(batch, budget - proposals)
-        subs = _propose_batch(gen, cumulative, n, k, b)
-        spec = _batch_spec_norms(svd.U, subs)
-        weights = _influence_weights(spec)
-        q_weights = f[subs].sum(axis=1)
-        theta = weights * (k**2 / d) / q_weights
-        accept = gen.random(b) < theta
-        proposals += b
-        accepted_total += int(accept.sum())
-        picked = subs[accept]
-        take = min(count - got, picked.shape[0])
-        out[got : got + take] = picked[:take]
-        got += take
-    return out, SamplerStats(proposals=proposals, accepted=accepted_total)
+    out, stats, _ = _accept_reject(svd, profile, k, count, rng, max_trials, batch)
+    return out, stats
 
 
 def enumerate_subset_distribution(

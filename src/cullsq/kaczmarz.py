@@ -30,7 +30,7 @@ from typing import Callable, Optional
 import numpy as np
 import scipy.linalg
 
-from .errors import InconsistentSystem, InvalidK
+from .errors import InconsistentSystem, InvalidInput, InvalidK, InvalidRng
 from .regression import Dataset, ThinSvd
 from .rng import RngStream, as_generator
 from .sketching import (
@@ -95,13 +95,13 @@ def labels_for_target(n: float, d: int, kappa: float, variant: str = "exact") ->
     exact: ceil(d ln(n kappa^2 / d)); fast: ceil(9 d ln(n kappa / d)).
     """
     if kappa < 1.0:
-        raise ValueError("condition number must be >= 1")
+        raise InvalidInput("condition number must be >= 1")
     if variant == "exact":
         val = d * math.log(n * kappa**2 / d)
     elif variant == "fast":
         val = 9.0 * d * math.log(n * kappa / d)
     else:
-        raise ValueError(f"unknown variant {variant!r}")
+        raise InvalidInput(f"unknown variant {variant!r}")
     return max(1, int(math.ceil(val)))
 
 
@@ -166,7 +166,7 @@ def kaczmarz_exact(
     y = np.asarray(y, dtype=float)
     U, sigma, V = svd.U, svd.sigma, svd.V
     if y.shape != (svd.n,):
-        raise ValueError(f"y must have shape ({svd.n},)")
+        raise InvalidInput(f"y must have shape ({svd.n},)")
     if check_consistency:
         resid = y - U @ (U.T @ y)
         if np.linalg.norm(resid) > CONSISTENCY_RTOL * np.linalg.norm(y):
@@ -220,7 +220,7 @@ def fast_setup(X: np.ndarray, cfg: FastSolverConfig, rng: RngStream) -> FastSetu
     elif cfg.column_sketch == "dense_sign":
         op1 = make_dense_sign_jlt(n, r1, rng.substream(1))
     else:
-        raise ValueError(f"unknown column sketch {cfg.column_sketch!r}")
+        raise InvalidInput(f"unknown column sketch {cfg.column_sketch!r}")
     precond = build_preconditioner(X, op1)
     op2 = make_dense_sign_jlt(d, r2, rng.substream(2))
     leverage = approx_leverage(X, precond, op2)
@@ -247,7 +247,7 @@ def kaczmarz_fast(
     if K < 1:
         raise InvalidK("need at least one iteration")
     if not isinstance(rng, RngStream):
-        raise TypeError("kaczmarz_fast needs an RngStream (it derives substreams)")
+        raise InvalidRng("kaczmarz_fast needs an RngStream (it derives substreams)")
     y = data.require_labels()
     X = data.X
     if check_consistency:

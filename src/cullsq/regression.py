@@ -21,6 +21,7 @@ from typing import Iterable, Optional, Tuple
 import numpy as np
 
 from .errors import (
+    InvalidInput,
     MissingLabels,
     RankDeficient,
     SingularDeficientSystem,
@@ -54,12 +55,12 @@ class Dataset:
     def __post_init__(self):
         X = np.asarray(self.X, dtype=float)
         if X.ndim != 2:
-            raise ValueError(f"X must be 2-D, got shape {X.shape}")
+            raise InvalidInput(f"X must be 2-D, got shape {X.shape}")
         n, d = X.shape
         if not (n > d >= 1):
-            raise ValueError(f"need n > d >= 1, got n={n}, d={d}")
+            raise InvalidInput(f"need n > d >= 1, got n={n}, d={d}")
         if not np.all(np.isfinite(X)):
-            raise ValueError("X contains non-finite entries")
+            raise InvalidInput("X contains non-finite entries")
         row_norms = np.einsum("ij,ij->i", X, X)
         if np.any(row_norms == 0.0):
             raise ZeroRow(f"zero rows at indices {np.flatnonzero(row_norms == 0.0)}")
@@ -67,9 +68,9 @@ class Dataset:
         if self.y is not None:
             y = np.asarray(self.y, dtype=float)
             if y.shape != (n,):
-                raise ValueError(f"y must have shape ({n},), got {y.shape}")
+                raise InvalidInput(f"y must have shape ({n},), got {y.shape}")
             if not np.all(np.isfinite(y)):
-                raise ValueError("y contains non-finite entries")
+                raise InvalidInput("y contains non-finite entries")
             object.__setattr__(self, "y", _frozen(y))
 
     @property

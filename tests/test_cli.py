@@ -58,6 +58,23 @@ class TestSolve:
         np.testing.assert_allclose(load_vector(tmp_path / "w.csv"), expect, atol=1e-10)
 
 
+    @pytest.mark.parametrize(
+        "x_text, y_text",
+        [
+            ("1,0\n0,1\n", "1\n2\n"),  # n = d = 2
+            ("1,0\nnan,1\n0,2\n", "1\n2\n3\n"),  # a non-finite entry
+        ],
+        ids=["two-by-two", "nan-entry"],
+    )
+    def test_bad_design_exits_one_with_one_line(self, tmp_path, capsys, x_text, y_text):
+        (tmp_path / "x.csv").write_text(x_text)
+        (tmp_path / "y.csv").write_text(y_text)
+        rc = run_cli("solve", "--x", tmp_path / "x.csv", "--y", tmp_path / "y.csv")
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+
 class TestRejectSample:
     def test_single_draw(self, dataset_files, tmp_path, capsys):
         x_path, _ = dataset_files
@@ -217,6 +234,10 @@ class TestVerifyCommand:
         )
         assert rc == 2
         assert "FAIL" in capsys.readouterr().out
+
+    def test_sampler_defaults_pass(self, capsys):
+        assert run_cli("verify", "sampler") == 0
+        assert "FAIL" not in capsys.readouterr().out
 
     def test_invalid_config_exits_one(self, capsys):
         rc = run_cli("verify", "k-points", "--n", 12, "--d", 2, "--k", 6)

@@ -1,10 +1,12 @@
 import math
+import tracemalloc
 from fractions import Fraction
 from itertools import combinations
 
 import numpy as np
 import pytest
 import scipy.stats
+from hypothesis import given, settings, strategies as st
 
 from cullsq import (
     Dataset,
@@ -28,6 +30,13 @@ from cullsq import (
     single_row_influences,
     subset_influence,
     thin_svd,
+)
+from cullsq.influence import (
+    _acceptance_ratios,
+    _batch_spec_norms,
+    _inverse_cdf_draw,
+    _propose_batch,
+    _uniform_subsets,
 )
 from cullsq.sketching import hadamard_columns
 from _helpers import random_orthonormal
@@ -470,3 +479,83 @@ class TestSpectralNormAverages:
             1.0 / (ell[i] + ell[j]) for i, j in combinations(range(16), 2)
         )
         assert total >= 2 * math.comb(16, 2)
+
+
+@st.composite
+def sizes_and_seed(draw, min_n=1):
+    n = draw(st.integers(min_n, 60))
+    k = draw(st.one_of(st.sampled_from([1, max(1, n - 1), n]), st.integers(1, n)))
+    return n, k, draw(st.integers(0, 2**32 - 1))
+
+
+class TestProposalProperties:
+    @settings(max_examples=200, deadline=None)
+    @given(sizes_and_seed(), st.integers(1, 40))
+    def test_proposals_are_sorted_distinct_and_hold_first_row(self, nks, count):
+        n, k, seed = nks
+        f = np.random.default_rng(seed).uniform(0.1, 5.0, n)
+        subs = sample_sum_over_rows_many(f, k, count, np.random.default_rng(seed))
+        # the first draws of the stream pick the inverse-CDF rows
+        first = _inverse_cdf_draw(np.random.default_rng(seed), np.cumsum(f), count)
+        assert subs.shape == (count, k)
+        assert np.all(np.diff(subs, axis=1) > 0)
+        assert subs.min() >= 0 and subs.max() < n
+        assert np.all(np.any(subs == first[:, None], axis=1))
+
+    @settings(max_examples=60, deadline=None)
+    @given(sizes_and_seed(min_n=4), st.integers(1, 4))
+    def test_theta_at_most_one_on_every_proposal(self, nks, d):
+        n, k, seed = nks
+        gen = np.random.default_rng(seed)
+        d = min(d, n - 1)
+        k = min(k, n - 1)
+        svd = thin_svd(Dataset(X=gen.standard_normal((n, d))))
+        prof = leverage_scores(svd)
+        subs = _propose_batch(gen, np.cumsum(1.0 / prof.ell), n, k, 64)
+        spec = _batch_spec_norms(svd.U, subs)
+        theta = _acceptance_ratios(spec, (1.0 / prof.ell)[subs].sum(axis=1), d, k)
+        assert np.all(theta >= 0.0)
+        assert theta.max() <= 1.0 + 1e-10
+
+    @pytest.mark.parametrize("m,size", [(9, 3), (9, 4), (9, 5), (9, 8)])
+    def test_uniform_subsets_chi_square(self, m, size):
+        # size 3 and 4 use the redraw loop, 5 and 8 the complement branch
+        draws = 100_000
+        rows = _uniform_subsets(np.random.default_rng(300 + size), m, size, draws)
+        cells = {c: i for i, c in enumerate(combinations(range(m), size))}
+        counts = np.zeros(len(cells))
+        uniq, cnt = np.unique(rows, axis=0, return_counts=True)
+        for row, c in zip(uniq, cnt):
+            counts[cells[tuple(int(v) for v in row)]] = c
+        expected = np.full(len(cells), draws / len(cells))
+        assert scipy.stats.chisquare(counts, expected).pvalue > 1e-4
+
+    @pytest.mark.parametrize("n", [6, 13])
+    def test_companion_draw_chi_square_at_k_n_minus_1(self, n):
+        # a subset of n-1 rows omits row j with probability
+        # sum_{i != j} f_i / ((n-1) sum f) = (F - f_j) / ((n-1) F)
+        draws = 100_000
+        f = np.random.default_rng(400 + n).uniform(0.2, 3.0, n)
+        subs = sample_sum_over_rows_many(f, n - 1, draws, RngStream(401 + n))
+        omitted = n * (n - 1) // 2 - subs.sum(axis=1)
+        counts = np.bincount(omitted, minlength=n)
+        probs = (f.sum() - f) / ((n - 1) * f.sum())
+        assert scipy.stats.chisquare(counts, probs * draws).pvalue > 1e-4
+
+
+def test_batch_draw_memory_far_below_batch_by_n():
+    # at n = 2^20 one batch x n float array of the default batch is 32 GiB
+    n, d = 2**20, 4
+    k = int(n / (d + math.sqrt(n)))
+    X = np.random.default_rng(60).standard_normal((n, d))
+    svd = thin_svd(Dataset(X=X))
+    prof = leverage_scores(svd)
+    tracemalloc.start()
+    try:
+        draws, stats = rejection_sample_many(svd, prof, k, 50, RngStream(61))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert draws.shape == (50, k) and stats.accepted >= 50
+    assert np.all(np.diff(draws, axis=1) > 0)
+    assert peak < 64 * 2**20

@@ -4,10 +4,13 @@ import numpy as np
 import pytest
 
 from cullsq import (
+    CullsqError,
     Dataset,
     FastSolverConfig,
     InconsistentSystem,
+    InvalidInput,
     InvalidK,
+    InvalidRng,
     RngStream,
     fast_setup,
     full_solve,
@@ -226,3 +229,29 @@ class TestKaczmarzFast:
         y = X @ gen.standard_normal(3) + gen.standard_normal(40)
         with pytest.raises(InconsistentSystem):
             kaczmarz_fast(Dataset(X=X, y=y), 5, RngStream(31), check_consistency=True)
+
+
+class TestTypedErrors:
+    """Bad arguments raise CullsqError subclasses that are also the
+    builtin ValueError or TypeError."""
+
+    def test_bad_options_are_invalid_input(self):
+        data, _ = consistent_instance(20, 3, 32)
+        calls = [
+            lambda: labels_for_target(100, 2, 0.5),
+            lambda: labels_for_target(100, 2, 2.0, "slow"),
+            lambda: kaczmarz_exact(thin_svd(data), np.ones(19), 5, RngStream(33)),
+            lambda: fast_setup(data.X, FastSolverConfig(column_sketch="gauss"), RngStream(34)),
+        ]
+        for call in calls:
+            with pytest.raises(InvalidInput) as info:
+                call()
+            assert isinstance(info.value, CullsqError)
+            assert isinstance(info.value, ValueError)
+
+    def test_fast_solver_needs_rng_stream(self):
+        data, _ = consistent_instance(20, 3, 35)
+        with pytest.raises(InvalidRng) as info:
+            kaczmarz_fast(data, 5, np.random.default_rng(36))
+        assert isinstance(info.value, CullsqError)
+        assert isinstance(info.value, TypeError)

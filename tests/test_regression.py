@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 
 from cullsq import (
+    CullsqError,
     Dataset,
+    InvalidInput,
     MissingLabels,
     RankDeficient,
     RowSubset,
@@ -39,6 +41,23 @@ class TestDataset:
     def test_needs_more_rows_than_columns(self):
         with pytest.raises(ValueError):
             Dataset(X=np.eye(3))
+
+    @pytest.mark.parametrize(
+        "X, y",
+        [
+            (np.ones(4), None),
+            (np.eye(3), None),
+            (np.array([[1.0], [np.nan], [2.0]]), None),
+            (np.ones((3, 1)), np.ones(2)),
+            (np.ones((3, 1)), np.array([1.0, np.inf, 0.0])),
+        ],
+        ids=["one-dim", "square", "nan-in-x", "short-y", "inf-in-y"],
+    )
+    def test_malformed_input_is_typed(self, X, y):
+        with pytest.raises(InvalidInput) as info:
+            Dataset(X=X, y=y)
+        assert isinstance(info.value, CullsqError)
+        assert isinstance(info.value, ValueError)
 
     def test_label_length_checked(self):
         with pytest.raises(ValueError):
