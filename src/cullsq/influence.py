@@ -19,9 +19,9 @@ n >= 8 d k.
 
 One rejection loop serves every sampler; a single draw is a round of
 proposals that stops at its first acceptance.  A round of B proposals
-costs O(B k log k) time and holds O(B k d) memory (the gathered rows
-U_A), plus O(n) for the cumulative proposal weights built once per
-call: no array is sized by n per proposal.
+costs O(B k log k) time and holds O(B k) memory plus a fixed-size block
+of gathered rows U_A, and O(n) for the cumulative proposal weights built
+once per call: no array is sized by n or by k d per proposal.
 
 A full-enumeration routine doubles as the validation oracle at small n.
 """
@@ -53,6 +53,8 @@ from .rng import as_generator
 
 ENUMERATION_LIMIT = 2_000_000
 DEFAULT_BATCH = 4096
+# doubles of gathered rows U_A held at once by the spectral-norm kernel (2 MB)
+SPEC_BLOCK_ELEMENTS = 2**18
 
 
 def single_row_influences(profile: LeverageProfile) -> np.ndarray:
@@ -147,15 +149,23 @@ def _propose_batch(gen, cumulative, n, k, batch) -> np.ndarray:
 
 
 def _batch_spec_norms(U: np.ndarray, subsets: np.ndarray) -> np.ndarray:
-    """Spectral norm of U_A U_A^T for each row of ``subsets``."""
+    """Spectral norm of U_A U_A^T for each row of ``subsets``.
+
+    The rows U_A are gathered for at most ``SPEC_BLOCK_ELEMENTS // (k d)``
+    subsets at a time, so a batch of B subsets holds O(B) results plus a
+    fixed-size block, not the (B, k, d) gather of the whole batch.
+    """
     d = U.shape[1]
-    k = subsets.shape[1]
-    UA = U[subsets]  # (B, k, d)
-    if k <= d:
-        gram = UA @ np.swapaxes(UA, 1, 2)
-    else:
-        gram = np.swapaxes(UA, 1, 2) @ UA
-    top = np.linalg.eigvalsh(gram)[..., -1]
+    B, k = subsets.shape
+    step = max(1, SPEC_BLOCK_ELEMENTS // (k * d))
+    top = np.empty(B)
+    for start in range(0, B, step):
+        UA = U[subsets[start : start + step]]  # (b, k, d)
+        if k <= d:
+            gram = UA @ np.swapaxes(UA, 1, 2)
+        else:
+            gram = np.swapaxes(UA, 1, 2) @ UA
+        top[start : start + step] = np.linalg.eigvalsh(gram)[..., -1]
     return np.clip(top, 0.0, 1.0)
 
 

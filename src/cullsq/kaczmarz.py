@@ -122,26 +122,30 @@ def _run_projections(
     w_map: Optional[Callable[[np.ndarray], np.ndarray]] = None,
     w_star: Optional[np.ndarray] = None,
 ):
-    """Projective-update loop; optionally traces v- and w-space errors."""
+    """Projective-update loop; optionally traces v- and w-space errors.
+
+    With a trace the iterates are kept as a (K+1, d) array and ``w_map``
+    maps all of them to w-space at once (one row per iterate) after the
+    loop.
+    """
     K = rows.shape[0]
-    v_trace = w_trace = None
+    iterates = None
     if v_star is not None:
-        v_trace = np.empty(K + 1)
-        diff = v - v_star
-        v_trace[0] = diff @ diff
-        if w_map is not None and w_star is not None:
-            w_trace = np.empty(K + 1)
-            wdiff = w_map(v) - w_star
-            w_trace[0] = wdiff @ wdiff
+        iterates = np.empty((K + 1, v.shape[0]))
+        iterates[0] = v
     for t in range(K):
         q = rows[t]
         v -= q * ((q @ v - rhs[t]) / norms_sq[t])
-        if v_trace is not None:
-            diff = v - v_star
-            v_trace[t + 1] = diff @ diff
-            if w_trace is not None:
-                wdiff = w_map(v) - w_star
-                w_trace[t + 1] = wdiff @ wdiff
+        if iterates is not None:
+            iterates[t + 1] = v
+    if iterates is None:
+        return None, None
+    diff = iterates - v_star
+    v_trace = np.einsum("ij,ij->i", diff, diff)
+    w_trace = None
+    if w_map is not None and w_star is not None:
+        wdiff = w_map(iterates) - w_star
+        w_trace = np.einsum("ij,ij->i", wdiff, wdiff)
     return v_trace, w_trace
 
 
@@ -182,7 +186,7 @@ def kaczmarz_exact(
         v_star = sigma * (V.T @ w_star_arr)
     v_trace, w_trace = _run_projections(
         v, U[idx], y[idx], ell[idx], v_star,
-        w_map=lambda vv: V @ (vv / sigma), w_star=w_star_arr,
+        w_map=lambda vs: (vs / sigma) @ V.T, w_star=w_star_arr,
     )
     return KaczmarzRun(
         w=V @ (v / sigma),
@@ -272,7 +276,7 @@ def kaczmarz_fast(
         v_star = T @ w_star_arr[piv]  # R w*
     v_trace, w_trace = _run_projections(
         v, Q, y[idx], norms_sq, v_star,
-        w_map=setup.precond.apply_inverse, w_star=w_star_arr,
+        w_map=lambda vs: setup.precond.apply_inverse(vs.T).T, w_star=w_star_arr,
     )
     return KaczmarzRun(
         w=setup.precond.apply_inverse(v),

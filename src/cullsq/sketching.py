@@ -19,6 +19,12 @@ inverses of those of Pi U (reversed), so X R^{-1} inherits the sketch's
 conditioning.  Row norms of X R^{-1}, optionally compressed once more by
 a second sketch acting on the d-dimensional row space, give constant
 relative-error approximations to the leverage scores.
+
+Memory: the FWHT runs in place with a half-size temporary, so an SRHT of
+an (n, d) matrix holds the padded copy plus half of it.  The leverage
+estimates are computed in row blocks and take O(n d + block * r2), never
+the O(n r2) of sketching every row at once; the label-free set-up of the
+fast Kaczmarz solver thus stays O(n d) in memory.
 """
 
 from __future__ import annotations
@@ -37,6 +43,10 @@ DENSE_SIGN = "dense_sign"
 SRHT = "srht"
 IDENTITY = "identity"
 
+# row-block size of approx_leverage, in elements of the (r2 x block)
+# sketch: 2^21 doubles, 16 MB
+LEVERAGE_BLOCK_ELEMENTS = 2**21
+
 
 def next_pow2(n: int) -> int:
     if n < 1:
@@ -48,22 +58,32 @@ def fwht(M: np.ndarray) -> np.ndarray:
     """Normalized fast Walsh-Hadamard transform along axis 0.
 
     Orthogonal (self-inverse) Sylvester ordering; the leading dimension
-    must be a power of two.
+    must be a power of two.  The input is not modified: the butterfly
+    runs in place on one copy, so the transform holds the output plus a
+    half-size temporary.
     """
-    a = np.array(M, dtype=float)
-    shape = a.shape
-    n = shape[0]
+    a = np.array(M, dtype=float, order="C")
+    n = a.shape[0]
     if n & (n - 1):
         raise InvalidDimension(f"leading dimension {n} is not a power of two")
-    a = a.reshape(n, -1)
+    _fwht_inplace(a.reshape(n, -1))
+    return a
+
+
+def _fwht_inplace(a: np.ndarray) -> None:
+    """Normalized FWHT of a C-contiguous (n, m) float array, n a power of
+    two, overwriting it.  Each level keeps one half-size temporary."""
+    n = a.shape[0]
     h = 1
     while h < n:
-        a = a.reshape(n // (2 * h), 2, h, -1)
-        top = a[:, 0] + a[:, 1]
-        bot = a[:, 0] - a[:, 1]
-        a = np.stack((top, bot), axis=1).reshape(n, -1)
+        blocks = a.reshape(n // (2 * h), 2, h, -1)
+        top, bot = blocks[:, 0], blocks[:, 1]
+        tmp = top.copy()
+        top += bot
+        tmp -= bot
+        bot[...] = tmp
         h *= 2
-    return (a / math.sqrt(n)).reshape(shape)
+    a /= math.sqrt(n)
 
 
 def hadamard_columns(n: int, d: int) -> np.ndarray:
@@ -165,8 +185,8 @@ def apply_sketch(op: SketchOperator, M: np.ndarray) -> np.ndarray:
         padded = np.zeros((op.n_pad, M.shape[1]))
         padded[: op.n_in] = M
         padded *= op.signs[:, None]
-        transformed = fwht(padded)
-        out = transformed[op.coords] * math.sqrt(op.n_pad / op.r)
+        _fwht_inplace(padded)
+        out = padded[op.coords] * math.sqrt(op.n_pad / op.r)
     else:
         raise InvalidDimension(f"unknown sketch kind {op.kind!r}")
     return out[:, 0] if squeeze else out
@@ -297,7 +317,7 @@ class Preconditioner:
         return self.T[:, inv_piv]
 
     def apply_inverse(self, b: np.ndarray) -> np.ndarray:
-        """R^{-1} b = P^T T^{-1} b."""
+        """R^{-1} b = P^T T^{-1} b, for b of shape (d,) or (d, m)."""
         z = scipy.linalg.solve_triangular(self.T, np.asarray(b, dtype=float))
         out = np.empty_like(z)
         out[self.piv] = z
@@ -351,13 +371,24 @@ def approx_leverage(
     never formed densely); ``op2`` must accept d-dimensional input and
     compresses the row space.  With identity sketches on both sides the
     estimates equal the exact leverage scores.
+
+    X is walked in row blocks of at most ``LEVERAGE_BLOCK_ELEMENTS //
+    op2.r`` rows, so beyond X and the n estimates the memory is
+    O(block * (d + r2)): the (r2 x n) sketch of all rows is never held
+    at once.  Each row's estimate depends only on that row, so blocking
+    changes nothing but the order in which BLAS sums.
     """
     X = np.asarray(X, dtype=float)
-    d = X.shape[1]
+    n, d = X.shape
     if op2.n_in != d:
         raise DimensionMismatch(
             f"row-space sketch expects input dimension {op2.n_in}, data has d={d}"
         )
-    Z = precond.x_times_inverse(X)          # (n, d)
-    sketched = apply_sketch(op2, Z.T)       # (r2, n)
-    return ApproxLeverage(ell_hat=np.einsum("ij,ij->j", sketched, sketched))
+    block = max(1, LEVERAGE_BLOCK_ELEMENTS // op2.r)
+    ell_hat = np.empty(n)
+    for start in range(0, n, block):
+        rows = slice(start, start + block)
+        Z = precond.x_times_inverse(X[rows])     # (b, d)
+        sketched = apply_sketch(op2, Z.T)        # (r2, b)
+        ell_hat[rows] = np.einsum("ij,ij->j", sketched, sketched)
+    return ApproxLeverage(ell_hat=ell_hat)

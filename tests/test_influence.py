@@ -31,7 +31,9 @@ from cullsq import (
     subset_influence,
     thin_svd,
 )
+from cullsq import influence
 from cullsq.influence import (
+    DEFAULT_BATCH,
     _acceptance_ratios,
     _batch_spec_norms,
     _inverse_cdf_draw,
@@ -559,3 +561,36 @@ def test_batch_draw_memory_far_below_batch_by_n():
     assert draws.shape == (50, k) and stats.accepted >= 50
     assert np.all(np.diff(draws, axis=1) > 0)
     assert peak < 64 * 2**20
+
+
+@pytest.mark.parametrize("k,d,block", [(7, 3, 50), (3, 7, 50), (40, 32, 1)])
+def test_spec_norms_in_blocks_equal_one_gather(monkeypatch, k, d, block):
+    # the one-gather formula on the whole (B, k, d) array is the reference
+    n, B = 120, 37
+    gen = np.random.default_rng(64)
+    U = random_orthonormal(n, d, gen)
+    subs = np.sort(np.array([gen.choice(n, k, replace=False) for _ in range(B)]), axis=1)
+    UA = U[subs]
+    gram = UA @ np.swapaxes(UA, 1, 2) if k <= d else np.swapaxes(UA, 1, 2) @ UA
+    whole = np.clip(np.linalg.eigvalsh(gram)[..., -1], 0.0, 1.0)
+    monkeypatch.setattr(influence, "SPEC_BLOCK_ELEMENTS", block * k * d)
+    assert np.array_equal(_batch_spec_norms(U, subs), whole)
+
+
+def test_full_round_memory_order_batch_times_k():
+    # a (batch, k, d) gather of U_A would be d = 32 times one (batch, k)
+    # float array; the whole draw must stay within ten of those
+    n, d = 2**14, 32
+    k = int(n / (d + math.sqrt(n)))
+    X = np.random.default_rng(62).standard_normal((n, d))
+    svd = thin_svd(Dataset(X=X))
+    prof = leverage_scores(svd)
+    tracemalloc.start()
+    try:
+        draws, stats = rejection_sample_many(svd, prof, k, DEFAULT_BATCH, RngStream(63))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert stats.proposals > DEFAULT_BATCH  # the first round is a full batch
+    assert draws.shape == (DEFAULT_BATCH, k)
+    assert peak < 10 * DEFAULT_BATCH * k * 8

@@ -30,6 +30,20 @@ def consistent_instance(n, d, seed):
     return Dataset(X=X, y=X @ w0), w0
 
 
+def replay_traces(rows, rhs, w_of_v, v_star, w_star):
+    """Per-step reference: squared v- and w-space errors of the projective
+    updates, mapping each iterate to w-space on its own."""
+    v = np.zeros(rows.shape[1])
+    v_trace, w_trace = [], []
+    for t in range(rows.shape[0] + 1):
+        if t:
+            q = rows[t - 1]
+            v = v - q * ((q @ v - rhs[t - 1]) / (q @ q))
+        v_trace.append(np.sum((v - v_star) ** 2))
+        w_trace.append(np.sum((w_of_v(v) - w_star) ** 2))
+    return np.array(v_trace), np.array(w_trace)
+
+
 class TestLabelsForTarget:
     def test_reference_value(self):
         # d ln(n kappa^2 / d) = 10 ln(100) = 46.05... -> 47
@@ -222,6 +236,32 @@ class TestKaczmarzFast:
         run = kaczmarz_fast(data, 10, RngStream(29), w_star=w0)
         np.testing.assert_allclose(run.w_error_trace[0], float(w0 @ w0), rtol=1e-12)
         assert run.error_trace.shape == (11,)
+
+    @pytest.mark.parametrize("variant", ["exact", "fast"])
+    def test_traces_match_per_step_reference(self, variant):
+        # 40 steps at d = 5 stay far above the roundoff floor, so the
+        # batched w-space map must agree with the per-step one to 1e-12
+        gen = np.random.default_rng(32)
+        X = conditioned_design(200, 5, 30.0, gen)
+        w0 = gen.standard_normal(5)
+        data = Dataset(X=X, y=X @ w0)
+        if variant == "exact":
+            svd = thin_svd(data)
+            run = kaczmarz_exact(svd, data.y, 40, RngStream(33), w_star=w0)
+            rows = svd.U[run.sampled_indices]
+            w_of_v = lambda v: svd.V @ (v / svd.sigma)
+            v_star = svd.sigma * (svd.V.T @ w0)
+        else:
+            setup = fast_setup(X, FastSolverConfig(), RngStream(34))
+            run = kaczmarz_fast(data, 40, RngStream(34), w_star=w0, setup=setup)
+            pre = setup.precond
+            rows = np.array([pre.apply_inverse_transpose(X[j]) for j in run.sampled_indices])
+            w_of_v = pre.apply_inverse
+            v_star = pre.T @ w0[pre.piv]
+        v_ref, w_ref = replay_traces(rows, data.y[run.sampled_indices], w_of_v, v_star, w0)
+        assert w_ref[-1] > 1e-8 * w_ref[0]
+        np.testing.assert_allclose(run.error_trace, v_ref, rtol=1e-12)
+        np.testing.assert_allclose(run.w_error_trace, w_ref, rtol=1e-12)
 
     def test_consistency_check(self):
         gen = np.random.default_rng(30)

@@ -1,11 +1,15 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+import scipy.linalg
+from hypothesis import given, settings, strategies as st
 
 from cullsq import (
     Dataset,
     DimensionMismatch,
+    FastSolverConfig,
     InvalidDimension,
     RngStream,
     SketchRankDeficient,
@@ -14,6 +18,7 @@ from cullsq import (
     build_preconditioner,
     check_embedding_properties,
     embedding_defect,
+    fast_setup,
     fwht,
     jlt_defect,
     jlt_dim,
@@ -24,7 +29,12 @@ from cullsq import (
     srht_dim,
     thin_svd,
 )
-from cullsq.sketching import SRHT, SketchOperator, pinv_factorization_residual
+from cullsq.sketching import (
+    LEVERAGE_BLOCK_ELEMENTS,
+    SRHT,
+    SketchOperator,
+    pinv_factorization_residual,
+)
 from _helpers import random_orthonormal
 
 
@@ -78,6 +88,22 @@ class TestFwht:
         with pytest.raises(InvalidDimension):
             fwht(np.ones(6))
 
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 8), st.integers(1, 4), st.integers(0, 2**32 - 1),
+           st.booleans())
+    def test_matches_hadamard_matrix_without_mutating_input(self, p, m, seed, fortran):
+        n = 1 << p
+        M = np.random.default_rng(seed).standard_normal((n, m))
+        if fortran:
+            M = np.asfortranarray(M)
+        before = M.copy()
+        out = fwht(M)
+        assert np.array_equal(M, before)
+        H = scipy.linalg.hadamard(n) / math.sqrt(n)
+        atol = 1e-12 * max(1.0, np.abs(M).max())
+        np.testing.assert_allclose(out, H @ M, rtol=0, atol=atol)
+        np.testing.assert_allclose(fwht(out), M, rtol=0, atol=atol)
+
 
 class TestApplySketch:
     def test_full_srht_with_trivial_signs_is_orthogonal(self):
@@ -108,6 +134,15 @@ class TestApplySketch:
         full = apply_sketch(op, M)
         cols = np.column_stack([apply_sketch(op, M[:, j]) for j in range(6)])
         assert np.array_equal(full, cols)
+
+    @pytest.mark.parametrize("n_in,r", [(24, 16), (32, 5), (1, 1), (100, 128)])
+    def test_srht_equals_explicit_matrix(self, n_in, r):
+        # sqrt(n_pad / r) * (rows coords of H / sqrt(n_pad)) * diag(signs) * [I; 0]
+        op = make_srht(n_in, r, RngStream(11))
+        H = scipy.linalg.hadamard(op.n_pad) / math.sqrt(op.n_pad)
+        explicit = math.sqrt(op.n_pad / op.r) * (H[op.coords] * op.signs)[:, :n_in]
+        M = np.random.default_rng(12).standard_normal((n_in, 3))
+        np.testing.assert_allclose(apply_sketch(op, M), explicit @ M, rtol=0, atol=1e-12)
 
     def test_expected_norm_preserved(self):
         gen = np.random.default_rng(8)
@@ -288,9 +323,40 @@ class TestApproxLeverage:
             good_seeds += 1
         assert good_seeds >= 19
 
+    # r2 = 4096 makes a block of 512 rows: below one block, exactly one,
+    # one plus a row, and several with a partial last one
+    @pytest.mark.parametrize("n", [300, 512, 513, 3 * 512 + 7])
+    def test_blocked_equals_one_shot_sketch(self, n):
+        d, r2 = 6, 4096
+        assert LEVERAGE_BLOCK_ELEMENTS // r2 == 512
+        X = np.random.default_rng(29).standard_normal((n, d))
+        precond = build_preconditioner(X, make_srht(n, 64, RngStream(30)))
+        op2 = make_dense_sign_jlt(d, r2, RngStream(31))
+        S = op2.matrix @ precond.x_times_inverse(X).T   # (r2, n) at once
+        one_shot = np.sum(S**2, axis=0)
+        np.testing.assert_allclose(
+            approx_leverage(X, precond, op2).ell_hat, one_shot, rtol=1e-12
+        )
+
     def test_dimension_mismatch(self):
         gen = np.random.default_rng(28)
         X = gen.standard_normal((30, 3))
         precond = build_preconditioner(X, make_identity_sketch(30))
         with pytest.raises(DimensionMismatch):
             approx_leverage(X, precond, make_identity_sketch(4))
+
+
+def test_fast_setup_memory_is_order_n_d():
+    # the (r2 x n) row-space sketch alone is 1009 x 2^20 doubles, ~8 GB
+    n, d = 2**20, 10
+    X = np.random.default_rng(32).standard_normal((n, d))
+    tracemalloc.start()
+    try:
+        setup = fast_setup(X, FastSolverConfig(), RngStream(33))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert setup.row_op.r == math.ceil(72 * math.log(n + 1))
+    assert setup.leverage.ell_hat.shape == (n,)
+    assert np.all(setup.leverage.ell_hat > 0)
+    assert peak <= 256 * 2**20
