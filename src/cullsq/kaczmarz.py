@@ -10,11 +10,12 @@ Two preconditioned variants, both with per-run label accounting:
   floor whatever the conditioning.
 
 * fast: replace the SVD with a sketched pivoted-QR preconditioner R and
-  leverage estimates from a second sketch.  Preprocessing reads only the
-  design matrix, never the labels; iterations sample by approximate
-  leverage and update with the preconditioned row q = R^{-T} x_j.  The
-  contraction weakens to (1 - 1/(9 d)) per step but stays independent of
-  the input conditioning.
+  take the exact squared row norms of X R^{-1} as leverage estimates.
+  Preprocessing reads only the design matrix, never the labels;
+  iterations sample by approximate leverage and update with the
+  preconditioned row q = R^{-T} x_j.  The contraction weakens to
+  (1 - 1/(9 d)) per step but stays independent of the input
+  conditioning.
 
 A run touches at most one label per iteration, so the number of labels
 revealed is bounded by the iteration count (and reported exactly as the
@@ -40,6 +41,7 @@ from .sketching import (
     approx_leverage,
     build_preconditioner,
     make_dense_sign_jlt,
+    make_identity_sketch,
     make_srht,
     next_pow2,
 )
@@ -70,7 +72,11 @@ class FastSolverConfig:
 
     Defaults follow the simplified constants 48 d ln d (column-space
     SRHT) and 72 ln(n+1) (row-space sign sketch); the column dimension
-    is capped at the padded input size.
+    is capped at the padded input size.  ``fast_setup`` uses only r1:
+    it forms each row of X R^{-1} anyway, and its exact norm then costs
+    d products where a row-space sketch would add r2 d.  r2 sizes the
+    row-space sign sketch that ``approx_leverage`` accepts and
+    ``verify jlt`` checks.
     """
 
     r1: Optional[int] = None
@@ -203,8 +209,9 @@ class FastSetup:
     """Label-free preprocessing output for the fast solver.
 
     Built from the design matrix alone: the column-space sketch, the
-    triangular preconditioner, the row-space sketch, and the leverage
-    estimates used as the sampling distribution.
+    triangular preconditioner, the row-space sketch (the identity: the
+    estimates are exact row norms), and the leverage estimates used as
+    the sampling distribution.
     """
 
     precond: Preconditioner
@@ -214,11 +221,16 @@ class FastSetup:
 
 
 def fast_setup(X: np.ndarray, cfg: FastSolverConfig, rng: RngStream) -> FastSetup:
-    """Sketch, factor, estimate leverage.  Touches no labels."""
+    """Sketch, factor, estimate leverage.  Touches no labels.
+
+    The estimates are the exact squared row norms of X R^{-1}; the
+    (1 - 1/(9 d)) rate needs them only within a constant factor, and
+    exact norms give factor 1 for less work than a row-space sketch of
+    the rows already formed.
+    """
     X = np.asarray(X, dtype=float)
     n, d = X.shape
     r1 = cfg.resolve_r1(n, d)
-    r2 = cfg.resolve_r2(n)
     if cfg.column_sketch == "srht":
         op1 = make_srht(n, r1, rng.substream(1))
     elif cfg.column_sketch == "dense_sign":
@@ -226,7 +238,7 @@ def fast_setup(X: np.ndarray, cfg: FastSolverConfig, rng: RngStream) -> FastSetu
     else:
         raise InvalidInput(f"unknown column sketch {cfg.column_sketch!r}")
     precond = build_preconditioner(X, op1)
-    op2 = make_dense_sign_jlt(d, r2, rng.substream(2))
+    op2 = make_identity_sketch(d)
     leverage = approx_leverage(X, precond, op2)
     return FastSetup(precond=precond, leverage=leverage, column_op=op1, row_op=op2)
 

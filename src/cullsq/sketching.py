@@ -16,15 +16,22 @@ A QR factorization with column pivoting of the sketched matrix yields a
 triangular-times-permutation preconditioner R = T P whose inverse
 applies in O(d^2); the singular values of X R^{-1} are exactly the
 inverses of those of Pi U (reversed), so X R^{-1} inherits the sketch's
-conditioning.  Row norms of X R^{-1}, optionally compressed once more by
-a second sketch acting on the d-dimensional row space, give constant
-relative-error approximations to the leverage scores.
+conditioning.  The squared row norms of X R^{-1} are then constant
+relative-error approximations to the leverage scores.  A second sketch
+Pi2 acting on the d-dimensional row space may compress them further, but
+here each row of X R^{-1} is formed first (d^2 products), so the sketch
+adds r2 d products per row where the exact norm adds d: it never saves
+work, and the fast Kaczmarz set-up uses exact norms.  (The saving of the
+JL step in Drineas et al. needs R^{-1} Pi2^T formed once, d x r2, and
+X times it in n d r2 products; that product is not implemented.)
 
 Memory: the FWHT runs in place with a half-size temporary, so an SRHT of
-an (n, d) matrix holds the padded copy plus half of it.  The leverage
-estimates are computed in row blocks and take O(n d + block * r2), never
-the O(n r2) of sketching every row at once; the label-free set-up of the
-fast Kaczmarz solver thus stays O(n d) in memory.
+an (n, d) matrix holds the padded copy plus half of it.  Its levels that
+pair rows less than a cache block apart run block by block, the rest
+across the whole array.  The leverage estimates are computed in row
+blocks and take O(n d + block * r2), never the O(n r2) of sketching
+every row at once; the label-free set-up of the fast Kaczmarz solver
+thus stays O(n d) in memory.
 """
 
 from __future__ import annotations
@@ -36,7 +43,13 @@ from typing import Optional
 import numpy as np
 import scipy.linalg
 
-from .errors import DimensionMismatch, InvalidDimension, SketchRankDeficient
+from .errors import (
+    DimensionMismatch,
+    InvalidDimension,
+    InvalidInput,
+    SketchRankDeficient,
+    ZeroRow,
+)
 from .rng import as_generator
 
 DENSE_SIGN = "dense_sign"
@@ -46,6 +59,10 @@ IDENTITY = "identity"
 # row-block size of approx_leverage, in elements of the (r2 x block)
 # sketch: 2^21 doubles, 16 MB
 LEVERAGE_BLOCK_ELEMENTS = 2**21
+# row-block size of the passes meant to stay in cache (the FWHT's
+# short-stride levels, the exact row norms of X R^{-1}), in elements:
+# 2^17 doubles, 1 MB
+CACHE_BLOCK_ELEMENTS = 2**17
 
 
 def next_pow2(n: int) -> int:
@@ -66,24 +83,40 @@ def fwht(M: np.ndarray) -> np.ndarray:
     n = a.shape[0]
     if n & (n - 1):
         raise InvalidDimension(f"leading dimension {n} is not a power of two")
-    _fwht_inplace(a.reshape(n, -1))
+    _hadamard_inplace(a.reshape(n, -1))
+    a /= math.sqrt(n)
     return a
 
 
-def _fwht_inplace(a: np.ndarray) -> None:
-    """Normalized FWHT of a C-contiguous (n, m) float array, n a power of
-    two, overwriting it.  Each level keeps one half-size temporary."""
+def _hadamard_inplace(a: np.ndarray) -> None:
+    """Unnormalized Walsh-Hadamard butterfly of a C-contiguous (n, m)
+    float array, n a power of two, overwriting it.
+
+    A level of stride h pairs rows i and i + h inside aligned groups of
+    2h rows, so every level with 2h <= B stays within a block of B rows.
+    Those levels run block by block while the block is in cache; the
+    remaining levels run across the whole array.  Each element sees the
+    same operations in the same order whatever B is, so the output does
+    not depend on the blocking.  Each level keeps one half-size temporary.
+    """
+    n, m = a.shape
+    rows = max(2, CACHE_BLOCK_ELEMENTS // max(m, 1))
+    B = min(n, 1 << (rows.bit_length() - 1))    # a power of two <= rows
+    for start in range(0, n, B):
+        _butterfly_levels(a[start:start + B], 1)
+    _butterfly_levels(a, B)
+
+
+def _butterfly_levels(a: np.ndarray, h: int) -> None:
+    """Run the butterfly levels of stride h, 2h, ... < len(a) in place."""
     n = a.shape[0]
-    h = 1
     while h < n:
         blocks = a.reshape(n // (2 * h), 2, h, -1)
         top, bot = blocks[:, 0], blocks[:, 1]
-        tmp = top.copy()
+        tmp = top - bot
         top += bot
-        tmp -= bot
         bot[...] = tmp
         h *= 2
-    a /= math.sqrt(n)
 
 
 def hadamard_columns(n: int, d: int) -> np.ndarray:
@@ -182,11 +215,13 @@ def apply_sketch(op: SketchOperator, M: np.ndarray) -> np.ndarray:
     elif op.kind == DENSE_SIGN:
         out = op.matrix @ M
     elif op.kind == SRHT:
-        padded = np.zeros((op.n_pad, M.shape[1]))
-        padded[: op.n_in] = M
-        padded *= op.signs[:, None]
-        _fwht_inplace(padded)
-        out = padded[op.coords] * math.sqrt(op.n_pad / op.r)
+        padded = np.empty((op.n_pad, M.shape[1]))
+        np.multiply(M, op.signs[: op.n_in, None], out=padded[: op.n_in])
+        padded[op.n_in:] = 0.0
+        _hadamard_inplace(padded)
+        # normalize only the kept rows
+        out = padded[op.coords] / math.sqrt(op.n_pad)
+        out *= math.sqrt(op.n_pad / op.r)
     else:
         raise InvalidDimension(f"unknown sketch kind {op.kind!r}")
     return out[:, 0] if squeeze else out
@@ -288,7 +323,7 @@ class Preconditioner:
         piv = np.asarray(self.piv, dtype=np.intp)
         d = T.shape[0]
         if T.shape != (d, d) or piv.shape != (d,):
-            raise ValueError("inconsistent factor shapes")
+            raise InvalidInput("inconsistent factor shapes")
         diag = np.abs(np.diag(T))
         if diag.min() < 1e-12 * np.abs(T).max():
             raise SketchRankDeficient(
@@ -356,7 +391,7 @@ class ApproxLeverage:
     def __post_init__(self):
         ell_hat = np.asarray(self.ell_hat, dtype=float)
         if np.any(ell_hat <= 0.0) or not np.all(np.isfinite(ell_hat)):
-            raise ValueError("approximate leverage scores must be positive")
+            raise InvalidInput("approximate leverage scores must be positive")
         ell_hat = ell_hat.copy()
         ell_hat.setflags(write=False)
         object.__setattr__(self, "ell_hat", ell_hat)
@@ -368,15 +403,22 @@ def approx_leverage(
     """Squared row norms of (X R^{-1}) Pi2.
 
     The preconditioned rows are produced by triangular solves (R^{-1} is
-    never formed densely); ``op2`` must accept d-dimensional input and
-    compresses the row space.  With identity sketches on both sides the
-    estimates equal the exact leverage scores.
+    never formed densely); ``op2`` must accept d-dimensional input.  An
+    identity ``op2`` gives the exact squared row norms of X R^{-1}; with
+    identity sketches on both sides these are the exact leverage scores.
+    Any other ``op2`` is applied to the rows of X R^{-1} after they are
+    formed, which adds r2 d products per row to the d an exact norm
+    needs, so it is never cheaper and only approximates the norms.
 
-    X is walked in row blocks of at most ``LEVERAGE_BLOCK_ELEMENTS //
-    op2.r`` rows, so beyond X and the n estimates the memory is
-    O(block * (d + r2)): the (r2 x n) sketch of all rows is never held
-    at once.  Each row's estimate depends only on that row, so blocking
-    changes nothing but the order in which BLAS sums.
+    X is walked in row blocks: of at most ``CACHE_BLOCK_ELEMENTS //
+    d`` rows for the exact norms, so a block of X R^{-1} stays in cache,
+    and of at most ``LEVERAGE_BLOCK_ELEMENTS // op2.r`` rows otherwise.
+    Beyond X and the n estimates the memory is O(block * (d + r2)): the
+    (r2 x n) sketch of all rows is never held at once.  Each row's
+    estimate depends only on that row, so blocking changes nothing but
+    the order in which BLAS sums.
+
+    Raises ``ZeroRow`` for all-zero rows of X, whose estimates are zero.
     """
     X = np.asarray(X, dtype=float)
     n, d = X.shape
@@ -384,11 +426,22 @@ def approx_leverage(
         raise DimensionMismatch(
             f"row-space sketch expects input dimension {op2.n_in}, data has d={d}"
         )
-    block = max(1, LEVERAGE_BLOCK_ELEMENTS // op2.r)
+    exact = op2.kind == IDENTITY
+    if exact:
+        block = max(1, CACHE_BLOCK_ELEMENTS // d)
+    else:
+        block = max(1, LEVERAGE_BLOCK_ELEMENTS // op2.r)
     ell_hat = np.empty(n)
     for start in range(0, n, block):
         rows = slice(start, start + block)
         Z = precond.x_times_inverse(X[rows])     # (b, d)
-        sketched = apply_sketch(op2, Z.T)        # (r2, b)
-        ell_hat[rows] = np.einsum("ij,ij->j", sketched, sketched)
+        if exact:
+            ell_hat[rows] = np.einsum("ij,ij->i", Z, Z)
+        else:
+            sketched = apply_sketch(op2, Z.T)    # (r2, b)
+            ell_hat[rows] = np.einsum("ij,ij->j", sketched, sketched)
+    nonpositive = np.flatnonzero(~(ell_hat > 0.0))
+    zero = nonpositive[~np.any(X[nonpositive], axis=1)]
+    if zero.size:
+        raise ZeroRow(f"zero rows at indices {zero}")
     return ApproxLeverage(ell_hat=ell_hat)

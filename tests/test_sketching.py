@@ -11,8 +11,11 @@ from cullsq import (
     DimensionMismatch,
     FastSolverConfig,
     InvalidDimension,
+    InvalidInput,
+    Preconditioner,
     RngStream,
     SketchRankDeficient,
+    ZeroRow,
     apply_sketch,
     approx_leverage,
     build_preconditioner,
@@ -30,6 +33,8 @@ from cullsq import (
     thin_svd,
 )
 from cullsq.sketching import (
+    CACHE_BLOCK_ELEMENTS,
+    IDENTITY,
     LEVERAGE_BLOCK_ELEMENTS,
     SRHT,
     SketchOperator,
@@ -70,6 +75,29 @@ class TestDimensions:
             make_srht(6, 9, RngStream(0))
 
 
+def reference_fwht(M):
+    """Unblocked normalized butterfly, one level at a time over all rows."""
+    a = np.array(M, dtype=float, order="C")
+    n = a.shape[0]
+    a2 = a.reshape(n, -1)
+    h = 1
+    while h < n:
+        blocks = a2.reshape(n // (2 * h), 2, h, -1)
+        top, bot = blocks[:, 0], blocks[:, 1]
+        tmp = top.copy()
+        top += bot
+        tmp -= bot
+        bot[...] = tmp
+        h *= 2
+    a /= math.sqrt(n)
+    return a
+
+
+def fwht_block_rows(m):
+    """Rows per cache block of the FWHT for m columns."""
+    return 1 << ((CACHE_BLOCK_ELEMENTS // m).bit_length() - 1)
+
+
 class TestFwht:
     def test_first_basis_vector(self):
         out = fwht(np.array([1.0, 0.0, 0.0, 0.0]))
@@ -104,6 +132,22 @@ class TestFwht:
         np.testing.assert_allclose(out, H @ M, rtol=0, atol=atol)
         np.testing.assert_allclose(fwht(out), M, rtol=0, atol=atol)
 
+    # the hypothesis test above stays below one cache block; these run
+    # half a block, exactly one and eight (short-stride levels blocked,
+    # the rest across the array)
+    @pytest.mark.parametrize("m", [1, 3])
+    @pytest.mark.parametrize("blocks", [0.5, 1, 8])
+    @pytest.mark.parametrize("fortran", [False, True])
+    def test_blocked_equals_unblocked_butterfly(self, m, blocks, fortran):
+        n = int(fwht_block_rows(m) * blocks)
+        M = np.random.default_rng(40 + m).standard_normal((n, m))
+        if fortran:
+            M = np.asfortranarray(M)
+        before = M.copy()
+        out = fwht(M)
+        assert np.array_equal(M, before)
+        assert np.array_equal(out, reference_fwht(M))
+
 
 class TestApplySketch:
     def test_full_srht_with_trivial_signs_is_orthogonal(self):
@@ -121,6 +165,16 @@ class TestApplySketch:
         U = random_orthonormal(32, 4, gen)
         op = make_srht(32, 32, RngStream(4))
         assert jlt_defect(op, U) <= 1e-10
+
+    @pytest.mark.parametrize("n_in,m", [(3 * 2**15 + 5, 2), (2**16, 3), (1000, 1)])
+    def test_srht_bit_identical_to_manual_steps(self, n_in, m):
+        op = make_srht(n_in, 300, RngStream(42))
+        M = np.random.default_rng(43).standard_normal((n_in, m))
+        padded = np.zeros((op.n_pad, m))
+        padded[:n_in] = M
+        padded *= op.signs[:, None]
+        manual = reference_fwht(padded)[op.coords] * math.sqrt(op.n_pad / op.r)
+        assert np.array_equal(apply_sketch(op, M), manual)
 
     def test_dense_sign_entries(self):
         op = make_dense_sign_jlt(10, 7, RngStream(5))
@@ -277,6 +331,10 @@ class TestPreconditioner:
         with pytest.raises(SketchRankDeficient):
             build_preconditioner(X, make_dense_sign_jlt(40, 3, RngStream(23)))
 
+    def test_inconsistent_factor_shapes_typed(self):
+        with pytest.raises(InvalidInput):
+            Preconditioner(T=np.eye(3), piv=np.arange(2))
+
 
 class TestApproxLeverage:
     def test_identity_sketches_reproduce_exact_leverage(self):
@@ -346,8 +404,41 @@ class TestApproxLeverage:
             approx_leverage(X, precond, make_identity_sketch(4))
 
 
+class TestFastSetupLeverage:
+    # d = 32 makes an exact-norm block of 4096 rows: below one block,
+    # exactly one, and several with a partial last one
+    @pytest.mark.parametrize("n", [1000, 4096, 3 * 4096 + 77])
+    def test_exact_row_norms_of_x_r_inverse(self, n):
+        d = 32
+        assert CACHE_BLOCK_ELEMENTS // d == 4096
+        X = np.random.default_rng(44).standard_normal((n, d)) * np.logspace(0, 3, d)
+        setup = fast_setup(X, FastSolverConfig(), RngStream(45))
+        assert setup.row_op.kind == IDENTITY and setup.row_op.r == d
+        Z = setup.precond.x_times_inverse(X)
+        np.testing.assert_allclose(
+            setup.leverage.ell_hat, np.einsum("ij,ij->i", Z, Z), rtol=1e-12
+        )
+
+    def test_r2_does_not_change_the_estimates(self):
+        # the row-space sketch is never used: any r2, below or above d,
+        # gives the same exact norms
+        X = np.random.default_rng(46).standard_normal((300, 12))
+        default = fast_setup(X, FastSolverConfig(), RngStream(47)).leverage.ell_hat
+        for r2 in (4, 12, 100):
+            setup = fast_setup(X, FastSolverConfig(r2=r2), RngStream(47))
+            assert setup.row_op.kind == IDENTITY
+            assert np.array_equal(setup.leverage.ell_hat, default)
+
+    def test_zero_row_typed(self):
+        X = np.random.default_rng(51).standard_normal((200, 5))
+        X[[7, 150]] = 0.0
+        with pytest.raises(ZeroRow, match=r"zero rows at indices \[\s*7 150\]"):
+            fast_setup(X, FastSolverConfig(), RngStream(52))
+
+
 def test_fast_setup_memory_is_order_n_d():
-    # the (r2 x n) row-space sketch alone is 1009 x 2^20 doubles, ~8 GB
+    # sketching every row at once, as an earlier design did, held a
+    # (1009 x 2^20) array, ~8 GB; the set-up must stay O(n d)
     n, d = 2**20, 10
     X = np.random.default_rng(32).standard_normal((n, d))
     tracemalloc.start()
@@ -356,7 +447,7 @@ def test_fast_setup_memory_is_order_n_d():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert setup.row_op.r == math.ceil(72 * math.log(n + 1))
+    assert setup.row_op.kind == IDENTITY and setup.row_op.r == d
     assert setup.leverage.ell_hat.shape == (n,)
     assert np.all(setup.leverage.ell_hat > 0)
     assert peak <= 256 * 2**20
