@@ -119,7 +119,6 @@ def _build_parser():
     p.add_argument("--mode", choices=["exact", "fast", "both"])
     p.add_argument("--kappa", type=float)
     p.add_argument("--iters", type=int)
-    p.add_argument("--threads", type=int)
     p.add_argument("--seed", type=int)
     p.add_argument("--out", help="write the JSON report here")
     return parser
@@ -275,7 +274,7 @@ def _cmd_verify(args) -> int:
         key: getattr(args, key)
         for key in (
             "n", "d", "k", "design", "noise", "spike_fraction", "trials",
-            "mode", "kappa", "iters", "threads", "seed", "out",
+            "mode", "kappa", "iters", "seed", "out",
         )
     }
     if args.config:

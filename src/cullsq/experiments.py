@@ -14,9 +14,8 @@ from __future__ import annotations
 import json
 import math
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass
-from typing import Callable, Dict, List, Optional
+from typing import Dict, List, Optional
 
 import numpy as np
 
@@ -33,7 +32,6 @@ from .errors import InvalidConfig
 from .influence import (
     ENUMERATION_LIMIT,
     _acceptance_ratios,
-    _batch_spec_norms,
     enumerate_subset_distribution,
     estimate_acceptance,
     rejection_sample_many,
@@ -49,6 +47,7 @@ from .kaczmarz import (
 from .regression import (
     SPEC_SINGULAR_TOL,
     Dataset,
+    _subset_projection,
     full_solve,
     leverage_scores,
     thin_svd,
@@ -90,7 +89,6 @@ class ExperimentConfig:
     mode: str = "both"
     kappa: float = 1e6
     iters: Optional[int] = None
-    threads: int = 1
     out: Optional[str] = None
 
     def validate(self) -> "ExperimentConfig":
@@ -111,8 +109,6 @@ class ExperimentConfig:
                 )
         if self.trials < 1:
             raise InvalidConfig("trials must be positive")
-        if self.threads < 1:
-            raise InvalidConfig("threads must be positive")
         if self.mode not in ("exact", "fast", "both"):
             raise InvalidConfig(f"unknown kaczmarz mode {self.mode!r}")
         return self
@@ -213,25 +209,11 @@ def _mean_sem(values: np.ndarray):
     return mean, sem
 
 
-def _batched_increases(X, y, U, w_star, subsets) -> np.ndarray:
-    """Closed-form error increase r^T Q r for each subset row.
-
-    Subsets whose partial projection is within 1e-10 of singular get a
-    zero increase (their influence probability is zero)."""
-    res = X @ w_star - y
-    B, k = subsets.shape
-    spec = _batch_spec_norms(U, subsets)
-    mask = spec < 1.0 - SPEC_SINGULAR_TOL
-    out = np.zeros(B)
-    if not np.any(mask):
-        return out
-    UA = U[subsets[mask]]
-    P = UA @ np.swapaxes(UA, 1, 2)
-    r = res[subsets[mask]]
-    M = np.eye(k)[None] - P
-    z = np.linalg.solve(M, r[..., None])[..., 0]
-    out[mask] = np.einsum("bi,bij,bj->b", z, P, z)
-    return out
+def _increases(data: Dataset, svd, w_star, subsets) -> np.ndarray:
+    """Closed-form error increase of each subset row (zero for subsets
+    within 1e-10 of singular, whose influence probability is zero)."""
+    residuals = data.X @ w_star - data.y
+    return _subset_projection(svd.U, subsets, residuals[subsets])[1]
 
 
 # ----------------------------------------------------------------------
@@ -334,7 +316,7 @@ def verify_k_points(cfg: ExperimentConfig) -> ExperimentReport:
         dist = enumerate_subset_distribution(svd, profile, k)
         subsets = np.array([s.array() for s, _ in dist], dtype=np.intp)
         probs = np.array([p for _, p in dist])
-        increases = _batched_increases(data.X, data.y, svd.U, w_star, subsets)
+        increases = _increases(data, svd, w_star, subsets)
         expected = opt_error + float(probs @ increases)
         measurements["expected_error"] = expected
         if opt_error > consistent_floor:
@@ -358,7 +340,7 @@ def verify_k_points(cfg: ExperimentConfig) -> ExperimentReport:
         subsets, stats = rejection_sample_many(
             svd, profile, k, cfg.trials, rng.substream(1)
         )
-        increases = _batched_increases(data.X, data.y, svd.U, w_star, subsets)
+        increases = _increases(data, svd, w_star, subsets)
         measurements["proposals"] = stats.proposals
         measurements["accepted"] = stats.accepted
         measurements["acceptance_rate"] = stats.acceptance_rate
@@ -421,7 +403,7 @@ def verify_sampler(cfg: ExperimentConfig) -> ExperimentReport:
     probs = np.array([p for _, p in dist])
 
     # acceptance ratio over every subset
-    spec = _batch_spec_norms(svd.U, subsets_enum)
+    spec = _subset_projection(svd.U, subsets_enum)
     q_weights = (1.0 / profile.ell)[subsets_enum].sum(axis=1)
     max_theta = float(_acceptance_ratios(spec, q_weights, svd.d, k).max())
 
@@ -436,7 +418,7 @@ def verify_sampler(cfg: ExperimentConfig) -> ExperimentReport:
     counts[pos] = cnt
     tv = 0.5 * float(np.abs(counts / cfg.trials - probs).sum())
 
-    drawn_spec = _batch_spec_norms(svd.U, draws)
+    drawn_spec = _subset_projection(svd.U, draws)
     bound = estimate_acceptance(profile, k)
     rate = stats.acceptance_rate
     rate_se = math.sqrt(max(rate * (1.0 - rate), 0.0) / stats.proposals)
@@ -641,14 +623,6 @@ def verify_jlt(cfg: ExperimentConfig) -> ExperimentReport:
 # kaczmarz
 # ----------------------------------------------------------------------
 
-def _map_trials(fn: Callable[[int], object], count: int, threads: int):
-    """Run trials keyed by index; aggregation order is fixed by index."""
-    if threads <= 1:
-        return [fn(i) for i in range(count)]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(fn, range(count)))
-
-
 def _fit_log_slope(means: np.ndarray) -> float:
     floor = means[0] * 1e-22
     valid = means > max(floor, 0.0)
@@ -683,14 +657,13 @@ def verify_kaczmarz(cfg: ExperimentConfig) -> ExperimentReport:
         K = labels_for_target(cfg.n, cfg.d, kappa, "exact")
         trials = cfg.trials
 
-        def one_exact(i):
-            run = kaczmarz_exact(svd, data.y, K, rng.substream(1000 + i), w_star=w_star)
-            return float((run.w - w_star) @ (run.w - w_star)), run.error_trace, run.labels_used
-
-        results = _map_trials(one_exact, trials, cfg.threads)
-        final_errors = np.array([r[0] for r in results])
-        traces = np.stack([r[1] for r in results])
-        labels = np.array([r[2] for r in results])
+        runs = [
+            kaczmarz_exact(svd, data.y, K, rng.substream(1000 + i), w_star=w_star)
+            for i in range(trials)
+        ]
+        final_errors = np.array([float((r.w - w_star) @ (r.w - w_star)) for r in runs])
+        traces = np.stack([r.error_trace for r in runs])
+        labels = np.array([r.labels_used for r in runs])
         w_norm_sq = float(w_star @ w_star)
         mean_final, _ = _mean_sem(final_errors)
         final_bound = 1.5 * (cfg.d / cfg.n) * w_norm_sq
@@ -701,12 +674,11 @@ def verify_kaczmarz(cfg: ExperimentConfig) -> ExperimentReport:
             )
         )
 
-        contraction_trials = max(500, trials)
-        def one_step(i):
-            run = kaczmarz_exact(svd, data.y, 1, rng.substream(5000 + i), w_star=w_star)
-            return run.error_trace
-
-        steps = np.stack(_map_trials(one_step, contraction_trials, cfg.threads))
+        one_steps = [
+            kaczmarz_exact(svd, data.y, 1, rng.substream(5000 + i), w_star=w_star)
+            for i in range(max(500, trials))
+        ]
+        steps = np.stack([r.error_trace for r in one_steps])
         v_norm_sq = steps[0, 0]
         factors = steps[:, 1] / v_norm_sq
         mean_factor, sem_factor = _mean_sem(factors)
@@ -755,16 +727,15 @@ def verify_kaczmarz(cfg: ExperimentConfig) -> ExperimentReport:
         K = cfg.iters or 400
         trials = cfg.trials if cfg.mode == "fast" else min(cfg.trials, 100)
 
-        def one_fast(i):
-            run = kaczmarz_fast(
+        runs = [
+            kaczmarz_fast(
                 data, K, rng.substream(20_000 + i), cfg=fcfg, w_star=w_star, setup=setup
             )
-            return run.error_trace, run.w_error_trace, run.labels_used
-
-        results = _map_trials(one_fast, trials, cfg.threads)
-        traces = np.stack([r[0] for r in results])
-        w_traces = np.stack([r[1] for r in results])
-        labels = np.array([r[2] for r in results])
+            for i in range(trials)
+        ]
+        traces = np.stack([r.error_trace for r in runs])
+        w_traces = np.stack([r.w_error_trace for r in runs])
+        labels = np.array([r.labels_used for r in runs])
         means = traces.mean(axis=0)
         slope = _fit_log_slope(means)
         slope_bound = math.log(1.0 - 1.0 / (9.0 * cfg.d)) + 0.02

@@ -47,14 +47,13 @@ from .regression import (
     LeverageProfile,
     RowSubset,
     ThinSvd,
+    _subset_projection,
     partial_projection_norm,
 )
-from .rng import as_generator
+from .rng import as_generator, inverse_cdf_draw
 
 ENUMERATION_LIMIT = 2_000_000
 DEFAULT_BATCH = 4096
-# doubles of gathered rows U_A held at once by the spectral-norm kernel (2 MB)
-SPEC_BLOCK_ELEMENTS = 2**18
 
 
 def single_row_influences(profile: LeverageProfile) -> np.ndarray:
@@ -79,13 +78,6 @@ def _check_weights(f_values: np.ndarray) -> np.ndarray:
     if not np.all(np.isfinite(f)) or np.any(f <= 0.0):
         raise NonpositiveWeight("weights must be finite and strictly positive")
     return f
-
-
-def _inverse_cdf_draw(gen, cumulative: np.ndarray, size=None):
-    """Index draws by binary search on a precomputed cumulative array."""
-    u = gen.random(size) * cumulative[-1]
-    idx = np.searchsorted(cumulative, u, side="right")
-    return np.minimum(idx, len(cumulative) - 1)
 
 
 def sample_sum_over_rows(f_values, k: int, rng) -> RowSubset:
@@ -140,33 +132,12 @@ def _uniform_subsets(gen, m: int, size: int, batch: int) -> np.ndarray:
 
 
 def _propose_batch(gen, cumulative, n, k, batch) -> np.ndarray:
-    first = _inverse_cdf_draw(gen, cumulative, batch)
+    first = inverse_cdf_draw(gen, cumulative, batch)
     rest = _uniform_subsets(gen, n - 1, k - 1, batch)
     rest += rest >= first[:, None]
     subsets = np.concatenate([first[:, None], rest], axis=1)
     subsets.sort(axis=1)
     return subsets
-
-
-def _batch_spec_norms(U: np.ndarray, subsets: np.ndarray) -> np.ndarray:
-    """Spectral norm of U_A U_A^T for each row of ``subsets``.
-
-    The rows U_A are gathered for at most ``SPEC_BLOCK_ELEMENTS // (k d)``
-    subsets at a time, so a batch of B subsets holds O(B) results plus a
-    fixed-size block, not the (B, k, d) gather of the whole batch.
-    """
-    d = U.shape[1]
-    B, k = subsets.shape
-    step = max(1, SPEC_BLOCK_ELEMENTS // (k * d))
-    top = np.empty(B)
-    for start in range(0, B, step):
-        UA = U[subsets[start : start + step]]  # (b, k, d)
-        if k <= d:
-            gram = UA @ np.swapaxes(UA, 1, 2)
-        else:
-            gram = np.swapaxes(UA, 1, 2) @ UA
-        top[start : start + step] = np.linalg.eigvalsh(gram)[..., -1]
-    return np.clip(top, 0.0, 1.0)
 
 
 def _influence_weights(spec: np.ndarray) -> np.ndarray:
@@ -273,7 +244,7 @@ def _accept_reject(svd, profile, k, count, rng, max_trials, batch):
         rate = max((accepted + 1) / (proposals + 1), bound)
         b = min(batch, budget - proposals, math.ceil(need / rate))
         subs = _propose_batch(gen, cumulative, n, k, b)
-        spec = _batch_spec_norms(svd.U, subs)
+        spec = _subset_projection(svd.U, subs)
         theta = _acceptance_ratios(spec, inv_ell[subs].sum(axis=1), d, k)
         hits = np.flatnonzero(gen.random(b) < theta)
         kept = hits[:need]
@@ -344,7 +315,7 @@ def enumerate_subset_distribution(
         if not block:
             break
         arr = np.array(block, dtype=np.intp)
-        spec = _batch_spec_norms(svd.U, arr)
+        spec = _subset_projection(svd.U, arr)
         subsets[pos : pos + len(block)] = arr
         weights[pos : pos + len(block)] = _influence_weights(spec)
         pos += len(block)

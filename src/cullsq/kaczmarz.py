@@ -33,7 +33,7 @@ import scipy.linalg
 
 from .errors import InconsistentSystem, InvalidInput, InvalidK, InvalidRng
 from .regression import Dataset, ThinSvd
-from .rng import RngStream, as_generator
+from .rng import RngStream, as_generator, inverse_cdf_draw
 from .sketching import (
     ApproxLeverage,
     Preconditioner,
@@ -111,14 +111,6 @@ def labels_for_target(n: float, d: int, kappa: float, variant: str = "exact") ->
     return max(1, int(math.ceil(val)))
 
 
-def _cdf_sample(gen, weights: np.ndarray, size: int) -> np.ndarray:
-    """Inverse-CDF index sampling by binary search on the cumulative sum."""
-    cumulative = np.cumsum(weights)
-    u = gen.random(size) * cumulative[-1]
-    idx = np.searchsorted(cumulative, u, side="right")
-    return np.minimum(idx, len(weights) - 1)
-
-
 def _run_projections(
     v: np.ndarray,
     rows: np.ndarray,
@@ -183,7 +175,7 @@ def kaczmarz_exact(
             raise InconsistentSystem("labels are not in the column space of X")
     ell = np.einsum("ij,ij->i", U, U)
     gen = as_generator(rng)
-    idx = _cdf_sample(gen, ell, K)
+    idx = inverse_cdf_draw(gen, np.cumsum(ell), K)
 
     v = np.zeros(svd.d)
     v_star = w_star_arr = None
@@ -274,7 +266,7 @@ def kaczmarz_fast(
     if setup is None:
         setup = fast_setup(X, cfg, rng)
     gen = rng.substream(3).generator()
-    idx = _cdf_sample(gen, setup.leverage.ell_hat, K)
+    idx = inverse_cdf_draw(gen, np.cumsum(setup.leverage.ell_hat), K)
 
     # one triangular solve with K right-hand sides gives every q_t
     T, piv = setup.precond.T, setup.precond.piv
@@ -318,7 +310,7 @@ def kaczmarz_row_norm(
     y = np.asarray(y, dtype=float)
     norms = np.einsum("ij,ij->i", X, X)
     gen = as_generator(rng)
-    idx = _cdf_sample(gen, norms, K)
+    idx = inverse_cdf_draw(gen, np.cumsum(norms), K)
     v_star = np.asarray(w_star, dtype=float) if w_star is not None else None
     v = np.zeros(X.shape[1])
     v_trace, _ = _run_projections(v, X[idx], y[idx], norms[idx], v_star)

@@ -10,7 +10,15 @@ where r is the residual of the optimal fit on the deleted rows and
 Q = (I - P)^{-1} P (I - P)^{-1} is built from the partial projection
 P = U_A U_A^T of the deleted rows.  The identity lets the error of the
 deleted-row regression be evaluated without ever solving the deficient
-system.
+system.  With the d x d Gram G = U_A^T U_A the increase is evaluated in
+its Woodbury form
+
+    r^T Q r = ||(I - G)^{-1} U_A^T r||^2,
+
+and ||P||_2 = lambda_max(G).  One blocked kernel,
+:func:`_subset_projection`, computes both for a batch of subsets; the
+samplers, the scalar functions here and the k-point and sampler
+experiments all take their subset norms and increases from it.
 """
 
 from __future__ import annotations
@@ -33,6 +41,8 @@ from .errors import (
 RANK_TOL = 1e-12            # relative sigma_d / sigma_1 cutoff
 SPEC_SINGULAR_TOL = 1e-10   # ||P_A||_2 above 1 - tol counts as rank loss
 LEVERAGE_FLOOR = 1e-14      # clamp for leverage scores
+# doubles of gathered rows U_A held at once by the partial-projection kernel (2 MB)
+SPEC_BLOCK_ELEMENTS = 2**18
 
 
 def _frozen(a: np.ndarray) -> np.ndarray:
@@ -152,7 +162,7 @@ class LeverageProfile:
     def __post_init__(self):
         ell = np.asarray(self.ell, dtype=float)
         if ell.ndim != 1 or np.any(ell <= 0.0) or np.any(ell > 1.0):
-            raise ValueError("leverage scores must lie in (0, 1]")
+            raise InvalidInput("leverage scores must lie in (0, 1]")
         object.__setattr__(self, "ell", _frozen(ell))
 
     @classmethod
@@ -176,19 +186,19 @@ class RowSubset:
     def __post_init__(self):
         idx = tuple(int(i) for i in self.indices)
         if len(idx) < 1:
-            raise ValueError("subset must be nonempty")
+            raise InvalidInput("subset must be nonempty")
         if any(b <= a for a, b in zip(idx, idx[1:])):
-            raise ValueError("indices must be strictly increasing")
+            raise InvalidInput("indices must be strictly increasing")
         if idx[0] < 0:
-            raise ValueError("negative index")
+            raise InvalidInput("negative index")
         object.__setattr__(self, "indices", idx)
 
     @classmethod
     def of(cls, indices: Iterable[int], n: Optional[int] = None) -> "RowSubset":
         idx = sorted(int(i) for i in indices)
         sub = cls(tuple(idx))
-        if n is not None and (sub.indices[-1] >= n):
-            raise ValueError(f"index {sub.indices[-1]} out of range for n={n}")
+        if n is not None:
+            _check_range(sub, n)
         return sub
 
     @property
@@ -197,6 +207,12 @@ class RowSubset:
 
     def array(self) -> np.ndarray:
         return np.array(self.indices, dtype=np.intp)
+
+
+def _check_range(subset: RowSubset, n: int) -> None:
+    # O(1): the indices are sorted and nonnegative
+    if subset.indices[-1] >= n:
+        raise InvalidInput(f"index {subset.indices[-1]} out of range for n={n}")
 
 
 @dataclass(frozen=True)
@@ -250,33 +266,55 @@ def full_solve(data: Dataset, svd: Optional[ThinSvd] = None):
     return w_star, float(resid @ resid)
 
 
-def partial_projection_norm(svd: ThinSvd, subset: RowSubset) -> float:
-    """Spectral norm of the partial projection U_A U_A^T, in [0, 1].
+def _subset_projection(U: np.ndarray, subsets: np.ndarray, r=None):
+    """Spectral norm of U_A U_A^T for each row of a (B, k) ``subsets``
+    array and, given the (B, k) residuals ``r`` on those rows, the
+    closed-form error increase ||(I - G)^{-1} U_A^T r_A||^2 with
+    G = U_A^T U_A.
 
-    Computed as the top eigenvalue of the Gram matrix on the smaller of
-    the k- and d-sized sides.
+    Returns the (B,) norms, clipped to [0, 1], or with ``r`` the pair
+    (norms, increases).  A subset with norm at least 1 - 1e-10 gets a
+    zero increase (its influence probability is zero).  The norm is the
+    top eigenvalue of the Gram matrix on the smaller of the k- and
+    d-sized sides.  The rows U_A are gathered for at most
+    ``SPEC_BLOCK_ELEMENTS // (k d)`` subsets at a time, so a batch of B
+    subsets holds O(B k) inputs and results plus a fixed-size block, not
+    the (B, k, d) gather of the whole batch.
     """
-    idx = subset.array()
-    if idx[-1] >= svd.n:
-        raise ValueError(f"index {idx[-1]} out of range for n={svd.n}")
-    UA = svd.U[idx]
-    if subset.k <= svd.d:
-        gram = UA @ UA.T
-    else:
-        gram = UA.T @ UA
-    top = np.linalg.eigvalsh(gram)[-1]
-    return float(min(max(top, 0.0), 1.0))
+    d = U.shape[1]
+    B, k = subsets.shape
+    step = max(1, SPEC_BLOCK_ELEMENTS // (k * d))
+    top = np.empty(B)
+    increase = None if r is None else np.zeros(B)
+    for start in range(0, B, step):
+        block = slice(start, start + step)
+        UA = U[subsets[block]]  # (b, k, d)
+        UAt = np.swapaxes(UA, 1, 2)
+        gram = UAt @ UA if (k > d or r is not None) else None
+        side = UA @ UAt if k <= d else gram
+        top[block] = np.linalg.eigvalsh(side)[..., -1]
+        if r is None:
+            continue
+        ok = top[block] < 1.0 - SPEC_SINGULAR_TOL
+        rhs = UAt[ok] @ r[block][ok][..., None]  # (b, d, 1)
+        z = np.linalg.solve(np.eye(d) - gram[ok], rhs)[..., 0]
+        increase[block][ok] = np.einsum("bi,bi->b", z, z)
+    np.clip(top, 0.0, 1.0, out=top)
+    return top if r is None else (top, increase)
 
 
-def _partial_projection(svd: ThinSvd, subset: RowSubset):
-    """k x k partial projection and its spectral norm."""
-    UA = svd.U[subset.array()]
-    P = UA @ UA.T
-    if subset.k <= svd.d:
-        spec = np.linalg.eigvalsh(P)[-1]
-    else:
-        spec = np.linalg.eigvalsh(UA.T @ UA)[-1]
-    return P, float(min(max(spec, 0.0), 1.0))
+def _require_full_rank(spec: float, subset: RowSubset) -> None:
+    if spec >= 1.0 - SPEC_SINGULAR_TOL:
+        raise SingularDeficientSystem(
+            f"||P_A||_2 = {spec:.15f}; deleting rows {subset.indices} "
+            "destroys full rank"
+        )
+
+
+def partial_projection_norm(svd: ThinSvd, subset: RowSubset) -> float:
+    """Spectral norm of the partial projection U_A U_A^T, in [0, 1]."""
+    _check_range(subset, svd.n)
+    return float(_subset_projection(svd.U, subset.array()[None])[0])
 
 
 def deficient_solve(
@@ -286,20 +324,17 @@ def deficient_solve(
 
     Implemented as a rank-k downdate of the full solution:
     w_minus = w* + (X^T X)^{-1} A^T (I_k - P_A)^{-1} (A w* - y_A).
-    Requires ||P_A||_2 <= 1 - 1e-10, otherwise the reduced system has
+    Requires ||P_A||_2 < 1 - 1e-10, otherwise the reduced system has
     lost column rank.
     """
     y = data.require_labels()
     if svd is None:
         svd = thin_svd(data)
     w_star, opt_error = full_solve(data, svd)
-    P, spec = _partial_projection(svd, subset)
-    if spec > 1.0 - SPEC_SINGULAR_TOL:
-        raise SingularDeficientSystem(
-            f"||P_A||_2 = {spec:.15f}; deleting rows {subset.indices} "
-            "destroys full rank"
-        )
+    _require_full_rank(partial_projection_norm(svd, subset), subset)
     idx = subset.array()
+    UA = svd.U[idx]
+    P = UA @ UA.T
     A = data.X[idx]
     resid_A = A @ w_star - y[idx]
     z = np.linalg.solve(np.eye(subset.k) - P, resid_A)
@@ -322,9 +357,10 @@ def leave_A_out_error(
 ) -> float:
     """Closed-form full-data error of the deleted-rows regression.
 
-    Evaluates opt_error + r^T Q r with Q = (I-P)^{-1} P (I-P)^{-1} and
-    r = A w* - y_A; the deficient system is never solved.  ``full`` may
-    carry a precomputed ``(w_star, opt_error)`` pair.
+    Evaluates opt_error + r^T Q r with r = A w* - y_A, through the
+    d x d form of :func:`_subset_projection`; the deficient system is
+    never solved.  ``full`` may carry a precomputed
+    ``(w_star, opt_error)`` pair.
     """
     y = data.require_labels()
     if svd is None:
@@ -332,13 +368,9 @@ def leave_A_out_error(
     if full is None:
         full = full_solve(data, svd)
     w_star, opt_error = full
-    P, spec = _partial_projection(svd, subset)
-    if spec > 1.0 - SPEC_SINGULAR_TOL:
-        raise SingularDeficientSystem(
-            f"||P_A||_2 = {spec:.15f} for rows {subset.indices}"
-        )
+    _check_range(subset, svd.n)
     idx = subset.array()
     resid_A = data.X[idx] @ w_star - y[idx]
-    z = np.linalg.solve(np.eye(subset.k) - P, resid_A)
-    increase = float(z @ (P @ z))
-    return opt_error + increase
+    spec, increase = _subset_projection(svd.U, idx[None], resid_A[None])
+    _require_full_rank(spec[0], subset)
+    return opt_error + float(increase[0])

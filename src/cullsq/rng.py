@@ -56,3 +56,10 @@ def as_generator(rng) -> np.random.Generator:
     if isinstance(rng, np.random.Generator):
         return rng
     raise TypeError(f"expected RngStream or numpy Generator, got {type(rng)!r}")
+
+
+def inverse_cdf_draw(gen: np.random.Generator, cumulative: np.ndarray, size=None):
+    """Index draws by binary search on a precomputed cumulative array."""
+    u = gen.random(size) * cumulative[-1]
+    idx = np.searchsorted(cumulative, u, side="right")
+    return np.minimum(idx, len(cumulative) - 1)

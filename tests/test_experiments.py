@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -13,7 +14,6 @@ from cullsq import (
     run_experiment,
     thin_svd,
     verify_k_points,
-    verify_kaczmarz,
     verify_one_point,
 )
 from cullsq.designs import make_dataset
@@ -101,14 +101,20 @@ class TestVerifiers:
         )
         assert mc.measurements["mode"] == "monte-carlo"
 
-    def test_threads_do_not_change_results(self):
-        # the thread count is echoed in the config but must not affect
-        # any measured quantity
-        base = dict(experiment="kaczmarz", mode="exact", n=60, d=3, trials=40)
-        a = verify_kaczmarz(ExperimentConfig(**base, threads=1, seed=8))
-        b = verify_kaczmarz(ExperimentConfig(**base, threads=4, seed=8))
-        assert json.dumps(a.criteria, sort_keys=True) == json.dumps(b.criteria, sort_keys=True)
-        assert json.dumps(a.measurements, sort_keys=True) == json.dumps(b.measurements, sort_keys=True)
+    def test_k_points_monte_carlo_memory_order_batch_times_k(self):
+        # a (trials, k, k) array of partial projections would be 160 MB
+        # here; the blocked kernel holds O(trials k) plus a fixed block
+        cfg = ExperimentConfig(experiment="k-points", n=2**14, d=8, k=100,
+                               trials=2000, seed=11)
+        tracemalloc.start()
+        try:
+            report = verify_k_points(cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert report.measurements["mode"] == "monte-carlo"
+        assert report.passed
+        assert peak < 32 * 2**20
 
     def test_run_experiment_dispatch(self):
         report = run_experiment(

@@ -31,15 +31,15 @@ from cullsq import (
     subset_influence,
     thin_svd,
 )
-from cullsq import influence
+from cullsq import regression
 from cullsq.influence import (
     DEFAULT_BATCH,
     _acceptance_ratios,
-    _batch_spec_norms,
-    _inverse_cdf_draw,
     _propose_batch,
     _uniform_subsets,
 )
+from cullsq.regression import _subset_projection
+from cullsq.rng import inverse_cdf_draw
 from cullsq.sketching import hadamard_columns
 from _helpers import random_orthonormal
 
@@ -498,7 +498,7 @@ class TestProposalProperties:
         f = np.random.default_rng(seed).uniform(0.1, 5.0, n)
         subs = sample_sum_over_rows_many(f, k, count, np.random.default_rng(seed))
         # the first draws of the stream pick the inverse-CDF rows
-        first = _inverse_cdf_draw(np.random.default_rng(seed), np.cumsum(f), count)
+        first = inverse_cdf_draw(np.random.default_rng(seed), np.cumsum(f), count)
         assert subs.shape == (count, k)
         assert np.all(np.diff(subs, axis=1) > 0)
         assert subs.min() >= 0 and subs.max() < n
@@ -514,7 +514,7 @@ class TestProposalProperties:
         svd = thin_svd(Dataset(X=gen.standard_normal((n, d))))
         prof = leverage_scores(svd)
         subs = _propose_batch(gen, np.cumsum(1.0 / prof.ell), n, k, 64)
-        spec = _batch_spec_norms(svd.U, subs)
+        spec = _subset_projection(svd.U, subs)
         theta = _acceptance_ratios(spec, (1.0 / prof.ell)[subs].sum(axis=1), d, k)
         assert np.all(theta >= 0.0)
         assert theta.max() <= 1.0 + 1e-10
@@ -573,8 +573,8 @@ def test_spec_norms_in_blocks_equal_one_gather(monkeypatch, k, d, block):
     UA = U[subs]
     gram = UA @ np.swapaxes(UA, 1, 2) if k <= d else np.swapaxes(UA, 1, 2) @ UA
     whole = np.clip(np.linalg.eigvalsh(gram)[..., -1], 0.0, 1.0)
-    monkeypatch.setattr(influence, "SPEC_BLOCK_ELEMENTS", block * k * d)
-    assert np.array_equal(_batch_spec_norms(U, subs), whole)
+    monkeypatch.setattr(regression, "SPEC_BLOCK_ELEMENTS", block * k * d)
+    assert np.array_equal(_subset_projection(U, subs), whole)
 
 
 def test_full_round_memory_order_batch_times_k():

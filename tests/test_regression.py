@@ -2,11 +2,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cullsq import (
     CullsqError,
     Dataset,
     InvalidInput,
+    LeverageProfile,
     MissingLabels,
     RankDeficient,
     RowSubset,
@@ -19,6 +21,8 @@ from cullsq import (
     partial_projection_norm,
     thin_svd,
 )
+from cullsq import regression
+from cullsq.regression import _subset_projection
 from _helpers import (
     deficient_lstsq,
     hat_matrix_diag,
@@ -340,3 +344,116 @@ class TestLeaveAOutError:
         q1 = M @ P @ M
         q2 = M @ M - M
         assert np.max(np.abs(q1 - q2)) <= 1e-10
+
+
+@st.composite
+def subset_problems(draw):
+    d = draw(st.integers(1, 6))
+    n = draw(st.integers(d + 2, 30))
+    k = draw(st.integers(1, min(5, n - d)))
+    gen = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    data = random_dataset(n, d, gen)
+    subsets = np.sort(
+        np.array([gen.choice(n, k, replace=False) for _ in range(4)]), axis=1
+    )
+    return data, subsets
+
+
+class TestClosedFormProperties:
+    @settings(max_examples=300, deadline=None)
+    @given(subset_problems())
+    def test_closed_form_matches_lstsq_refit_and_batch(self, problem):
+        data, subsets = problem
+        svd = thin_svd(data)
+        w_star, opt = full_solve(data, svd)
+        resid = data.X @ w_star - data.y
+        _, batch = _subset_projection(svd.U, subsets, resid[subsets])
+        for rows, increase in zip(subsets, batch):
+            sub = RowSubset.of(rows)
+            spec = partial_projection_norm(svd, sub)
+            assert 0.0 <= spec <= 1.0
+            if spec >= 1.0 - 1e-6:
+                continue
+            closed = leave_A_out_error(data, sub, svd)
+            _, direct = deficient_lstsq(data.X, data.y, rows)
+            np.testing.assert_allclose(closed, direct, rtol=1e-8)
+            np.testing.assert_allclose(opt + increase, closed, rtol=1e-12)
+
+    def test_leverage_one_row_is_singular_everywhere(self):
+        # row 0 alone carries the first coordinate, so its leverage is 1
+        X = np.array([[1.0, 0.0], [0.0, 1.0], [0.0, 2.0], [0.0, 3.0], [0.0, 1.0]])
+        data = Dataset(X=X, y=np.array([1.0, 2.0, 3.0, 4.0, 1.0]))
+        svd = thin_svd(data)
+        w_star, _ = full_solve(data, svd)
+        sub = RowSubset.of([0, 2])
+        with pytest.raises(SingularDeficientSystem):
+            leave_A_out_error(data, sub, svd)
+        with pytest.raises(SingularDeficientSystem):
+            deficient_solve(data, sub, svd)
+        subsets = np.array([[0, 2], [1, 3]])
+        resid = data.X @ w_star - data.y
+        spec, increase = _subset_projection(svd.U, subsets, resid[subsets])
+        assert spec[0] >= 1.0 - 1e-10 and increase[0] == 0.0
+        assert spec[1] < 1.0 and increase[1] > 0.0
+
+
+    @pytest.mark.parametrize("block", [1, 3])
+    def test_increases_in_blocks_equal_one_block(self, monkeypatch, block):
+        # row 0 alone carries the first coordinate: subsets holding it are
+        # singular, so zero and nonzero increases alternate across blocks
+        gen = np.random.default_rng(23)
+        n, d, k = 40, 3, 4
+        X = gen.standard_normal((n, d))
+        X[1:, 0] = 0.0
+        data = Dataset(X=X, y=gen.standard_normal(n))
+        svd = thin_svd(data)
+        w_star, _ = full_solve(data, svd)
+        subsets = np.sort(
+            np.array([gen.choice(n, k, replace=False) for _ in range(37)]), axis=1
+        )
+        subsets[::4, 0] = 0
+        resid = (data.X @ w_star - data.y)[subsets]
+        spec, whole = _subset_projection(svd.U, subsets, resid)
+        assert np.any(whole == 0.0) and np.any(whole > 0.0)
+        monkeypatch.setattr(regression, "SPEC_BLOCK_ELEMENTS", block * k * d)
+        spec_b, blocked = _subset_projection(svd.U, subsets, resid)
+        assert np.array_equal(spec_b, spec)
+        assert np.array_equal(blocked, whole)
+
+
+class TestTypedSubsetErrors:
+    @pytest.fixture
+    def data(self):
+        return random_dataset(10, 2, np.random.default_rng(22))
+
+    def test_deficient_solve_index_out_of_range(self, data):
+        with pytest.raises(InvalidInput):
+            deficient_solve(data, RowSubset.of([3, 10]))
+
+    def test_leave_A_out_error_index_out_of_range(self, data):
+        with pytest.raises(InvalidInput):
+            leave_A_out_error(data, RowSubset.of([3, 10]))
+
+    def test_partial_projection_norm_index_out_of_range(self, data):
+        with pytest.raises(InvalidInput):
+            partial_projection_norm(thin_svd(data), RowSubset.of([10]))
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: RowSubset(()),
+            lambda: RowSubset((2, 2)),
+            lambda: RowSubset((3, 1)),
+            lambda: RowSubset.of([-1, 4]),
+            lambda: RowSubset.of([1, 10], n=10),
+        ],
+        ids=["empty", "repeated", "decreasing", "negative", "out-of-range"],
+    )
+    def test_bad_row_subset(self, make):
+        with pytest.raises(InvalidInput):
+            make()
+
+    @pytest.mark.parametrize("ell", [[0.5, 0.0], [0.5, 1.5], [[0.5]]])
+    def test_bad_leverage_profile(self, ell):
+        with pytest.raises(InvalidInput):
+            LeverageProfile(ell=np.array(ell), coherence_mu=1.0, z1=1.0)
