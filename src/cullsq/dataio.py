@@ -1,48 +1,105 @@
 """Plain-text matrix I/O.
 
-Matrix CSV format: one row per line, comma-separated decimal literals,
-no header, row-major.  Vectors are single-column files.  Ragged rows are
-rejected on read.
+Matrix CSV format: ASCII text, one row per line, comma-separated
+literals, no header, row-major.  Vectors are single-column files.
+
+Accepted on read: decimal literals (``-1.5``, ``.5``, ``2e-3``, with
+optional surrounding whitespace) and ``inf``/``infinity``/``nan`` in any
+case, with an optional sign.  Blank and whitespace-only lines are
+skipped.  There are no comments.  Python's ``float`` also takes
+underscore literals such as ``1_000``; numpy's parser, used here, does
+not.  Ragged rows, bad literals and non-ASCII bytes raise
+:class:`DimensionMismatch` naming the file and the first bad line; so
+does a file without a row.
+
+Written values use ``format(v, ".17g")``, which round-trips every
+double exactly.
 """
 
 from __future__ import annotations
+
+import itertools
 
 import numpy as np
 
 from .errors import DimensionMismatch
 
+# values per %-format call in save_matrix: bounds the Python floats
+# alive at once
+WRITE_BLOCK_VALUES = 1 << 16
 
-def load_matrix(path) -> np.ndarray:
-    rows = []
+
+def _open_text(path):
+    # a non-ASCII byte decodes to U+FFFD, which no literal contains, so it
+    # fails the parse and _locate_error names its line
+    return open(path, "r", encoding="ascii", errors="replace")
+
+
+def _parse(lines) -> np.ndarray:
+    return np.loadtxt(lines, dtype=float, delimiter=",", comments=None, ndmin=2)
+
+
+def _parses(text) -> bool:
+    if not text.strip():
+        return False
+    try:
+        _parse([text])
+    except ValueError:
+        return False
+    return True
+
+
+def _locate_error(path, exc) -> DimensionMismatch:
+    """Name the first line the parser rejects (error path only)."""
     width = None
-    with open(path, "r", encoding="ascii") as fh:
+    with _open_text(path) as fh:
         for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
+            if not line.strip():
                 continue
+            if not line.isascii():
+                return DimensionMismatch(f"{path}: non-ASCII text at line {lineno}")
             fields = line.split(",")
             if width is None:
                 width = len(fields)
             elif len(fields) != width:
-                raise DimensionMismatch(
+                return DimensionMismatch(
                     f"{path}: ragged row at line {lineno} "
                     f"({len(fields)} fields, expected {width})"
                 )
-            try:
-                rows.append([float(f) for f in fields])
-            except ValueError as exc:
-                raise DimensionMismatch(f"{path}: bad literal at line {lineno}: {exc}")
-    if not rows:
-        raise DimensionMismatch(f"{path}: empty matrix file")
-    return np.array(rows, dtype=float)
+            if _parses(line):
+                continue
+            for col, field in enumerate(fields, start=1):
+                if not _parses(field):
+                    return DimensionMismatch(
+                        f"{path}: bad literal {field.strip()!r} "
+                        f"at line {lineno}, column {col}"
+                    )
+    return DimensionMismatch(f"{path}: {exc}")
+
+
+def load_matrix(path) -> np.ndarray:
+    # the parser pulls lines from the file a chunk at a time, so the whole
+    # text is never held beside the array
+    with _open_text(path) as fh:
+        rows = (line for line in fh if line.strip())
+        first = next(rows, None)
+        if first is None:
+            raise DimensionMismatch(f"{path}: empty matrix file")
+        try:
+            return _parse(itertools.chain([first], rows))
+        except ValueError as exc:
+            raise _locate_error(path, exc) from None
 
 
 def save_matrix(path, matrix) -> None:
     matrix = np.atleast_2d(np.asarray(matrix, dtype=float))
+    n, d = matrix.shape
+    row_format = ",".join(["%.17g"] * d) + "\n"
+    block = max(1, WRITE_BLOCK_VALUES // max(d, 1))
     with open(path, "w", encoding="ascii") as fh:
-        for row in matrix:
-            fh.write(",".join(format(v, ".17g") for v in row))
-            fh.write("\n")
+        for start in range(0, n, block):
+            values = matrix[start:start + block]
+            fh.write((row_format * len(values)) % tuple(values.ravel().tolist()))
 
 
 def load_vector(path) -> np.ndarray:

@@ -29,7 +29,6 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
-import scipy.linalg
 
 from .errors import InconsistentSystem, InvalidInput, InvalidK, InvalidRng
 from .regression import Dataset, ThinSvd
@@ -269,15 +268,14 @@ def kaczmarz_fast(
     idx = inverse_cdf_draw(gen, np.cumsum(setup.leverage.ell_hat), K)
 
     # one triangular solve with K right-hand sides gives every q_t
-    T, piv = setup.precond.T, setup.precond.piv
-    Q = scipy.linalg.solve_triangular(T, X[idx][:, piv].T, trans="T").T  # (K, d)
+    Q = setup.precond.x_times_inverse(X[idx])  # (K, d)
     norms_sq = np.einsum("ij,ij->i", Q, Q)
 
     v = np.zeros(X.shape[1])
     v_star = w_star_arr = None
     if w_star is not None:
         w_star_arr = np.asarray(w_star, dtype=float)
-        v_star = T @ w_star_arr[piv]  # R w*
+        v_star = setup.precond.T @ w_star_arr[setup.precond.piv]  # R w*
     v_trace, w_trace = _run_projections(
         v, Q, y[idx], norms_sq, v_star,
         w_map=lambda vs: setup.precond.apply_inverse(vs.T).T, w_star=w_star_arr,

@@ -109,18 +109,20 @@ class ThinSvd:
         U = np.asarray(self.U, dtype=float)
         sigma = np.asarray(self.sigma, dtype=float)
         V = np.asarray(self.V, dtype=float)
-        n, d = U.shape
+        if U.ndim != 2:
+            raise InvalidInput("U must be a 2-D array")
+        d = U.shape[1]
         if sigma.shape != (d,) or V.shape != (d, d):
-            raise ValueError("inconsistent factor shapes")
+            raise InvalidInput("inconsistent factor shapes")
         if not np.all(sigma > 0.0):
             raise RankDeficient("nonpositive singular value")
         if np.any(np.diff(sigma) > 0.0):
-            raise ValueError("singular values must be nonincreasing")
+            raise InvalidInput("singular values must be nonincreasing")
         eye = np.eye(d)
         if np.max(np.abs(U.T @ U - eye)) > 1e-10:
-            raise ValueError("U columns are not orthonormal to 1e-10")
+            raise InvalidInput("U columns are not orthonormal to 1e-10")
         if np.max(np.abs(V.T @ V - eye)) > 1e-10:
-            raise ValueError("V is not orthogonal to 1e-10")
+            raise InvalidInput("V is not orthogonal to 1e-10")
         object.__setattr__(self, "U", _frozen(U))
         object.__setattr__(self, "sigma", _frozen(sigma))
         object.__setattr__(self, "V", _frozen(V))

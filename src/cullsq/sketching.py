@@ -41,7 +41,10 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-import scipy.linalg
+
+# scipy.linalg is imported inside the functions that factor or solve:
+# its import takes about 0.3 s, which a CLI command that never builds a
+# preconditioner should not pay
 
 from .errors import (
     DimensionMismatch,
@@ -353,6 +356,8 @@ class Preconditioner:
 
     def apply_inverse(self, b: np.ndarray) -> np.ndarray:
         """R^{-1} b = P^T T^{-1} b, for b of shape (d,) or (d, m)."""
+        import scipy.linalg
+
         z = scipy.linalg.solve_triangular(self.T, np.asarray(b, dtype=float))
         out = np.empty_like(z)
         out[self.piv] = z
@@ -360,17 +365,23 @@ class Preconditioner:
 
     def apply_inverse_transpose(self, b: np.ndarray) -> np.ndarray:
         """R^{-T} b = T^{-T} P b."""
+        import scipy.linalg
+
         b = np.asarray(b, dtype=float)
         return scipy.linalg.solve_triangular(self.T, b[self.piv], trans="T")
 
     def x_times_inverse(self, X: np.ndarray) -> np.ndarray:
         """X R^{-1} through one multi-RHS triangular solve."""
+        import scipy.linalg
+
         X = np.asarray(X, dtype=float)
         return scipy.linalg.solve_triangular(self.T, X[:, self.piv].T, trans="T").T
 
 
 def build_preconditioner(X: np.ndarray, op: SketchOperator) -> Preconditioner:
     """Pivoted QR of the sketched matrix; requires op output >= d rows."""
+    import scipy.linalg
+
     X = np.asarray(X, dtype=float)
     d = X.shape[1]
     if op.r < d:

@@ -61,14 +61,15 @@ class TestSolve:
     @pytest.mark.parametrize(
         "x_text, y_text",
         [
-            ("1,0\n0,1\n", "1\n2\n"),  # n = d = 2
-            ("1,0\nnan,1\n0,2\n", "1\n2\n3\n"),  # a non-finite entry
+            (b"1,0\n0,1\n", b"1\n2\n"),  # n = d = 2
+            (b"1,0\nnan,1\n0,2\n", b"1\n2\n3\n"),  # a non-finite entry
+            (b"1,2\n3,\xc3\xa9\n5,7\n", b"1\n2\n3\n"),  # UTF-8, not ASCII
         ],
-        ids=["two-by-two", "nan-entry"],
+        ids=["two-by-two", "nan-entry", "non-ascii"],
     )
     def test_bad_design_exits_one_with_one_line(self, tmp_path, capsys, x_text, y_text):
-        (tmp_path / "x.csv").write_text(x_text)
-        (tmp_path / "y.csv").write_text(y_text)
+        (tmp_path / "x.csv").write_bytes(x_text)
+        (tmp_path / "y.csv").write_bytes(y_text)
         rc = run_cli("solve", "--x", tmp_path / "x.csv", "--y", tmp_path / "y.csv")
         assert rc == 1
         err = capsys.readouterr().err
@@ -264,3 +265,26 @@ def test_console_entry_point():
     )
     assert proc.returncode == 0
     assert proc.stdout.strip() == "0.1.0"
+
+
+def test_commands_that_never_factor_do_not_import_scipy(tmp_path):
+    # scipy.linalg takes about 0.3 s to import; only the preconditioner needs it
+    x, y = tmp_path / "x.csv", tmp_path / "y.csv"
+    script = f"""
+import sys
+import cullsq
+from cullsq.cli import main
+codes = [main(argv) for argv in (
+    ["gen", "--n", "64", "--d", "3", "--out-x", {str(x)!r}, "--out-y", {str(y)!r}],
+    ["solve", "--x", {str(x)!r}, "--y", {str(y)!r}],
+    ["reject-sample", "--x", {str(x)!r}, "--k", "2"],
+    ["kaczmarz", "--x", {str(x)!r}, "--y", {str(y)!r}, "--mode", "exact", "--iters", "50"],
+    ["verify", "one-point"],
+    ["verify", "k-points"],
+    ["verify", "sampler"],
+)]
+print(codes, "scipy" in sys.modules)
+"""
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip().splitlines()[-1] == "[0, 0, 0, 0, 0, 0, 0] False"

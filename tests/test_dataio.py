@@ -1,8 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
-from cullsq import DimensionMismatch
+from cullsq import DimensionMismatch, dataio
 from cullsq.dataio import load_matrix, load_vector, save_matrix, save_vector
+
+SPECIAL_VALUES = [0.0, -0.0, 5e-324, -2.5e-310, np.inf, -np.inf, np.nan, 1.797e308, -1.797e308]
 
 
 def test_matrix_round_trip(tmp_path):
@@ -21,16 +25,18 @@ def test_vector_round_trip(tmp_path):
 
 def test_ragged_rows_rejected(tmp_path):
     path = tmp_path / "ragged.csv"
-    path.write_text("1,2,3\n4,5\n")
-    with pytest.raises(DimensionMismatch, match="ragged"):
+    path.write_text("1,2,3\n\n4,5\n")
+    with pytest.raises(DimensionMismatch, match="ragged row at line 3"):
         load_matrix(path)
 
 
 def test_bad_literal_rejected(tmp_path):
+    # underscore literals: Python's float() takes them, the CSV grammar does not
     path = tmp_path / "bad.csv"
-    path.write_text("1,2\n3,x\n")
-    with pytest.raises(DimensionMismatch):
-        load_matrix(path)
+    for literal in ("x", "1_000", ""):
+        path.write_text(f"1,2\n \n3,{literal}\n")
+        with pytest.raises(DimensionMismatch, match=f"bad literal '{literal}' at line 3, column 2"):
+            load_matrix(path)
 
 
 def test_vector_requires_single_column(tmp_path):
@@ -42,6 +48,55 @@ def test_vector_requires_single_column(tmp_path):
 
 def test_empty_file_rejected(tmp_path):
     path = tmp_path / "empty.csv"
-    path.write_text("")
-    with pytest.raises(DimensionMismatch):
+    for text in ("", " \n\t\n\n"):
+        path.write_text(text)
+        with pytest.raises(DimensionMismatch, match="empty"):
+            load_matrix(path)
+
+
+def test_non_ascii_rejected(tmp_path):
+    path = tmp_path / "latin.csv"
+    path.write_bytes(b"1,2\n\n3,\xc3\xa9\n")
+    with pytest.raises(DimensionMismatch, match="non-ASCII text at line 3"):
         load_matrix(path)
+
+
+def test_blank_and_whitespace_lines_skipped(tmp_path):
+    path = tmp_path / "gaps.csv"
+    path.write_text("\n1,2\n   \n\t\n3,4\r\n\n")
+    np.testing.assert_array_equal(load_matrix(path), [[1.0, 2.0], [3.0, 4.0]])
+
+
+def test_literals_parse_like_python_float(tmp_path):
+    literals = ["-.5", "1.", "+2E5", " 7 ", "00012", "-0", "4.9e-324", "1e400",
+                "inf", "-Infinity", "NaN", "-nan", "1.7976931348623157e308"]
+    path = tmp_path / "literals.csv"
+    path.write_text("\n".join(literals) + "\n")
+    expect = np.array([float(v) for v in literals])
+    np.testing.assert_array_equal(load_vector(path).view(np.int64), expect.view(np.int64))
+
+
+@pytest.mark.parametrize("block_values", [7, dataio.WRITE_BLOCK_VALUES])
+def test_save_matrix_writes_format_17g(tmp_path, monkeypatch, block_values):
+    monkeypatch.setattr(dataio, "WRITE_BLOCK_VALUES", block_values)
+    M = np.random.default_rng(1).standard_normal((11, 3)) * 10.0 ** np.arange(-2, 9, 1)[:, None]
+    M[:3] = np.array(SPECIAL_VALUES).reshape(3, 3)
+    path = tmp_path / "m.csv"
+    save_matrix(path, M)
+    expect = "".join(",".join(format(v, ".17g") for v in row) + "\n" for row in M)
+    assert path.read_text() == expect
+
+
+float_values = st.one_of(st.floats(), st.sampled_from(SPECIAL_VALUES))
+
+
+@settings(max_examples=60, deadline=None)
+@given(M=arrays(np.float64, st.tuples(st.integers(1, 6), st.integers(1, 5)),
+                elements=float_values))
+def test_round_trip_is_exact(tmp_path_factory, M):
+    path = tmp_path_factory.mktemp("rt") / "m.csv"
+    save_matrix(path, M)
+    loaded = load_matrix(path)
+    np.testing.assert_array_equal(loaded, M)  # nan-aware
+    signed = ~np.isnan(M)
+    np.testing.assert_array_equal(np.signbit(loaded[signed]), np.signbit(M[signed]))

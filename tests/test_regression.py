@@ -13,6 +13,7 @@ from cullsq import (
     RankDeficient,
     RowSubset,
     SingularDeficientSystem,
+    ThinSvd,
     ZeroRow,
     deficient_solve,
     full_solve,
@@ -74,6 +75,21 @@ class TestDataset:
 
 
 class TestThinSvd:
+    @pytest.mark.parametrize(
+        "U, sigma, V",
+        [
+            (np.eye(3)[:, :2], np.ones(3), np.eye(2)),
+            (np.eye(3)[:, :2], np.array([1.0, 2.0]), np.eye(2)),
+            (np.ones((3, 2)), np.array([2.0, 1.0]), np.eye(2)),
+            (np.eye(3)[:, :2], np.array([2.0, 1.0]), np.ones((2, 2))),
+        ],
+        ids=["shapes", "increasing", "u-not-orthonormal", "v-not-orthogonal"],
+    )
+    def test_bad_factors_are_typed(self, U, sigma, V):
+        with pytest.raises(InvalidInput) as info:
+            ThinSvd(U, sigma, V)
+        assert isinstance(info.value, CullsqError)
+
     def test_known_singular_values(self):
         # X^T X = [[2,1],[1,2]]; quadratic-formula oracle gives eigs 3 and 1
         X = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
