@@ -108,7 +108,7 @@ def _build_parser():
 
     p = sub.add_parser("verify", help="run a theorem-verification experiment")
     p.add_argument("experiment", choices=EXPERIMENT_NAMES)
-    p.add_argument("--config", help="JSON config file (flags override)")
+    p.add_argument("--config", help="JSON config file (over the defaults; flags override it)")
     p.add_argument("--n", type=int)
     p.add_argument("--d", type=int)
     p.add_argument("--k", type=int)
@@ -122,16 +122,6 @@ def _build_parser():
     p.add_argument("--seed", type=int)
     p.add_argument("--out", help="write the JSON report here")
     return parser
-
-
-_VERIFY_DEFAULTS = {
-    "one-point": dict(n=100, d=5, trials=1),
-    "k-points": dict(n=12, d=2, k=2),
-    "sampler": dict(n=10, d=2, k=2, trials=100_000),
-    "precond": dict(n=256, d=8, trials=20),
-    "kaczmarz": dict(n=400, d=5, trials=200),
-    "jlt": dict(n=512, d=8, trials=20),
-}
 
 
 def _cmd_gen(args) -> int:
@@ -160,6 +150,16 @@ def _cmd_solve(args) -> int:
     return 0
 
 
+def _emit(text: str, path) -> int:
+    """Write ``text`` to ``path``, or to stdout without one; returns exit code 0."""
+    if path:
+        with open(path, "w", encoding="ascii") as fh:
+            fh.write(text)
+    else:
+        sys.stdout.write(text)
+    return 0
+
+
 def _cmd_reject_sample(args) -> int:
     data = Dataset(X=dataio.load_matrix(args.x))
     svd = thin_svd(data)
@@ -170,13 +170,7 @@ def _cmd_reject_sample(args) -> int:
             ";".join(str(i) for i in subset.indices) + f",{prob:.17g}"
             for subset, prob in dist
         ]
-        text = "\n".join(lines) + "\n"
-        if args.out:
-            with open(args.out, "w", encoding="ascii") as fh:
-                fh.write(text)
-        else:
-            sys.stdout.write(text)
-        return 0
+        return _emit("\n".join(lines) + "\n", args.out)
     rng = RngStream(args.seed)
     if args.count == 1:
         subset, trials = rejection_sample_subset(
@@ -193,13 +187,7 @@ def _cmd_reject_sample(args) -> int:
             f"accepted {args.count} subsets from {stats.proposals} proposals "
             f"(rate {stats.acceptance_rate:.4f})"
         )
-    text = "\n".join(";".join(str(i) for i in row) for row in rows) + "\n"
-    if args.out:
-        with open(args.out, "w", encoding="ascii") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
-    return 0
+    return _emit("\n".join(";".join(str(i) for i in row) for row in rows) + "\n", args.out)
 
 
 def _make_op(kind, n_in, r, seed):
@@ -236,13 +224,7 @@ def _cmd_precond(args) -> int:
         "singular_values_x_rinv": [float(s) for s in svals],
         "condition_number_x_rinv": float(svals[0] / svals[-1]),
     }
-    text = json.dumps(summary, sort_keys=True, indent=2) + "\n"
-    if args.out_summary:
-        with open(args.out_summary, "w", encoding="ascii") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
-    return 0
+    return _emit(json.dumps(summary, sort_keys=True, indent=2) + "\n", args.out_summary)
 
 
 def _cmd_kaczmarz(args) -> int:
@@ -270,22 +252,9 @@ def _cmd_kaczmarz(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    overrides = {
-        key: getattr(args, key)
-        for key in (
-            "n", "d", "k", "design", "noise", "spike_fraction", "trials",
-            "mode", "kappa", "iters", "seed", "out",
-        )
-    }
-    if args.config:
-        cfg = ExperimentConfig.from_file(
-            args.config, experiment=args.experiment, **overrides
-        )
-    else:
-        fields = dict(_VERIFY_DEFAULTS.get(args.experiment, {}))
-        fields.update({k: v for k, v in overrides.items() if v is not None})
-        cfg = ExperimentConfig(experiment=args.experiment, **fields)
-    report = run_experiment(cfg.validate())
+    flags = {k: v for k, v in vars(args).items() if k not in ("command", "config")}
+    cfg = ExperimentConfig.from_file(args.config, **flags)
+    report = run_experiment(cfg)
     for crit in report.criteria:
         verdict = "PASS" if crit["passed"] else "FAIL"
         print(
@@ -314,10 +283,7 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
-    except CullsqError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
+    except (CullsqError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

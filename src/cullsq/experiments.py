@@ -1,5 +1,13 @@
 """Verification experiments: generate a design, measure, compare to bounds.
 
+``EXPERIMENTS`` is the one table of experiments: it maps each name to
+its body and to the defaults the command line starts from (dataclass
+defaults, then these, then a ``--config`` file, then flags).  A body
+takes a validated config and returns ``(criteria, measurements)``;
+``run_experiment`` validates, times, stamps the seed on every criterion
+and assembles the ``ExperimentReport``.  Every precondition on a config
+lives in ``ExperimentConfig.validate``.
+
 Every experiment is a pure function of its configuration (the seed
 included), reports each measured quantity next to the bound it is
 checked against, and emits a JSON-serializable report that is
@@ -13,9 +21,10 @@ from __future__ import annotations
 
 import json
 import math
+import operator
 import time
-from dataclasses import asdict, dataclass
-from typing import Dict, List, Optional
+from dataclasses import asdict, dataclass, replace
+from typing import Callable, Dict, List, NamedTuple, Optional, Tuple
 
 import numpy as np
 
@@ -66,7 +75,8 @@ from .sketching import (
     srht_dim,
 )
 
-EXPERIMENT_NAMES = ("one-point", "k-points", "sampler", "precond", "kaczmarz", "jlt")
+EXACT_TOL = 1e-10
+SAMPLER_ENUMERATION_LIMIT = 200_000
 
 
 @dataclass
@@ -92,7 +102,7 @@ class ExperimentConfig:
     out: Optional[str] = None
 
     def validate(self) -> "ExperimentConfig":
-        if self.experiment not in EXPERIMENT_NAMES:
+        if self.experiment not in EXPERIMENTS:
             raise InvalidConfig(f"unknown experiment {self.experiment!r}")
         if self.design not in DESIGN_KINDS:
             raise InvalidConfig(f"unknown design {self.design!r}")
@@ -100,29 +110,50 @@ class ExperimentConfig:
             raise InvalidConfig(f"need n > d >= 1, got n={self.n}, d={self.d}")
         if self.k is not None and not (1 <= self.k < self.n):
             raise InvalidConfig(f"need 1 <= k < n, got k={self.k}")
-        if self.experiment == "k-points":
-            if self.k is None:
-                raise InvalidConfig("k-points experiment needs k")
-            if self.k >= self.n / self.d:
-                raise InvalidConfig(
-                    f"k-points theorem needs k < n/d, got k={self.k}, n/d={self.n / self.d:.3g}"
-                )
-        if self.trials < 1:
-            raise InvalidConfig("trials must be positive")
+        if self.experiment in ("k-points", "sampler") and self.k is None:
+            raise InvalidConfig(f"{self.experiment} experiment needs k")
+        if self.experiment == "k-points" and self.k >= self.n / self.d:
+            raise InvalidConfig(
+                f"k-points theorem needs k < n/d, got k={self.k}, n/d={self.n / self.d:.3g}"
+            )
+        if self.experiment == "sampler" and math.comb(self.n, self.k) > SAMPLER_ENUMERATION_LIMIT:
+            raise InvalidConfig("sampler verification needs C(n, k) <= 2e5 to enumerate")
+        # these take a standard error over the trials, which needs two
+        min_trials = 2 if self.experiment in ("k-points", "kaczmarz", "jlt") else 1
+        if self.trials < min_trials:
+            raise InvalidConfig(f"{self.experiment} experiment needs trials >= {min_trials}")
         if self.mode not in ("exact", "fast", "both"):
             raise InvalidConfig(f"unknown kaczmarz mode {self.mode!r}")
+        if not (math.isfinite(self.kappa) and self.kappa >= 1.0):
+            raise InvalidConfig(f"kappa must be finite and >= 1, got {self.kappa}")
+        if self.iters is not None and self.iters < 1:
+            raise InvalidConfig(f"iters must be >= 1, got {self.iters}")
         return self
 
     @classmethod
-    def from_file(cls, path, **overrides) -> "ExperimentConfig":
-        with open(path, "r", encoding="ascii") as fh:
-            raw = json.load(fh)
+    def from_file(cls, path=None, **overrides) -> "ExperimentConfig":
+        """Config from the experiment's table defaults, then the JSON
+        object at ``path`` (if any), then the non-None ``overrides``.
+
+        The experiment is the override's, else the file's.
+        """
+        raw = {}
+        if path is not None:
+            with open(path, "r", encoding="ascii") as fh:
+                try:
+                    raw = json.load(fh)
+                except ValueError as exc:  # bad JSON or a non-ASCII byte
+                    raise InvalidConfig(f"{path}: {exc}") from None
+            if not isinstance(raw, dict):
+                raise InvalidConfig(f"{path}: config must be a JSON object")
         raw.update({k: v for k, v in overrides.items() if v is not None})
-        allowed = {f for f in cls.__dataclass_fields__}
-        unknown = set(raw) - allowed
+        unknown = set(raw) - set(cls.__dataclass_fields__)
         if unknown:
             raise InvalidConfig(f"unknown config keys: {sorted(unknown)}")
-        return cls(**raw)
+        name = raw.get("experiment")
+        if name not in EXPERIMENTS:
+            raise InvalidConfig(f"unknown experiment {name!r}")
+        return cls(**{**EXPERIMENTS[name].defaults, **raw})
 
 
 def _jsonable(obj):
@@ -167,29 +198,25 @@ class ExperimentReport:
         return json.dumps(payload, sort_keys=True, indent=2) + "\n"
 
 
-def _criterion(name, measured, bound, passed, seed, tol=None):
+_COMPARE = {"<=": operator.le, "<": operator.lt, ">=": operator.ge}
+
+
+def _criterion(name, measured, bound, cmp="<=", slack=0.0, tol=None):
+    """A verdict on ``measured cmp bound``.
+
+    ``slack`` widens the bound in the comparison only (added for "<=",
+    subtracted for ">="); it is not reported.  ``tol`` is reported only.
+    """
+    limit = bound - slack if cmp == ">=" else bound + slack
     entry = {
         "name": name,
         "measured": _jsonable(measured),
         "bound": _jsonable(bound),
-        "passed": bool(passed),
-        "seed": int(seed),
+        "passed": bool(_COMPARE[cmp](measured, limit)),
     }
     if tol is not None:
         entry["tol"] = float(tol)
     return entry
-
-
-def _finish(cfg: ExperimentConfig, criteria, measurements, t0) -> ExperimentReport:
-    return ExperimentReport(
-        experiment=cfg.experiment,
-        config=asdict(cfg),
-        library_version=__version__,
-        criteria=criteria,
-        measurements=measurements,
-        timings={"wall_clock_s": time.perf_counter() - t0},
-        passed=all(c["passed"] for c in criteria),
-    )
 
 
 def generate_dataset(cfg: ExperimentConfig, rng: Optional[RngStream] = None) -> Dataset:
@@ -202,11 +229,18 @@ def generate_dataset(cfg: ExperimentConfig, rng: Optional[RngStream] = None) -> 
     )
 
 
+def _prepare(cfg: ExperimentConfig):
+    """The seeded stream, the dataset on its substream 0, its thin SVD,
+    leverage profile and optimal fit ``(w_star, opt_error)``."""
+    rng = RngStream(cfg.seed)
+    data = generate_dataset(cfg, rng.substream(0))
+    svd = thin_svd(data)
+    return (rng, data, svd, leverage_scores(svd), *full_solve(data, svd))
+
+
 def _mean_sem(values: np.ndarray):
     values = np.asarray(values, dtype=float)
-    mean = float(values.mean())
-    sem = float(values.std(ddof=1) / math.sqrt(len(values))) if len(values) > 1 else 0.0
-    return mean, sem
+    return float(values.mean()), float(values.std(ddof=1) / math.sqrt(len(values)))
 
 
 def _increases(data: Dataset, svd, w_star, subsets) -> np.ndarray:
@@ -216,36 +250,37 @@ def _increases(data: Dataset, svd, w_star, subsets) -> np.ndarray:
     return _subset_projection(svd.U, subsets, residuals[subsets])[1]
 
 
+def _enumerated(svd, profile, k):
+    """Every k-subset as a (C(n, k), k) array, and its influence probability."""
+    dist = enumerate_subset_distribution(svd, profile, k)
+    return np.array([s.array() for s, _ in dist], dtype=np.intp), np.array([p for _, p in dist])
+
+
+def _consistent_check(data: Dataset, opt_error: float, prefix: str, error: float):
+    """``[criterion]`` checking ``error`` against an absolute 1e-12 scale
+    when the system is consistent (the optimal error is at a 1e-20
+    floor, so a ratio to it means nothing); ``[]`` otherwise."""
+    scale = 1.0 + float(data.y @ data.y)
+    if opt_error > 1e-20 * scale:
+        return []
+    return [_criterion(f"{prefix}-consistent-absolute", error, 1e-12 * scale)]
+
+
 # ----------------------------------------------------------------------
 # one-point
 # ----------------------------------------------------------------------
 
-def verify_one_point(cfg: ExperimentConfig) -> ExperimentReport:
+def _one_point(cfg: ExperimentConfig):
     """Exact single-row rejection expectation against (1 + d/(n-d)^2).
 
     The expectation is a finite sum over rows, so no sampling is needed;
     on the uniform-leverage design the bound is attained exactly.
     """
-    cfg.validate()
-    t0 = time.perf_counter()
-    rng = RngStream(cfg.seed)
-    data = generate_dataset(cfg, rng.substream(0))
-    svd = thin_svd(data)
-    profile = leverage_scores(svd)
-    w_star, opt_error = full_solve(data, svd)
+    _, data, svd, profile, w_star, opt_error = _prepare(cfg)
     probs = single_row_influences(profile)
-    residuals = data.X @ w_star - data.y
-    ell = profile.ell
-    increase = np.zeros(cfg.n)
-    supported = probs > 0.0
-    increase[supported] = (
-        ell[supported] / (1.0 - ell[supported]) ** 2 * residuals[supported] ** 2
-    )
-    expected = opt_error + float(probs @ increase)
+    increases = _increases(data, svd, w_star, np.arange(cfg.n)[:, None])
+    expected = opt_error + float(probs @ increases)
     bound = 1.0 + cfg.d / (cfg.n - cfg.d) ** 2
-    consistent_floor = 1e-20 * (1.0 + float(data.y @ data.y))
-
-    criteria = []
     measurements = {
         "opt_error": opt_error,
         "expected_error": expected,
@@ -253,131 +288,72 @@ def verify_one_point(cfg: ExperimentConfig) -> ExperimentReport:
         "z1": profile.z1,
         "z1_lower_bound": (cfg.n - cfg.d) ** 2 / cfg.d,
     }
-    if opt_error > consistent_floor:
-        ratio = expected / opt_error
-        measurements["ratio"] = ratio
-        criteria.append(
-            _criterion(
-                "one-point-ratio-le-bound", ratio, bound,
-                ratio <= bound + 1e-10, cfg.seed, tol=1e-10,
-            )
-        )
+    criteria = _consistent_check(data, opt_error, "one-point", expected)
+    if not criteria:
+        ratio = measurements["ratio"] = expected / opt_error
+        criteria.append(_criterion("one-point-ratio-le-bound", ratio, bound,
+                                   slack=EXACT_TOL, tol=EXACT_TOL))
         if cfg.design == HADAMARD_UNIFORM:
-            criteria.append(
-                _criterion(
-                    "one-point-ratio-equals-bound", abs(ratio - bound), 1e-10,
-                    abs(ratio - bound) <= 1e-10, cfg.seed, tol=1e-10,
-                )
-            )
-    else:
-        scale = 1e-12 * (1.0 + float(data.y @ data.y))
-        criteria.append(
-            _criterion(
-                "one-point-consistent-absolute", expected, scale,
-                expected <= scale, cfg.seed,
-            )
-        )
-    return _finish(cfg, criteria, measurements, t0)
+            criteria.append(_criterion("one-point-ratio-equals-bound", abs(ratio - bound),
+                                       EXACT_TOL, tol=EXACT_TOL))
+    return criteria, measurements
 
 
 # ----------------------------------------------------------------------
 # k-points
 # ----------------------------------------------------------------------
 
-def verify_k_points(cfg: ExperimentConfig) -> ExperimentReport:
+def _k_points(cfg: ExperimentConfig):
     """Joint k-row rejection expectation against (1 + dk^2/(n-dk)^2).
 
     Exact enumeration when C(n, k) <= 2e6, otherwise Monte Carlo over
     the rejection sampler with mean + 3 SE reported against the bound.
     """
-    cfg.validate()
-    t0 = time.perf_counter()
+    rng, data, svd, profile, w_star, opt_error = _prepare(cfg)
     k = cfg.k
-    rng = RngStream(cfg.seed)
-    data = generate_dataset(cfg, rng.substream(0))
-    svd = thin_svd(data)
-    profile = leverage_scores(svd)
-    w_star, opt_error = full_solve(data, svd)
     theorem_bound = 1.0 + cfg.d * k**2 / (cfg.n - cfg.d * k) ** 2
     target_bound = 1.0 + cfg.d / cfg.n
-
-    criteria = []
+    exact = math.comb(cfg.n, k) <= ENUMERATION_LIMIT
     measurements = {
         "opt_error": opt_error,
         "theorem_bound": theorem_bound,
         "target_bound": target_bound,
         "k_for_target": math.floor(cfg.n / (cfg.d + math.sqrt(cfg.n))),
+        "mode": "exact" if exact else "monte-carlo",
     }
-
-    consistent_floor = 1e-20 * (1.0 + float(data.y @ data.y))
-    exact = math.comb(cfg.n, k) <= ENUMERATION_LIMIT
-    measurements["mode"] = "exact" if exact else "monte-carlo"
     if exact:
-        dist = enumerate_subset_distribution(svd, profile, k)
-        subsets = np.array([s.array() for s, _ in dist], dtype=np.intp)
-        probs = np.array([p for _, p in dist])
+        subsets, probs = _enumerated(svd, profile, k)
         increases = _increases(data, svd, w_star, subsets)
-        expected = opt_error + float(probs @ increases)
-        measurements["expected_error"] = expected
-        if opt_error > consistent_floor:
-            ratio = expected / opt_error
-            measurements["ratio"] = ratio
-            criteria.append(
-                _criterion(
-                    "k-points-exact-ratio-le-bound", ratio, theorem_bound,
-                    ratio <= theorem_bound + 1e-10, cfg.seed, tol=1e-10,
-                )
-            )
-        else:
-            scale = 1e-12 * (1.0 + float(data.y @ data.y))
-            criteria.append(
-                _criterion(
-                    "k-points-consistent-absolute", expected, scale,
-                    expected <= scale, cfg.seed,
-                )
-            )
-    else:
-        subsets, stats = rejection_sample_many(
-            svd, profile, k, cfg.trials, rng.substream(1)
-        )
-        increases = _increases(data, svd, w_star, subsets)
-        measurements["proposals"] = stats.proposals
-        measurements["accepted"] = stats.accepted
-        measurements["acceptance_rate"] = stats.acceptance_rate
-        if opt_error > consistent_floor:
-            ratios = 1.0 + increases / opt_error
-            mean, sem = _mean_sem(ratios)
-            measurements["mean_ratio"] = mean
-            measurements["sem_ratio"] = sem
-            criteria.append(
-                _criterion(
-                    "k-points-mc-ratio-le-theorem-bound", mean + 3 * sem,
-                    theorem_bound, mean + 3 * sem <= theorem_bound, cfg.seed,
-                )
-            )
-            criteria.append(
-                _criterion(
-                    "k-points-mc-ratio-le-target", mean + 3 * sem,
-                    target_bound, mean + 3 * sem <= target_bound, cfg.seed,
-                )
-            )
-        else:
-            worst = float(np.max(increases))
-            scale = 1e-12 * (1.0 + float(data.y @ data.y))
-            criteria.append(
-                _criterion(
-                    "k-points-consistent-absolute", worst, scale,
-                    worst <= scale, cfg.seed,
-                )
-            )
-    return _finish(cfg, criteria, measurements, t0)
+        expected = measurements["expected_error"] = opt_error + float(probs @ increases)
+        criteria = _consistent_check(data, opt_error, "k-points", expected)
+        if not criteria:
+            ratio = measurements["ratio"] = expected / opt_error
+            criteria.append(_criterion("k-points-exact-ratio-le-bound", ratio, theorem_bound,
+                                       slack=EXACT_TOL, tol=EXACT_TOL))
+        return criteria, measurements
+
+    subsets, stats = rejection_sample_many(svd, profile, k, cfg.trials, rng.substream(1))
+    increases = _increases(data, svd, w_star, subsets)
+    measurements["proposals"] = stats.proposals
+    measurements["accepted"] = stats.accepted
+    measurements["acceptance_rate"] = stats.acceptance_rate
+    criteria = _consistent_check(data, opt_error, "k-points", float(np.max(increases)))
+    if not criteria:
+        mean, sem = _mean_sem(1.0 + increases / opt_error)
+        measurements["mean_ratio"] = mean
+        measurements["sem_ratio"] = sem
+        criteria = [
+            _criterion("k-points-mc-ratio-le-theorem-bound", mean + 3 * sem, theorem_bound),
+            _criterion("k-points-mc-ratio-le-target", mean + 3 * sem, target_bound),
+        ]
+    return criteria, measurements
 
 
 # ----------------------------------------------------------------------
 # sampler
 # ----------------------------------------------------------------------
 
-def verify_sampler(cfg: ExperimentConfig) -> ExperimentReport:
+def _sampler(cfg: ExperimentConfig):
     """Rejection sampler exactness and acceptance-rate checks.
 
     Compares the empirical distribution of accepted draws to the
@@ -386,21 +362,9 @@ def verify_sampler(cfg: ExperimentConfig) -> ExperimentReport:
     ever returned, and that the empirical acceptance rate clears its
     k^2/(n mu) lower bound.
     """
-    cfg.validate()
-    if cfg.k is None:
-        raise InvalidConfig("sampler experiment needs k")
-    t0 = time.perf_counter()
+    rng, _, svd, profile, _, _ = _prepare(cfg)
     k = cfg.k
-    if math.comb(cfg.n, k) > 200_000:
-        raise InvalidConfig("sampler verification needs C(n, k) <= 2e5 to enumerate")
-    rng = RngStream(cfg.seed)
-    data = generate_dataset(cfg, rng.substream(0))
-    svd = thin_svd(data)
-    profile = leverage_scores(svd)
-
-    dist = enumerate_subset_distribution(svd, profile, k)
-    subsets_enum = np.array([s.array() for s, _ in dist], dtype=np.intp)
-    probs = np.array([p for _, p in dist])
+    subsets_enum, probs = _enumerated(svd, profile, k)
 
     # acceptance ratio over every subset
     spec = _subset_projection(svd.U, subsets_enum)
@@ -412,32 +376,24 @@ def verify_sampler(cfg: ExperimentConfig) -> ExperimentReport:
     keys_enum = subsets_enum @ encode
     keys_drawn = draws @ encode
     order = np.argsort(keys_enum)
-    counts = np.zeros(len(dist))
+    counts = np.zeros(len(probs))
     uniq, cnt = np.unique(keys_drawn, return_counts=True)
     pos = order[np.searchsorted(keys_enum[order], uniq)]
     counts[pos] = cnt
     tv = 0.5 * float(np.abs(counts / cfg.trials - probs).sum())
 
-    drawn_spec = _subset_projection(svd.U, draws)
+    max_drawn_spec = float(_subset_projection(svd.U, draws).max())
     bound = estimate_acceptance(profile, k)
     rate = stats.acceptance_rate
     rate_se = math.sqrt(max(rate * (1.0 - rate), 0.0) / stats.proposals)
 
     criteria = [
-        _criterion("sampler-tv-lt-bound", tv, 0.01, tv < 0.01, cfg.seed),
-        _criterion(
-            "sampler-theta-le-1", max_theta, 1.0,
-            max_theta <= 1.0 + 1e-10, cfg.seed, tol=1e-10,
-        ),
-        _criterion(
-            "sampler-no-degenerate-draws", float(drawn_spec.max()),
-            1.0 - SPEC_SINGULAR_TOL,
-            float(drawn_spec.max()) < 1.0 - SPEC_SINGULAR_TOL, cfg.seed,
-        ),
-        _criterion(
-            "sampler-acceptance-ge-bound", rate, bound.lower_bound,
-            rate >= bound.lower_bound - 3.0 * rate_se, cfg.seed,
-        ),
+        _criterion("sampler-tv-lt-bound", tv, 0.01, cmp="<"),
+        _criterion("sampler-theta-le-1", max_theta, 1.0, slack=EXACT_TOL, tol=EXACT_TOL),
+        _criterion("sampler-no-degenerate-draws", max_drawn_spec,
+                   1.0 - SPEC_SINGULAR_TOL, cmp="<"),
+        _criterion("sampler-acceptance-ge-bound", rate, bound.lower_bound,
+                   cmp=">=", slack=3.0 * rate_se),
     ]
     measurements = {
         "tv_distance": tv,
@@ -452,22 +408,20 @@ def verify_sampler(cfg: ExperimentConfig) -> ExperimentReport:
         "mean_trials_per_accept": stats.proposals / max(stats.accepted, 1),
         "coherence_mu": profile.coherence_mu,
     }
-    return _finish(cfg, criteria, measurements, t0)
+    return criteria, measurements
 
 
 # ----------------------------------------------------------------------
 # preconditioner
 # ----------------------------------------------------------------------
 
-def verify_preconditioner(cfg: ExperimentConfig) -> ExperimentReport:
+def _preconditioner(cfg: ExperimentConfig):
     """Singular-value inversion identity across sketch families.
 
     For each seed and each sketch kind, the singular values of X R^{-1}
     must be the reversed inverses of those of (Pi U), and the condition
     numbers must agree, both to 1e-8 relative.
     """
-    cfg.validate()
-    t0 = time.perf_counter()
     rng = RngStream(cfg.seed)
     seeds = cfg.trials
     r = min(max(8 * cfg.d, 32), next_pow2(cfg.n))
@@ -498,18 +452,10 @@ def verify_preconditioner(cfg: ExperimentConfig) -> ExperimentReport:
             if kind == "identity":
                 worst_identity = max(worst_identity, float(np.max(np.abs(s_z - 1.0))))
     criteria = [
-        _criterion(
-            "precond-sv-inversion-identity", worst_inv, 1e-8,
-            worst_inv <= 1e-8, cfg.seed, tol=1e-8,
-        ),
-        _criterion(
-            "precond-condition-number-match", worst_kappa, 1e-8,
-            worst_kappa <= 1e-8, cfg.seed, tol=1e-8,
-        ),
-        _criterion(
-            "precond-identity-unit-singular-values", worst_identity, 1e-10,
-            worst_identity <= 1e-10, cfg.seed, tol=1e-10,
-        ),
+        _criterion("precond-sv-inversion-identity", worst_inv, 1e-8, tol=1e-8),
+        _criterion("precond-condition-number-match", worst_kappa, 1e-8, tol=1e-8),
+        _criterion("precond-identity-unit-singular-values", worst_identity,
+                   EXACT_TOL, tol=EXACT_TOL),
     ]
     measurements = {
         "sketch_dimension": r,
@@ -518,14 +464,143 @@ def verify_preconditioner(cfg: ExperimentConfig) -> ExperimentReport:
         "max_condition_number_residual": worst_kappa,
         "max_identity_sv_deviation": worst_identity,
     }
-    return _finish(cfg, criteria, measurements, t0)
+    return criteria, measurements
+
+
+# ----------------------------------------------------------------------
+# kaczmarz
+# ----------------------------------------------------------------------
+
+def _fit_log_slope(means: np.ndarray) -> float:
+    floor = means[0] * 1e-22
+    valid = means > max(floor, 0.0)
+    ts = np.flatnonzero(valid)
+    return float(np.polyfit(ts, np.log(means[valid]), 1)[0])
+
+
+def _kaczmarz(cfg: ExperimentConfig):
+    """Convergence-rate checks for the exact and fast solvers.
+
+    exact: with K = ceil(d ln(n kappa^2/d)) steps on a consistent
+    system, the mean final weight error over the trials must be at most
+    1.5 (d/n) ||w*||^2, the first step must contract by (1 - 1/d) within
+    3 SE, and the whole error profile must track (1 - 1/d)^t.
+
+    fast: on a conditioned instance the fitted log-slope of the mean
+    squared error must be at most ln(1 - 1/(9d)) + 0.02, preprocessing
+    reads no labels, and the label count is bounded by the iteration
+    count.
+    """
+    rng = RngStream(cfg.seed)
+    criteria = []
+    measurements = {}
+
+    if cfg.mode in ("exact", "both"):
+        data = make_dataset(GAUSSIAN, cfg.n, cfg.d, 0.0, rng.substream(0))
+        svd = thin_svd(data)
+        w_star, _ = full_solve(data, svd)
+        kappa = svd.condition_number
+        K = labels_for_target(cfg.n, cfg.d, kappa, "exact")
+        trials = cfg.trials
+
+        runs = [
+            kaczmarz_exact(svd, data.y, K, rng.substream(1000 + i), w_star=w_star)
+            for i in range(trials)
+        ]
+        final_errors = np.array([float((r.w - w_star) @ (r.w - w_star)) for r in runs])
+        traces = np.stack([r.error_trace for r in runs])
+        w_norm_sq = float(w_star @ w_star)
+        mean_final, _ = _mean_sem(final_errors)
+        final_bound = 1.5 * (cfg.d / cfg.n) * w_norm_sq
+        criteria.append(_criterion("kaczmarz-exact-final-error", mean_final, final_bound))
+
+        one_steps = [
+            kaczmarz_exact(svd, data.y, 1, rng.substream(5000 + i), w_star=w_star)
+            for i in range(max(500, trials))
+        ]
+        steps = np.stack([r.error_trace for r in one_steps])
+        v_norm_sq = steps[0, 0]
+        factors = steps[:, 1] / v_norm_sq
+        mean_factor, sem_factor = _mean_sem(factors)
+        rate = 1.0 - 1.0 / cfg.d
+        criteria.append(_criterion("kaczmarz-exact-per-step-contraction", mean_factor,
+                                   rate, slack=3 * sem_factor))
+
+        horizon = min(5 * cfg.d, K)
+        profile_gap = -np.inf
+        for t in range(1, horizon + 1):
+            mean_t, sem_t = _mean_sem(traces[:, t])
+            bound_t = rate**t * v_norm_sq
+            profile_gap = max(profile_gap, mean_t - bound_t - 3 * sem_t)
+        criteria.append(_criterion("kaczmarz-exact-rate-profile", profile_gap, 0.0))
+        measurements.update(
+            {
+                "exact_K": K,
+                "exact_kappa": kappa,
+                "exact_mean_final_error": mean_final,
+                "exact_final_bound": final_bound,
+                "exact_mean_contraction": mean_factor,
+                "exact_contraction_bound": rate,
+                "exact_max_labels": max(r.labels_used for r in runs),
+                "exact_trials": trials,
+            }
+        )
+
+    if cfg.mode in ("fast", "both"):
+        gen = rng.substream(1).generator()
+        X = conditioned_design(cfg.n, cfg.d, cfg.kappa, gen)
+        w0 = gen.standard_normal(cfg.d)
+        data = Dataset(X=X, y=X @ w0)
+        svd = thin_svd(data)
+        w_star, _ = full_solve(data, svd)
+        fcfg = FastSolverConfig()
+        setup = fast_setup(X, fcfg, rng.substream(2))
+        K = 400 if cfg.iters is None else cfg.iters
+        trials = cfg.trials if cfg.mode == "fast" else min(cfg.trials, 100)
+
+        runs = [
+            kaczmarz_fast(
+                data, K, rng.substream(20_000 + i), cfg=fcfg, w_star=w_star, setup=setup
+            )
+            for i in range(trials)
+        ]
+        traces = np.stack([r.error_trace for r in runs])
+        w_traces = np.stack([r.w_error_trace for r in runs])
+        max_labels = max(r.labels_used for r in runs)
+        slope = _fit_log_slope(traces.mean(axis=0))
+        slope_bound = math.log(1.0 - 1.0 / (9.0 * cfg.d)) + 0.02
+        criteria.append(_criterion("kaczmarz-fast-slope-le-bound", slope, slope_bound))
+        criteria.append(_criterion("kaczmarz-fast-label-accounting", max_labels, K))
+        # trend bound in weight space: contraction^t scaled by the squared
+        # singular-value ratio of R
+        s_r = np.linalg.svd(setup.precond.r_matrix(), compute_uv=False)
+        kappa_r_sq = (s_r[0] / s_r[-1]) ** 2
+        w_norm_sq = float(w_star @ w_star)
+        rate = 1.0 - 1.0 / (9.0 * cfg.d)
+        w_means = w_traces.mean(axis=0)
+        ts = np.arange(len(w_means))
+        w_gap = float(np.max(w_means / (rate**ts * kappa_r_sq * w_norm_sq)))
+        criteria.append(_criterion("kaczmarz-fast-w-space-bound", w_gap, 1.0, slack=1e-6))
+        measurements.update(
+            {
+                "fast_K": K,
+                "fast_trials": trials,
+                "fast_slope": slope,
+                "fast_slope_bound": slope_bound,
+                "fast_kappa_R_sq": kappa_r_sq,
+                "fast_max_labels": max_labels,
+                "fast_r1": setup.column_op.r,
+                "fast_design_kappa": cfg.kappa,
+            }
+        )
+    return criteria, measurements
 
 
 # ----------------------------------------------------------------------
 # jlt
 # ----------------------------------------------------------------------
 
-def verify_jlt(cfg: ExperimentConfig) -> ExperimentReport:
+def _jlt(cfg: ExperimentConfig):
     """SRHT embedding quality and approximate-leverage accuracy.
 
     The 1/2-embedding dimension from the SRHT bound is capped at the
@@ -535,8 +610,6 @@ def verify_jlt(cfg: ExperimentConfig) -> ExperimentReport:
     true preconditioned row norms in at least 19 of 20 seeds; identity
     sketches must reproduce the leverage scores exactly.
     """
-    cfg.validate()
-    t0 = time.perf_counter()
     rng = RngStream(cfg.seed)
     seeds = cfg.trials
     n, d = cfg.n, cfg.d
@@ -557,10 +630,9 @@ def verify_jlt(cfg: ExperimentConfig) -> ExperimentReport:
         defects.append(report["defect"])
         if report["defect"] <= 0.5:
             defect_hits += 1
-        part4 = pinv_factorization_residual(
-            apply_sketch(op, X), PU, svd.sigma, svd.V
-        )
-        scale = 1.0 + float(np.linalg.norm(np.linalg.pinv(apply_sketch(op, X)), ord=2))
+        SX = apply_sketch(op, X)
+        part4 = pinv_factorization_residual(SX, PU, svd.sigma, svd.V)
+        scale = 1.0 + float(np.linalg.norm(np.linalg.pinv(SX), ord=2))
         part4_worst = max(part4_worst, part4 / scale)
         if report["applicable"] and report["all_hold"] and part4 <= 1e-8 * scale:
             properties_ok += 1
@@ -587,22 +659,10 @@ def verify_jlt(cfg: ExperimentConfig) -> ExperimentReport:
 
     need = seeds - 1
     criteria = [
-        _criterion(
-            "jlt-srht-defect-le-half", defect_hits, need,
-            defect_hits >= need, cfg.seed,
-        ),
-        _criterion(
-            "jlt-embedding-properties-hold", properties_ok, need,
-            properties_ok >= need, cfg.seed, tol=1e-8,
-        ),
-        _criterion(
-            "jlt-approx-leverage-in-band", leverage_hits, need,
-            leverage_hits >= need, cfg.seed,
-        ),
-        _criterion(
-            "jlt-identity-exact-leverage", ident_err, 1e-10,
-            ident_err <= 1e-10, cfg.seed, tol=1e-10,
-        ),
+        _criterion("jlt-srht-defect-le-half", defect_hits, need, cmp=">="),
+        _criterion("jlt-embedding-properties-hold", properties_ok, need, cmp=">=", tol=1e-8),
+        _criterion("jlt-approx-leverage-in-band", leverage_hits, need, cmp=">="),
+        _criterion("jlt-identity-exact-leverage", ident_err, EXACT_TOL, tol=EXACT_TOL),
     ]
     measurements = {
         "r_embed": r_embed,
@@ -616,188 +676,61 @@ def verify_jlt(cfg: ExperimentConfig) -> ExperimentReport:
         "leverage_hits": leverage_hits,
         "identity_leverage_error": ident_err,
     }
-    return _finish(cfg, criteria, measurements, t0)
+    return criteria, measurements
 
 
 # ----------------------------------------------------------------------
-# kaczmarz
+# the table and the runner
 # ----------------------------------------------------------------------
 
-def _fit_log_slope(means: np.ndarray) -> float:
-    floor = means[0] * 1e-22
-    valid = means > max(floor, 0.0)
-    ts = np.flatnonzero(valid)
-    return float(np.polyfit(ts, np.log(means[valid]), 1)[0])
+class Experiment(NamedTuple):
+    """A verification body and the config fields the command line
+    starts it from."""
+
+    body: Callable[[ExperimentConfig], Tuple[List[Dict], Dict]]
+    defaults: Dict
 
 
-def verify_kaczmarz(cfg: ExperimentConfig) -> ExperimentReport:
-    """Convergence-rate checks for the exact and fast solvers.
-
-    exact: with K = ceil(d ln(n kappa^2/d)) steps on a consistent
-    system, the mean final weight error over the trials must be at most
-    1.5 (d/n) ||w*||^2, the first step must contract by (1 - 1/d) within
-    3 SE, and the whole error profile must track (1 - 1/d)^t.
-
-    fast: on a conditioned instance the fitted log-slope of the mean
-    squared error must be at most ln(1 - 1/(9d)) + 0.02, preprocessing
-    reads no labels, and the label count is bounded by the iteration
-    count.
-    """
-    cfg.validate()
-    t0 = time.perf_counter()
-    rng = RngStream(cfg.seed)
-    criteria = []
-    measurements = {}
-
-    if cfg.mode in ("exact", "both"):
-        data = make_dataset(GAUSSIAN, cfg.n, cfg.d, 0.0, rng.substream(0))
-        svd = thin_svd(data)
-        w_star, _ = full_solve(data, svd)
-        kappa = svd.condition_number
-        K = labels_for_target(cfg.n, cfg.d, kappa, "exact")
-        trials = cfg.trials
-
-        runs = [
-            kaczmarz_exact(svd, data.y, K, rng.substream(1000 + i), w_star=w_star)
-            for i in range(trials)
-        ]
-        final_errors = np.array([float((r.w - w_star) @ (r.w - w_star)) for r in runs])
-        traces = np.stack([r.error_trace for r in runs])
-        labels = np.array([r.labels_used for r in runs])
-        w_norm_sq = float(w_star @ w_star)
-        mean_final, _ = _mean_sem(final_errors)
-        final_bound = 1.5 * (cfg.d / cfg.n) * w_norm_sq
-        criteria.append(
-            _criterion(
-                "kaczmarz-exact-final-error", mean_final, final_bound,
-                mean_final <= final_bound, cfg.seed,
-            )
-        )
-
-        one_steps = [
-            kaczmarz_exact(svd, data.y, 1, rng.substream(5000 + i), w_star=w_star)
-            for i in range(max(500, trials))
-        ]
-        steps = np.stack([r.error_trace for r in one_steps])
-        v_norm_sq = steps[0, 0]
-        factors = steps[:, 1] / v_norm_sq
-        mean_factor, sem_factor = _mean_sem(factors)
-        rate = 1.0 - 1.0 / cfg.d
-        criteria.append(
-            _criterion(
-                "kaczmarz-exact-per-step-contraction", mean_factor,
-                rate, mean_factor <= rate + 3 * sem_factor, cfg.seed,
-            )
-        )
-
-        horizon = min(5 * cfg.d, K)
-        profile_gap = -np.inf
-        for t in range(1, horizon + 1):
-            mean_t, sem_t = _mean_sem(traces[:, t])
-            bound_t = rate**t * v_norm_sq
-            profile_gap = max(profile_gap, mean_t - bound_t - 3 * sem_t)
-        criteria.append(
-            _criterion(
-                "kaczmarz-exact-rate-profile", profile_gap, 0.0,
-                profile_gap <= 0.0, cfg.seed,
-            )
-        )
-        measurements.update(
-            {
-                "exact_K": K,
-                "exact_kappa": kappa,
-                "exact_mean_final_error": mean_final,
-                "exact_final_bound": final_bound,
-                "exact_mean_contraction": mean_factor,
-                "exact_contraction_bound": rate,
-                "exact_max_labels": int(labels.max()),
-                "exact_trials": trials,
-            }
-        )
-
-    if cfg.mode in ("fast", "both"):
-        gen = rng.substream(1).generator()
-        X = conditioned_design(cfg.n, cfg.d, cfg.kappa, gen)
-        w0 = gen.standard_normal(cfg.d)
-        data = Dataset(X=X, y=X @ w0)
-        svd = thin_svd(data)
-        w_star, _ = full_solve(data, svd)
-        fcfg = FastSolverConfig()
-        setup = fast_setup(X, fcfg, rng.substream(2))
-        K = cfg.iters or 400
-        trials = cfg.trials if cfg.mode == "fast" else min(cfg.trials, 100)
-
-        runs = [
-            kaczmarz_fast(
-                data, K, rng.substream(20_000 + i), cfg=fcfg, w_star=w_star, setup=setup
-            )
-            for i in range(trials)
-        ]
-        traces = np.stack([r.error_trace for r in runs])
-        w_traces = np.stack([r.w_error_trace for r in runs])
-        labels = np.array([r.labels_used for r in runs])
-        means = traces.mean(axis=0)
-        slope = _fit_log_slope(means)
-        slope_bound = math.log(1.0 - 1.0 / (9.0 * cfg.d)) + 0.02
-        criteria.append(
-            _criterion(
-                "kaczmarz-fast-slope-le-bound", slope, slope_bound,
-                slope <= slope_bound, cfg.seed,
-            )
-        )
-        criteria.append(
-            _criterion(
-                "kaczmarz-fast-label-accounting", int(labels.max()), K,
-                bool(labels.max() <= K), cfg.seed,
-            )
-        )
-        # trend bound in weight space: contraction^t scaled by the squared
-        # singular-value ratio of R
-        R = setup.precond.r_matrix()
-        s_r = np.linalg.svd(R, compute_uv=False)
-        kappa_r_sq = (s_r[0] / s_r[-1]) ** 2
-        w_norm_sq = float(w_star @ w_star)
-        rate = 1.0 - 1.0 / (9.0 * cfg.d)
-        w_means = w_traces.mean(axis=0)
-        ts = np.arange(len(w_means))
-        w_bounds = rate**ts * kappa_r_sq * w_norm_sq
-        w_gap = float(np.max(w_means / w_bounds))
-        criteria.append(
-            _criterion(
-                "kaczmarz-fast-w-space-bound", w_gap, 1.0,
-                w_gap <= 1.0 + 1e-6, cfg.seed,
-            )
-        )
-        measurements.update(
-            {
-                "fast_K": K,
-                "fast_trials": trials,
-                "fast_slope": slope,
-                "fast_slope_bound": slope_bound,
-                "fast_kappa_R_sq": kappa_r_sq,
-                "fast_max_labels": int(labels.max()),
-                "fast_r1": setup.column_op.r,
-                "fast_r2": setup.row_op.r,
-                "fast_design_kappa": cfg.kappa,
-            }
-        )
-
-    return _finish(cfg, criteria, measurements, t0)
-
-
-VERIFIERS = {
-    "one-point": verify_one_point,
-    "k-points": verify_k_points,
-    "sampler": verify_sampler,
-    "precond": verify_preconditioner,
-    "kaczmarz": verify_kaczmarz,
-    "jlt": verify_jlt,
+EXPERIMENTS: Dict[str, Experiment] = {
+    "one-point": Experiment(_one_point, dict(n=100, d=5, trials=1)),
+    "k-points": Experiment(_k_points, dict(n=12, d=2, k=2)),
+    "sampler": Experiment(_sampler, dict(n=10, d=2, k=2, trials=100_000)),
+    "precond": Experiment(_preconditioner, dict(n=256, d=8, trials=20)),
+    "kaczmarz": Experiment(_kaczmarz, dict(n=400, d=5, trials=200)),
+    "jlt": Experiment(_jlt, dict(n=512, d=8, trials=20)),
 }
+EXPERIMENT_NAMES = tuple(EXPERIMENTS)
 
 
 def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
-    try:
-        verifier = VERIFIERS[cfg.experiment]
-    except KeyError:
-        raise InvalidConfig(f"unknown experiment {cfg.experiment!r}")
-    return verifier(cfg)
+    """Validate ``cfg``, run its experiment's body and report."""
+    cfg.validate()
+    t0 = time.perf_counter()
+    criteria, measurements = EXPERIMENTS[cfg.experiment].body(cfg)
+    for crit in criteria:
+        crit["seed"] = int(cfg.seed)
+    return ExperimentReport(
+        experiment=cfg.experiment,
+        config=asdict(cfg),
+        library_version=__version__,
+        criteria=criteria,
+        measurements=measurements,
+        timings={"wall_clock_s": time.perf_counter() - t0},
+        passed=all(c["passed"] for c in criteria),
+    )
+
+
+def _verifier(name: str):
+    def verify(cfg: ExperimentConfig) -> ExperimentReport:
+        return run_experiment(replace(cfg, experiment=name))
+
+    verify.__doc__ = EXPERIMENTS[name].body.__doc__
+    return verify
+
+
+verify_one_point = _verifier("one-point")
+verify_k_points = _verifier("k-points")
+verify_sampler = _verifier("sampler")
+verify_preconditioner = _verifier("precond")
+verify_kaczmarz = _verifier("kaczmarz")
+verify_jlt = _verifier("jlt")

@@ -67,30 +67,24 @@ class KaczmarzRun:
 
 @dataclass(frozen=True)
 class FastSolverConfig:
-    """Sketch dimensions for the fast variant.
+    """Sketch choice and dimensions for the fast variant.
 
-    Defaults follow the simplified constants 48 d ln d (column-space
-    SRHT) and 72 ln(n+1) (row-space sign sketch); the column dimension
-    is capped at the padded input size.  ``fast_setup`` uses only r1:
+    The dimensions follow the simplified constants 48 d ln d
+    (column-space sketch, capped at the padded input size) and
+    72 ln(n+1) (row-space sign sketch).  ``fast_setup`` uses only r1:
     it forms each row of X R^{-1} anyway, and its exact norm then costs
     d products where a row-space sketch would add r2 d.  r2 sizes the
     row-space sign sketch that ``approx_leverage`` accepts and
     ``verify jlt`` checks.
     """
 
-    r1: Optional[int] = None
-    r2: Optional[int] = None
     column_sketch: str = "srht"
 
     def resolve_r1(self, n: int, d: int) -> int:
-        if self.r1 is not None:
-            return self.r1
         r1 = int(math.ceil(48.0 * d * math.log(d))) if d > 1 else 1
         return min(max(r1, d), next_pow2(n))
 
     def resolve_r2(self, n: int) -> int:
-        if self.r2 is not None:
-            return self.r2
         return int(math.ceil(72.0 * math.log(n + 1.0)))
 
 

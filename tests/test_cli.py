@@ -245,6 +245,54 @@ class TestVerifyCommand:
         assert rc == 1
         assert "error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "flags, field",
+        [
+            (["--mode", "fast", "--iters", "0"], "iters"),
+            (["--kappa", "nan"], "kappa"),
+            (["--kappa", "0.5"], "kappa"),
+            (["--trials", "1"], "trials"),
+        ],
+        ids=["iters-zero", "kappa-nan", "kappa-below-one", "one-trial"],
+    )
+    def test_bad_kaczmarz_setting_exits_one_naming_it(self, capsys, flags, field):
+        rc = run_cli("verify", "kaczmarz", *flags)
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert field in err
+
+    @pytest.mark.parametrize("experiment", ["jlt", "k-points"])
+    def test_one_trial_has_no_standard_error(self, capsys, experiment):
+        assert run_cli("verify", experiment, "--trials", 1) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "trials" in err
+
+    @pytest.mark.parametrize("experiment", ["sampler", "jlt"])
+    def test_config_naming_only_the_experiment_matches_the_bare_command(
+        self, tmp_path, experiment
+    ):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"experiment": experiment}))
+        configs = []
+        for extra in ([], ["--config", cfg_path]):
+            out = tmp_path / "rep.json"
+            assert run_cli("verify", experiment, *extra, "--out", out) == 0
+            configs.append(json.loads(out.read_text())["config"])
+        assert configs[0] == configs[1]
+
+    @pytest.mark.parametrize(
+        "text",
+        [b'{"n": 12,', b'["sampler"]', b'{"design": "gau\xc3\x9fian"}'],
+        ids=["truncated", "not-an-object", "non-ascii"],
+    )
+    def test_bad_config_file_exits_one_with_one_line(self, tmp_path, capsys, text):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_bytes(text)
+        assert run_cli("verify", "sampler", "--config", cfg_path) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+
     def test_config_file_with_flag_override(self, tmp_path):
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps({"experiment": "k-points", "n": 12, "d": 2, "k": 2, "seed": 15}))

@@ -17,6 +17,7 @@ from cullsq import (
     verify_one_point,
 )
 from cullsq.designs import make_dataset
+from cullsq.experiments import EXPERIMENT_NAMES, EXPERIMENTS
 
 
 class TestGenerateDataset:
@@ -64,6 +65,42 @@ class TestConfigValidation:
     def test_k_points_needs_k(self):
         with pytest.raises(InvalidConfig):
             ExperimentConfig(experiment="k-points", n=12, d=2).validate()
+
+    def test_sampler_needs_k(self):
+        with pytest.raises(InvalidConfig, match="needs k"):
+            ExperimentConfig(experiment="sampler", n=10, d=2).validate()
+
+    def test_sampler_needs_enumerable_subsets(self):
+        # C(40, 5) = 658008 > 2e5
+        with pytest.raises(InvalidConfig, match="C\\(n, k\\)"):
+            ExperimentConfig(experiment="sampler", n=40, d=2, k=5).validate()
+
+    @pytest.mark.parametrize("experiment, k", [("k-points", 2), ("kaczmarz", None), ("jlt", None)])
+    def test_standard_error_needs_two_trials(self, experiment, k):
+        with pytest.raises(InvalidConfig, match="trials"):
+            ExperimentConfig(experiment=experiment, n=12, d=2, k=k, trials=1).validate()
+        ExperimentConfig(experiment=experiment, n=12, d=2, k=k, trials=2).validate()
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [("iters", 0), ("iters", -3), ("kappa", float("nan")), ("kappa", float("inf")),
+         ("kappa", 0.5)],
+    )
+    def test_kaczmarz_iters_and_kappa(self, field, value):
+        with pytest.raises(InvalidConfig, match=field):
+            ExperimentConfig(experiment="kaczmarz", **{field: value}).validate()
+
+    def test_from_file_layers_table_defaults_file_and_overrides(self, tmp_path):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"experiment": "sampler", "n": 12, "seed": 3}))
+        cfg = ExperimentConfig.from_file(path, seed=4, trials=None)
+        defaults = EXPERIMENTS["sampler"].defaults
+        assert (cfg.n, cfg.d, cfg.k, cfg.trials) == (12, defaults["d"], defaults["k"],
+                                                      defaults["trials"])
+        assert cfg.seed == 4
+        assert ExperimentConfig.from_file(experiment="jlt") == ExperimentConfig(
+            experiment="jlt", **EXPERIMENTS["jlt"].defaults
+        )
 
     def test_unknown_config_key_rejected(self, tmp_path):
         path = tmp_path / "cfg.json"
@@ -123,9 +160,13 @@ class TestVerifiers:
         assert report.experiment == "precond"
         assert report.passed
 
-    def test_report_carries_version_and_seeds(self):
-        report = verify_one_point(
-            ExperimentConfig(experiment="one-point", n=32, d=2, seed=10)
+    @pytest.mark.parametrize("experiment", EXPERIMENT_NAMES)
+    def test_report_carries_version_and_seeds(self, experiment):
+        report = run_experiment(
+            ExperimentConfig(experiment=experiment, seed=10,
+                             **EXPERIMENTS[experiment].defaults)
         )
         assert report.library_version
+        assert report.criteria
         assert all(c["seed"] == 10 for c in report.criteria)
+        assert report.passed == all(c["passed"] for c in report.criteria)

@@ -419,16 +419,6 @@ class TestFastSetupLeverage:
             setup.leverage.ell_hat, np.einsum("ij,ij->i", Z, Z), rtol=1e-12
         )
 
-    def test_r2_does_not_change_the_estimates(self):
-        # the row-space sketch is never used: any r2, below or above d,
-        # gives the same exact norms
-        X = np.random.default_rng(46).standard_normal((300, 12))
-        default = fast_setup(X, FastSolverConfig(), RngStream(47)).leverage.ell_hat
-        for r2 in (4, 12, 100):
-            setup = fast_setup(X, FastSolverConfig(r2=r2), RngStream(47))
-            assert setup.row_op.kind == IDENTITY
-            assert np.array_equal(setup.leverage.ell_hat, default)
-
     def test_zero_row_typed(self):
         X = np.random.default_rng(51).standard_normal((200, 5))
         X[[7, 150]] = 0.0
