@@ -21,10 +21,11 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 import operator
 import time
 from dataclasses import asdict, dataclass, replace
-from typing import Callable, Dict, List, NamedTuple, Optional, Tuple
+from typing import Callable, Dict, List, NamedTuple, Optional, Tuple, get_args, get_type_hints
 
 import numpy as np
 
@@ -77,6 +78,8 @@ from .sketching import (
 
 EXACT_TOL = 1e-10
 SAMPLER_ENUMERATION_LIMIT = 200_000
+# what a config field annotated int or float accepts (bool never does)
+_FIELD_CHECKS = {int: numbers.Integral, float: numbers.Real}
 
 
 @dataclass
@@ -102,6 +105,7 @@ class ExperimentConfig:
     out: Optional[str] = None
 
     def validate(self) -> "ExperimentConfig":
+        self._check_types()
         if self.experiment not in EXPERIMENTS:
             raise InvalidConfig(f"unknown experiment {self.experiment!r}")
         if self.design not in DESIGN_KINDS:
@@ -130,6 +134,19 @@ class ExperimentConfig:
             raise InvalidConfig(f"iters must be >= 1, got {self.iters}")
         return self
 
+    def _check_types(self) -> None:
+        """Each field holds its annotated type, None where Optional; a
+        float field takes an integer too.  A JSON config can put any
+        type in any field, and a comparison on the wrong one raises
+        TypeError."""
+        for name, hint in get_type_hints(type(self)).items():
+            value = getattr(self, name)
+            allowed = get_args(hint) or (hint,)
+            checks = tuple(_FIELD_CHECKS.get(t, t) for t in allowed)
+            if isinstance(value, bool) or not isinstance(value, checks):
+                names = " or ".join("null" if t is type(None) else t.__name__ for t in allowed)
+                raise InvalidConfig(f"{name} must be {names}, got {value!r}")
+
     @classmethod
     def from_file(cls, path=None, **overrides) -> "ExperimentConfig":
         """Config from the experiment's table defaults, then the JSON
@@ -151,7 +168,7 @@ class ExperimentConfig:
         if unknown:
             raise InvalidConfig(f"unknown config keys: {sorted(unknown)}")
         name = raw.get("experiment")
-        if name not in EXPERIMENTS:
+        if not isinstance(name, str) or name not in EXPERIMENTS:
             raise InvalidConfig(f"unknown experiment {name!r}")
         return cls(**{**EXPERIMENTS[name].defaults, **raw})
 
@@ -161,13 +178,16 @@ def _jsonable(obj):
         return {str(k): _jsonable(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
         return [_jsonable(v) for v in obj]
+    # before the integers: bool is an int, and np.bool_ is neither
+    if isinstance(obj, (bool, np.bool_)):
+        return bool(obj)
     if isinstance(obj, (np.floating, float)):
         return float(obj)
     if isinstance(obj, (np.integer, int)):
         return int(obj)
     if isinstance(obj, np.ndarray):
         return [_jsonable(v) for v in obj.tolist()]
-    if isinstance(obj, (bool, str)) or obj is None:
+    if isinstance(obj, str) or obj is None:
         return obj
     return str(obj)
 
@@ -383,7 +403,7 @@ def _sampler(cfg: ExperimentConfig):
     tv = 0.5 * float(np.abs(counts / cfg.trials - probs).sum())
 
     max_drawn_spec = float(_subset_projection(svd.U, draws).max())
-    bound = estimate_acceptance(profile, k)
+    bound = estimate_acceptance(profile, k, svd.d)
     rate = stats.acceptance_rate
     rate_se = math.sqrt(max(rate * (1.0 - rate), 0.0) / stats.proposals)
 

@@ -31,7 +31,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import combinations, islice
-from typing import List, NamedTuple, Tuple
+from typing import List, NamedTuple, Optional, Tuple
 
 import numpy as np
 
@@ -199,9 +199,19 @@ class AcceptanceBound(NamedTuple):
     precondition_met: bool
 
 
-def estimate_acceptance(profile: LeverageProfile, k: int) -> AcceptanceBound:
+def estimate_acceptance(
+    profile: LeverageProfile, k: int, d: Optional[int] = None
+) -> AcceptanceBound:
+    """The k^2/(n mu) bound and whether n >= 8 d k holds.
+
+    ``d`` is the column count, which callers holding the
+    :class:`ThinSvd` pass as ``svd.d``.  Without it d is taken as the
+    rounded sum of the leverage scores, an O(n) pass that is exact only
+    while the scores are.
+    """
     n = profile.n
-    d = int(round(float(np.sum(profile.ell))))
+    if d is None:
+        d = int(round(float(np.sum(profile.ell))))
     bound = k**2 / (n * profile.coherence_mu)
     return AcceptanceBound(lower_bound=bound, precondition_met=n >= 8 * d * k)
 
@@ -234,7 +244,7 @@ def _accept_reject(svd, profile, k, count, rng, max_trials, batch):
     gen = as_generator(rng)
     inv_ell = 1.0 / profile.ell
     cumulative = np.cumsum(inv_ell)
-    bound = estimate_acceptance(profile, k).lower_bound
+    bound = estimate_acceptance(profile, k, d).lower_bound
     out = np.empty((count, k), dtype=np.intp)
     got = proposals = accepted = position = 0
     while got < count:

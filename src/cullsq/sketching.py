@@ -142,7 +142,7 @@ class SketchOperator:
     r: int
     matrix: Optional[np.ndarray] = None   # dense sign only, (r, n_in)
     n_pad: Optional[int] = None           # SRHT only
-    signs: Optional[np.ndarray] = None    # SRHT only, (n_pad,)
+    signs: Optional[np.ndarray] = None    # SRHT only, (n_pad,) int8 +-1
     coords: Optional[np.ndarray] = None   # SRHT only, (r,) distinct
 
 
@@ -189,7 +189,7 @@ def make_srht(n_in: int, r: int, rng) -> SketchOperator:
     if not (1 <= r <= n_pad):
         raise InvalidDimension(f"need 1 <= r <= n_pad={n_pad}, got r={r}")
     gen = as_generator(rng)
-    signs = gen.integers(0, 2, size=n_pad).astype(float) * 2.0 - 1.0
+    signs = (gen.integers(0, 2, size=n_pad) * 2 - 1).astype(np.int8)
     coords = np.sort(gen.choice(n_pad, size=r, replace=False))
     return SketchOperator(
         kind=SRHT, n_in=n_in, r=r, n_pad=n_pad, signs=signs, coords=coords

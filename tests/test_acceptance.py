@@ -188,7 +188,7 @@ class TestCriterion06AcceptanceRateBound:
             X = make_design(design, n, d, RngStream(seed))
             svd = thin_svd(Dataset(X=X))
             prof = leverage_scores(svd)
-            bound = estimate_acceptance(prof, k)
+            bound = estimate_acceptance(prof, k, svd.d)
             assert bound.precondition_met
             _, stats = rejection_sample_many(
                 svd, prof, k, 5000, RngStream(seed + 100)

@@ -283,8 +283,9 @@ class TestVerifyCommand:
 
     @pytest.mark.parametrize(
         "text",
-        [b'{"n": 12,', b'["sampler"]', b'{"design": "gau\xc3\x9fian"}'],
-        ids=["truncated", "not-an-object", "non-ascii"],
+        [b'{"n": 12,', b'["sampler"]', b'{"design": "gau\xc3\x9fian"}',
+         b'{"experiment": "sampler", "n": "12"}', b'{"n": true}', b'{"kappa": [1e6]}'],
+        ids=["truncated", "not-an-object", "non-ascii", "string-n", "bool-n", "list-kappa"],
     )
     def test_bad_config_file_exits_one_with_one_line(self, tmp_path, capsys, text):
         cfg_path = tmp_path / "cfg.json"

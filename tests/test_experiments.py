@@ -17,7 +17,7 @@ from cullsq import (
     verify_one_point,
 )
 from cullsq.designs import make_dataset
-from cullsq.experiments import EXPERIMENT_NAMES, EXPERIMENTS
+from cullsq.experiments import EXPERIMENT_NAMES, EXPERIMENTS, _jsonable
 
 
 class TestGenerateDataset:
@@ -108,8 +108,37 @@ class TestConfigValidation:
         with pytest.raises(InvalidConfig):
             ExperimentConfig.from_file(path)
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [("n", "12"), ("n", True), ("d", 2.0), ("k", 2.5), ("kappa", "1e6"),
+         ("noise", None), ("design", 3), ("out", 1), ("experiment", ["sampler"])],
+    )
+    def test_wrong_type_rejected_naming_the_field(self, field, value):
+        cfg = ExperimentConfig(**{"experiment": "sampler", "n": 10, "d": 2, "k": 2, field: value})
+        with pytest.raises(InvalidConfig, match=f"^{field} must be"):
+            cfg.validate()
+
+    def test_integer_types_accepted_where_numbers_go(self):
+        ExperimentConfig(experiment="kaczmarz", n=np.int64(40), kappa=100, noise=0,
+                         iters=np.int32(5)).validate()
+
+    def test_file_naming_a_non_string_experiment_rejected(self, tmp_path):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"experiment": ["sampler"]}))
+        with pytest.raises(InvalidConfig, match="unknown experiment"):
+            ExperimentConfig.from_file(path)
+
 
 class TestVerifiers:
+    def test_report_verdicts_are_json_booleans(self):
+        report = verify_one_point(ExperimentConfig(experiment="one-point", n=16, d=2, seed=1))
+        text = report.to_json()
+        payload = json.loads(text)
+        assert payload["passed"] is True
+        assert all(crit["passed"] is True for crit in payload["criteria"])
+        assert '"passed": 1' not in text
+        assert _jsonable({"a": np.bool_(False), "b": [True]}) == {"a": False, "b": [True]}
+
     def test_one_point_consistent_reports_absolute(self):
         report = verify_one_point(
             ExperimentConfig(experiment="one-point", n=40, d=3, noise=0.0, seed=5)

@@ -370,14 +370,17 @@ class TestAcceptanceBound:
     def test_uniform_leverage_value(self):
         # mu = n/d = 32, bound = k^2/(n mu) = 4/2048 = 1/512
         prof = uniform_profile(64, 2)
-        bound = estimate_acceptance(prof, 2)
+        bound = estimate_acceptance(prof, 2, 2)
         np.testing.assert_allclose(bound.lower_bound, 1.0 / 512.0, rtol=1e-12)
         np.testing.assert_allclose(bound.lower_bound, 2 * 4 / 64**2, rtol=1e-12)
         assert bound.precondition_met  # 64 >= 8*2*2
+        # the d passed decides n >= 8dk; without one, the leverage sum does
+        assert estimate_acceptance(prof, 2) == bound
+        assert not estimate_acceptance(prof, 2, 5).precondition_met  # 64 < 8*5*2
 
     def test_precondition_flag_below_threshold(self):
         prof = uniform_profile(15, 1)
-        bound = estimate_acceptance(prof, 2)
+        bound = estimate_acceptance(prof, 2, 1)
         assert not bound.precondition_met  # 15 < 8*1*2 = 16
         np.testing.assert_allclose(bound.lower_bound, 4.0 / (15.0 * 15.0), rtol=1e-12)
 
@@ -386,7 +389,7 @@ class TestAcceptanceBound:
         X = gen.standard_normal((32, 2))
         svd = thin_svd(Dataset(X=X))
         prof = leverage_scores(svd)
-        bound = estimate_acceptance(prof, 2)
+        bound = estimate_acceptance(prof, 2, svd.d)
         assert bound.precondition_met
         _, stats = rejection_sample_many(svd, prof, 2, 3000, RngStream(24))
         se = math.sqrt(stats.acceptance_rate * (1 - stats.acceptance_rate) / stats.proposals)

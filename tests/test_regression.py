@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -23,7 +24,9 @@ from cullsq import (
     thin_svd,
 )
 from cullsq import regression
-from cullsq.regression import _subset_projection
+from cullsq.designs import conditioned_design, make_dataset
+from cullsq.regression import LEVERAGE_FLOOR, _subset_projection
+from cullsq.rng import RngStream
 from _helpers import (
     deficient_lstsq,
     hat_matrix_diag,
@@ -126,6 +129,70 @@ class TestThinSvd:
         with pytest.raises(RankDeficient):
             thin_svd(Dataset(X=X))
 
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda gen: gen.standard_normal((50, 4))[:, [0, 1, 2, 1]],
+            lambda gen: conditioned_design(500, 6, 1e14, gen),
+            lambda gen: conditioned_design(3, 2, 1e14, gen),
+        ],
+        ids=["duplicated-column", "kappa-1e14", "kappa-1e14-n-3"],
+    )
+    def test_rank_deficient_past_the_shifted_passes(self, make):
+        with pytest.raises(RankDeficient):
+            thin_svd(Dataset(X=make(np.random.default_rng(3))))
+
+    @pytest.mark.parametrize("n, d", [(16, 1), (16, 3), (64, 4), (256, 8), (1024, 5)])
+    def test_sign_convention_on_equal_singular_values(self, n, d):
+        # every sigma is 1 and every |U| entry can tie: the first row
+        # holding a column's largest magnitude must hold it positive
+        svd = thin_svd(make_dataset("hadamard-uniform", n, d, 0.0, RngStream(n + d)))
+        np.testing.assert_allclose(svd.sigma, 1.0, rtol=1e-14)
+        cols = np.argmax(np.abs(svd.U), axis=0)
+        assert np.all(svd.U[cols, np.arange(d)] > 0.0)
+
+    def test_sign_tie_goes_to_the_lowest_row(self):
+        # column 0 is (-1, 1, 0, 0) / sqrt 2 up to sign: a tie that row 0 breaks
+        X = np.array([[-1.0, 0.0], [1.0, 0.0], [0.0, 1.0], [0.0, 2.0]])
+        svd = thin_svd(Dataset(X=X))
+        j = int(np.argmin(svd.sigma))
+        assert svd.U[0, j] == -svd.U[1, j] > 0.0
+        np.testing.assert_allclose(svd.reconstruct(), X, atol=1e-15)
+
+    def test_failed_cholesky_takes_a_shifted_pass(self, monkeypatch):
+        # kappa^2 = 1e22 is far past 1/u: a plain Cholesky of X^T X fails
+        failures = []
+        cholesky = np.linalg.cholesky
+
+        def spy(G):
+            try:
+                return cholesky(G)
+            except np.linalg.LinAlgError:
+                failures.append(G.shape)
+                raise
+
+        monkeypatch.setattr(np.linalg, "cholesky", spy)
+        X = conditioned_design(2000, 20, 1e11, np.random.default_rng(8))
+        svd = thin_svd(Dataset(X=X))
+        assert failures
+        s0 = np.linalg.svd(X, compute_uv=False)
+        assert np.max(np.abs(svd.sigma - s0)) <= 1e-12 * s0[0]
+        assert np.max(np.abs(svd.U.T @ svd.U - np.eye(20))) <= 1e-13
+
+    def test_memory_is_two_copies_of_u(self):
+        # the factor U, then the frozen copy ThinSvd keeps; neither a
+        # temporary of |U| nor a sign-flipped copy of U
+        n, d = 2**20, 10
+        data = Dataset(X=np.random.default_rng(31).standard_normal((n, d)))
+        tracemalloc.start()
+        try:
+            svd = thin_svd(data)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert svd.U.shape == (n, d)
+        assert peak <= 2 * data.X.nbytes + 8 * 2**20
+
     def test_condition_numbers(self):
         gen = np.random.default_rng(30)
         svd = thin_svd(random_dataset(40, 5, gen))
@@ -133,6 +200,37 @@ class TestThinSvd:
         assert kappa >= 1.0
         assert 5 - 1e-9 <= svd.scaled_condition_sq <= 1 + 4 * kappa**2 + 1e-9
 
+
+@st.composite
+def conditioned_problems(draw):
+    """X with kappa up to just under 1e12 (sigma_d / sigma_1 at RANK_TOL
+    is a tie with the tolerance), n from d + 1, entries scaled by 2^e."""
+    d = draw(st.integers(1, 8))
+    n = draw(st.integers(d + 1, 300))
+    kappa = 10.0 ** draw(st.floats(0.0, 11.99))
+    e = draw(st.integers(-500, 500))
+    X = conditioned_design(n, d, kappa, np.random.default_rng(draw(st.integers(0, 2**32 - 1))))
+    return X * 2.0**e, kappa, e
+
+
+class TestThinSvdProperties:
+    @settings(max_examples=400, deadline=None)
+    @given(conditioned_problems())
+    def test_matches_numpy_svd(self, problem):
+        X, kappa, e = problem
+        d = X.shape[1]
+        svd = thin_svd(Dataset(X=X))
+        # compare at unit scale: multiplying by 2^-e is exact
+        Xs = X * 2.0**-e
+        U0, s0, _ = np.linalg.svd(Xs, full_matrices=False)
+        sigma = svd.sigma * 2.0**-e
+        assert np.max(np.abs(svd.U.T @ svd.U - np.eye(d))) <= 1e-13
+        back = (svd.U * sigma) @ svd.V.T
+        assert np.linalg.norm(back - Xs) <= 1e-12 * np.linalg.norm(s0)
+        assert np.max(np.abs(sigma - s0)) <= 1e-12 * s0[0]
+        # leverage moves by O(u kappa) under a backward-stable perturbation
+        ell, ell0 = leverage_scores(svd).ell, np.einsum("ij,ij->i", U0, U0)
+        assert np.max(np.abs(ell - np.maximum(ell0, LEVERAGE_FLOOR))) <= 1e-13 + 2e-15 * kappa
 
 class TestLeverageScores:
     def test_symmetric_orthonormal_column(self):

@@ -38,8 +38,12 @@ from cullsq.sketching import (
     LEVERAGE_BLOCK_ELEMENTS,
     SRHT,
     SketchOperator,
+    next_pow2,
     pinv_factorization_residual,
 )
+from cullsq import kaczmarz
+from cullsq.designs import conditioned_design
+from cullsq.rng import as_generator
 from _helpers import random_orthonormal
 
 
@@ -149,6 +153,15 @@ class TestFwht:
         assert np.array_equal(out, reference_fwht(M))
 
 
+def float_sign_srht(n_in, r, rng):
+    """make_srht with float64 +-1 signs, from the same draws."""
+    gen = as_generator(rng)
+    n_pad = next_pow2(n_in)
+    signs = gen.integers(0, 2, size=n_pad).astype(float) * 2.0 - 1.0
+    coords = np.sort(gen.choice(n_pad, size=r, replace=False))
+    return SketchOperator(kind=SRHT, n_in=n_in, r=r, n_pad=n_pad, signs=signs, coords=coords)
+
+
 class TestApplySketch:
     def test_full_srht_with_trivial_signs_is_orthogonal(self):
         n = 16
@@ -175,6 +188,15 @@ class TestApplySketch:
         padded *= op.signs[:, None]
         manual = reference_fwht(padded)[op.coords] * math.sqrt(op.n_pad / op.r)
         assert np.array_equal(apply_sketch(op, M), manual)
+
+    @pytest.mark.parametrize("n_in,r,m", [(3 * 2**15 + 5, 300, 2), (1000, 1024, 3)])
+    def test_int8_signs_equal_float_sign_reference(self, n_in, r, m):
+        op = make_srht(n_in, r, RngStream(44))
+        ref = float_sign_srht(n_in, r, RngStream(44))
+        assert op.signs.dtype == np.int8
+        assert np.array_equal(op.signs, ref.signs) and np.array_equal(op.coords, ref.coords)
+        M = np.random.default_rng(45).standard_normal((n_in, m))
+        assert np.array_equal(apply_sketch(op, M), apply_sketch(ref, M))
 
     def test_dense_sign_entries(self):
         op = make_dense_sign_jlt(10, 7, RngStream(5))
@@ -418,6 +440,15 @@ class TestFastSetupLeverage:
         np.testing.assert_allclose(
             setup.leverage.ell_hat, np.einsum("ij,ij->i", Z, Z), rtol=1e-12
         )
+
+    def test_int8_signs_equal_float_sign_reference(self, monkeypatch):
+        X = conditioned_design(3000, 6, 1e3, np.random.default_rng(53))
+        setup = fast_setup(X, FastSolverConfig(), RngStream(54))
+        monkeypatch.setattr(kaczmarz, "make_srht", float_sign_srht)
+        ref = fast_setup(X, FastSolverConfig(), RngStream(54))
+        assert np.array_equal(setup.precond.T, ref.precond.T)
+        assert np.array_equal(setup.precond.piv, ref.precond.piv)
+        assert np.array_equal(setup.leverage.ell_hat, ref.leverage.ell_hat)
 
     def test_zero_row_typed(self):
         X = np.random.default_rng(51).standard_normal((200, 5))
