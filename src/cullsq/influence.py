@@ -225,21 +225,21 @@ class SamplerStats(NamedTuple):
         return self.accepted / self.proposals if self.proposals else 0.0
 
 
-def _accept_reject(svd, profile, k, count, rng, max_trials, batch):
+def _accept_reject(svd, profile, k, count, rng, max_trials):
     """The rejection loop behind both public samplers.  Keeping the first
     ``count`` accepted proposals of an i.i.d. stream gives exact draws
     however the stream is cut into rounds.  A round proposes the count
     still needed over the rate estimate (accepted + 1) / (proposals + 1),
-    floored at the k^2/(n mu) bound and capped at ``batch``.  Returns the
-    draws, the statistics and the stream position of the last draw kept.
+    floored at the k^2/(n mu) bound and capped at DEFAULT_BATCH.  Returns
+    the draws, the statistics and the stream position of the last draw kept.
     """
     n, d = svd.n, svd.d
     if not (1 <= k < n):
         raise InvalidK(f"k={k} out of range for n={n}")
     if max_trials is None:
         max_trials = default_max_trials(profile, k)
-    if min(count, max_trials, batch) < 1:
-        raise InvalidK("count, max_trials and batch must be at least 1")
+    if min(count, max_trials) < 1:
+        raise InvalidK("count and max_trials must be at least 1")
     budget = max_trials * count
     gen = as_generator(rng)
     inv_ell = 1.0 / profile.ell
@@ -252,7 +252,7 @@ def _accept_reject(svd, profile, k, count, rng, max_trials, batch):
             raise TrialBudgetExceeded(proposals, accepted, bound)
         need = count - got
         rate = max((accepted + 1) / (proposals + 1), bound)
-        b = min(batch, budget - proposals, math.ceil(need / rate))
+        b = min(DEFAULT_BATCH, budget - proposals, math.ceil(need / rate))
         subs = _propose_batch(gen, cumulative, n, k, b)
         spec = _subset_projection(svd.U, subs)
         theta = _acceptance_ratios(spec, inv_ell[subs].sum(axis=1), d, k)
@@ -280,7 +280,7 @@ def rejection_sample_subset(
     accepted one included.  Raises :class:`TrialBudgetExceeded` after
     ``max_trials`` rejected proposals.
     """
-    out, _, trials = _accept_reject(svd, profile, k, 1, rng, max_trials, DEFAULT_BATCH)
+    out, _, trials = _accept_reject(svd, profile, k, 1, rng, max_trials)
     return RowSubset.of(out[0]), trials
 
 
@@ -291,16 +291,15 @@ def rejection_sample_many(
     count: int,
     rng,
     max_trials: int | None = None,
-    batch: int = DEFAULT_BATCH,
 ) -> Tuple[np.ndarray, SamplerStats]:
     """Draw ``count`` independent subsets from the joint influence.
 
-    Proposals are made in rounds of at most ``batch`` (see
+    Proposals are made in rounds of at most ``DEFAULT_BATCH`` (see
     :func:`_accept_reject`), within ``max_trials`` proposals per subset.
     Returns a (count, k) array of sorted index rows plus statistics over
     every proposal made, those after the last draw kept included.
     """
-    out, stats, _ = _accept_reject(svd, profile, k, count, rng, max_trials, batch)
+    out, stats, _ = _accept_reject(svd, profile, k, count, rng, max_trials)
     return out, stats
 
 

@@ -1,21 +1,21 @@
 """Randomized Kaczmarz solvers for consistent systems.
 
-Two preconditioned variants, both with per-run label accounting:
+One projective-update loop, :func:`_kaczmarz`, with per-run label
+accounting, behind three adapters that differ only in the rows q_j the
+iterate v is projected onto, the weights they are sampled by, and the
+map from v back to w:
 
-* exact: work in the coordinates of the left singular basis.  Sample a
-  row index proportionally to its leverage score, project the iterate v
-  onto the sampled equation u_j^T v = y_j, and map back through
+* exact: rows of the left singular basis U, sampled by leverage, and
   w = V diag(1/sigma) v.  The expected squared error in v contracts by
   (1 - 1/d) per step, so d ln(n kappa^2 / d) steps reach the d/n error
   floor whatever the conditioning.
-
-* fast: replace the SVD with a sketched pivoted-QR preconditioner R and
-  take the exact squared row norms of X R^{-1} as leverage estimates.
-  Preprocessing reads only the design matrix, never the labels;
-  iterations sample by approximate leverage and update with the
-  preconditioned row q = R^{-T} x_j.  The contraction weakens to
-  (1 - 1/(9 d)) per step but stays independent of the input
-  conditioning.
+* fast: rows q = R^{-T} x_j of a sketched pivoted-QR preconditioner R,
+  sampled by the exact squared row norms of X R^{-1}, and w = R^{-1} v.
+  Preprocessing reads only the design matrix, never the labels.  The
+  contraction weakens to (1 - 1/(9 d)) per step but stays independent
+  of the input conditioning.
+* row norm: the unpreconditioned baseline, rows of X sampled by squared
+  norm and w = v, at a rate governed by the squared condition number.
 
 A run touches at most one label per iteration, so the number of labels
 revealed is bounded by the iteration count (and reported exactly as the
@@ -39,7 +39,6 @@ from .sketching import (
     SketchOperator,
     approx_leverage,
     build_preconditioner,
-    make_dense_sign_jlt,
     make_identity_sketch,
     make_srht,
     next_pow2,
@@ -67,18 +66,16 @@ class KaczmarzRun:
 
 @dataclass(frozen=True)
 class FastSolverConfig:
-    """Sketch choice and dimensions for the fast variant.
+    """Sketch dimensions for the fast variant.
 
-    The dimensions follow the simplified constants 48 d ln d
-    (column-space sketch, capped at the padded input size) and
+    The dimensions follow the simplified constants 48 d ln d (SRHT
+    column-space sketch, capped at the padded input size) and
     72 ln(n+1) (row-space sign sketch).  ``fast_setup`` uses only r1:
     it forms each row of X R^{-1} anyway, and its exact norm then costs
     d products where a row-space sketch would add r2 d.  r2 sizes the
     row-space sign sketch that ``approx_leverage`` accepts and
     ``verify jlt`` checks.
     """
-
-    column_sketch: str = "srht"
 
     def resolve_r1(self, n: int, d: int) -> int:
         r1 = int(math.ceil(48.0 * d * math.log(d))) if d > 1 else 1
@@ -104,40 +101,51 @@ def labels_for_target(n: float, d: int, kappa: float, variant: str = "exact") ->
     return max(1, int(math.ceil(val)))
 
 
-def _run_projections(
-    v: np.ndarray,
-    rows: np.ndarray,
-    rhs: np.ndarray,
-    norms_sq: np.ndarray,
-    v_star: Optional[np.ndarray],
-    w_map: Optional[Callable[[np.ndarray], np.ndarray]] = None,
-    w_star: Optional[np.ndarray] = None,
-):
-    """Projective-update loop; optionally traces v- and w-space errors.
+def _sq_dist(points: np.ndarray, ref: np.ndarray) -> np.ndarray:
+    diff = points - ref
+    return np.einsum("ij,ij->i", diff, diff)
 
-    With a trace the iterates are kept as a (K+1, d) array and ``w_map``
-    maps all of them to w-space at once (one row per iterate) after the
-    loop.
+
+def _kaczmarz(
+    weights: np.ndarray,
+    rows_of: Callable[[np.ndarray], np.ndarray],
+    y: np.ndarray,
+    K: int,
+    gen: np.random.Generator,
+    to_w: Callable[[np.ndarray], np.ndarray],
+    v_star: Optional[np.ndarray] = None,
+    w_star: Optional[np.ndarray] = None,
+) -> KaczmarzRun:
+    """Draw K indices i.i.d. by ``weights``, take the (K, d) rows
+    q_t = ``rows_of(idx)`` at once, and run v <- v - q_t (q_t^T v - y_j)
+    / ||q_t||^2 from v = 0.  ``to_w`` maps one iterate, or a stack of
+    them one per row, back to w.  Given ``v_star`` and ``w_star`` the
+    iterates are kept as a (K+1, d) array and traced after the loop.
     """
-    K = rows.shape[0]
+    if K < 1:
+        raise InvalidK("need at least one iteration")
+    idx = inverse_cdf_draw(gen, np.cumsum(weights), K)
+    Q = rows_of(idx)
+    norms_sq = np.einsum("ij,ij->i", Q, Q)
+    rhs = y[idx]
+    v = np.zeros(Q.shape[1])
     iterates = None
     if v_star is not None:
         iterates = np.empty((K + 1, v.shape[0]))
         iterates[0] = v
     for t in range(K):
-        q = rows[t]
+        q = Q[t]
         v -= q * ((q @ v - rhs[t]) / norms_sq[t])
         if iterates is not None:
             iterates[t + 1] = v
-    if iterates is None:
-        return None, None
-    diff = iterates - v_star
-    v_trace = np.einsum("ij,ij->i", diff, diff)
-    w_trace = None
-    if w_map is not None and w_star is not None:
-        wdiff = w_map(iterates) - w_star
-        w_trace = np.einsum("ij,ij->i", wdiff, wdiff)
-    return v_trace, w_trace
+    return KaczmarzRun(
+        w=to_w(v),
+        labels_used=int(np.unique(idx).size),
+        iterations=K,
+        error_trace=None if iterates is None else _sq_dist(iterates, v_star),
+        w_error_trace=None if iterates is None else _sq_dist(to_w(iterates), w_star),
+        sampled_indices=idx,
+    )
 
 
 def kaczmarz_exact(
@@ -156,8 +164,6 @@ def kaczmarz_exact(
     pass ``check_consistency=True`` (test mode) to verify that y lies in
     the column space first.
     """
-    if K < 1:
-        raise InvalidK("need at least one iteration")
     y = np.asarray(y, dtype=float)
     U, sigma, V = svd.U, svd.sigma, svd.V
     if y.shape != (svd.n,):
@@ -166,26 +172,10 @@ def kaczmarz_exact(
         resid = y - U @ (U.T @ y)
         if np.linalg.norm(resid) > CONSISTENCY_RTOL * np.linalg.norm(y):
             raise InconsistentSystem("labels are not in the column space of X")
-    ell = np.einsum("ij,ij->i", U, U)
-    gen = as_generator(rng)
-    idx = inverse_cdf_draw(gen, np.cumsum(ell), K)
-
-    v = np.zeros(svd.d)
-    v_star = w_star_arr = None
-    if w_star is not None:
-        w_star_arr = np.asarray(w_star, dtype=float)
-        v_star = sigma * (V.T @ w_star_arr)
-    v_trace, w_trace = _run_projections(
-        v, U[idx], y[idx], ell[idx], v_star,
-        w_map=lambda vs: (vs / sigma) @ V.T, w_star=w_star_arr,
-    )
-    return KaczmarzRun(
-        w=V @ (v / sigma),
-        labels_used=int(np.unique(idx).size),
-        iterations=K,
-        error_trace=v_trace,
-        w_error_trace=w_trace,
-        sampled_indices=idx,
+    v_star = None if w_star is None else sigma * (V.T @ w_star)
+    return _kaczmarz(
+        np.einsum("ij,ij->i", U, U), lambda idx: U[idx], y, K, as_generator(rng),
+        lambda vs: (vs / sigma) @ V.T, v_star, w_star,
     )
 
 
@@ -206,7 +196,7 @@ class FastSetup:
 
 
 def fast_setup(X: np.ndarray, cfg: FastSolverConfig, rng: RngStream) -> FastSetup:
-    """Sketch, factor, estimate leverage.  Touches no labels.
+    """SRHT sketch, factor, estimate leverage.  Touches no labels.
 
     The estimates are the exact squared row norms of X R^{-1}; the
     (1 - 1/(9 d)) rate needs them only within a constant factor, and
@@ -215,13 +205,7 @@ def fast_setup(X: np.ndarray, cfg: FastSolverConfig, rng: RngStream) -> FastSetu
     """
     X = np.asarray(X, dtype=float)
     n, d = X.shape
-    r1 = cfg.resolve_r1(n, d)
-    if cfg.column_sketch == "srht":
-        op1 = make_srht(n, r1, rng.substream(1))
-    elif cfg.column_sketch == "dense_sign":
-        op1 = make_dense_sign_jlt(n, r1, rng.substream(1))
-    else:
-        raise InvalidInput(f"unknown column sketch {cfg.column_sketch!r}")
+    op1 = make_srht(n, cfg.resolve_r1(n, d), rng.substream(1))
     precond = build_preconditioner(X, op1)
     op2 = make_identity_sketch(d)
     leverage = approx_leverage(X, precond, op2)
@@ -245,8 +229,6 @@ def kaczmarz_fast(
     precomputed ``setup`` may be reused across runs, in which case only
     the iteration sampling consumes randomness.
     """
-    if K < 1:
-        raise InvalidK("need at least one iteration")
     if not isinstance(rng, RngStream):
         raise InvalidRng("kaczmarz_fast needs an RngStream (it derives substreams)")
     y = data.require_labels()
@@ -255,32 +237,16 @@ def kaczmarz_fast(
         w_ls = np.linalg.lstsq(X, y, rcond=None)[0]
         if np.linalg.norm(X @ w_ls - y) > CONSISTENCY_RTOL * np.linalg.norm(y):
             raise InconsistentSystem("labels are not in the column space of X")
-    cfg = cfg or FastSolverConfig()
     if setup is None:
-        setup = fast_setup(X, cfg, rng)
-    gen = rng.substream(3).generator()
-    idx = inverse_cdf_draw(gen, np.cumsum(setup.leverage.ell_hat), K)
-
-    # one triangular solve with K right-hand sides gives every q_t
-    Q = setup.precond.x_times_inverse(X[idx])  # (K, d)
-    norms_sq = np.einsum("ij,ij->i", Q, Q)
-
-    v = np.zeros(X.shape[1])
-    v_star = w_star_arr = None
+        setup = fast_setup(X, cfg or FastSolverConfig(), rng)
+    pre = setup.precond
+    v_star = None
     if w_star is not None:
-        w_star_arr = np.asarray(w_star, dtype=float)
-        v_star = setup.precond.T @ w_star_arr[setup.precond.piv]  # R w*
-    v_trace, w_trace = _run_projections(
-        v, Q, y[idx], norms_sq, v_star,
-        w_map=lambda vs: setup.precond.apply_inverse(vs.T).T, w_star=w_star_arr,
-    )
-    return KaczmarzRun(
-        w=setup.precond.apply_inverse(v),
-        labels_used=int(np.unique(idx).size),
-        iterations=K,
-        error_trace=v_trace,
-        w_error_trace=w_trace,
-        sampled_indices=idx,
+        v_star = pre.T @ np.asarray(w_star, dtype=float)[pre.piv]  # R w*
+    return _kaczmarz(
+        setup.leverage.ell_hat, lambda idx: pre.x_times_inverse(X[idx]), y, K,
+        rng.substream(3).generator(), lambda vs: pre.apply_inverse(vs.T).T,
+        v_star, w_star,
     )
 
 
@@ -296,20 +262,9 @@ def kaczmarz_row_norm(
     Converges at a rate governed by the squared condition number; the
     preconditioned variants are measured against it.
     """
-    if K < 1:
-        raise InvalidK("need at least one iteration")
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=float)
-    norms = np.einsum("ij,ij->i", X, X)
-    gen = as_generator(rng)
-    idx = inverse_cdf_draw(gen, np.cumsum(norms), K)
-    v_star = np.asarray(w_star, dtype=float) if w_star is not None else None
-    v = np.zeros(X.shape[1])
-    v_trace, _ = _run_projections(v, X[idx], y[idx], norms[idx], v_star)
-    return KaczmarzRun(
-        w=v,
-        labels_used=int(np.unique(idx).size),
-        iterations=K,
-        error_trace=v_trace,
-        sampled_indices=idx,
+    return _kaczmarz(
+        np.einsum("ij,ij->i", X, X), lambda idx: X[idx], y, K, as_generator(rng),
+        lambda vs: vs, w_star, w_star,
     )

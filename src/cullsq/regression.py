@@ -52,7 +52,7 @@ from .errors import (
 )
 
 # Numeric policy.  The model assumes exact full rank; these are the
-# float64 stand-ins (see README for how to tighten or loosen them).
+# float64 stand-ins; RANK_TOL is also the kappa limit of thin_svd's QR.
 RANK_TOL = 1e-12            # relative sigma_d / sigma_1 cutoff
 SPEC_SINGULAR_TOL = 1e-10   # ||P_A||_2 above 1 - tol counts as rank loss
 LEVERAGE_FLOOR = 1e-14      # clamp for leverage scores
@@ -68,6 +68,10 @@ UNIT_ROUNDOFF = np.finfo(float).eps / 2
 
 
 def _frozen(a: np.ndarray) -> np.ndarray:
+    """a itself if it is a read-only float array owning its memory (never
+    a caller's writable array or a view of one), else a frozen copy."""
+    if a.dtype == float and a.flags.owndata and not a.flags.writeable:
+        return a
     out = np.array(a, dtype=float)
     out.setflags(write=False)
     return out
@@ -308,7 +312,7 @@ def _column_extremes(U: np.ndarray):
     return hi.max(axis=0), lo.min(axis=0)
 
 
-def thin_svd(data: Dataset, rank_tol: float = RANK_TOL) -> ThinSvd:
+def thin_svd(data: Dataset) -> ThinSvd:
     """Thin SVD of the design matrix with a deterministic sign convention.
 
     Computed by Cholesky QR (:func:`_cholesky_qr_svd`): a few passes
@@ -318,9 +322,9 @@ def thin_svd(data: Dataset, rank_tol: float = RANK_TOL) -> ThinSvd:
     the product is unchanged.
     """
     U, s, Vt = _cholesky_qr_svd(data.X)
-    if s[-1] < rank_tol * s[0]:
+    if s[-1] < RANK_TOL * s[0]:
         raise RankDeficient(
-            f"sigma_d/sigma_1 = {s[-1] / s[0]:.3e} below tolerance {rank_tol:.1e}"
+            f"sigma_d/sigma_1 = {s[-1] / s[0]:.3e} below tolerance {RANK_TOL:.1e}"
         )
     hi, lo = _column_extremes(U)
     lo = -lo
@@ -331,6 +335,7 @@ def thin_svd(data: Dataset, rank_tol: float = RANK_TOL) -> ThinSvd:
         if np.argmax(col == -lo[j]) < np.argmax(col == hi[j]):
             signs[j] = -1.0
     U *= signs
+    U.setflags(write=False)  # U is ours: ThinSvd keeps it without a copy
     Vt *= signs[:, None]
     return ThinSvd(U=U, sigma=s, V=Vt.T)
 

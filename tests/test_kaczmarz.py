@@ -237,7 +237,7 @@ class TestKaczmarzFast:
         np.testing.assert_allclose(run.w_error_trace[0], float(w0 @ w0), rtol=1e-12)
         assert run.error_trace.shape == (11,)
 
-    @pytest.mark.parametrize("variant", ["exact", "fast"])
+    @pytest.mark.parametrize("variant", ["exact", "fast", "row_norm"])
     def test_traces_match_per_step_reference(self, variant):
         # 40 steps at d = 5 stay far above the roundoff floor, so the
         # batched w-space map must agree with the per-step one to 1e-12
@@ -251,13 +251,18 @@ class TestKaczmarzFast:
             rows = svd.U[run.sampled_indices]
             w_of_v = lambda v: svd.V @ (v / svd.sigma)
             v_star = svd.sigma * (svd.V.T @ w0)
-        else:
+        elif variant == "fast":
             setup = fast_setup(X, FastSolverConfig(), RngStream(34))
             run = kaczmarz_fast(data, 40, RngStream(34), w_star=w0, setup=setup)
             pre = setup.precond
             rows = np.array([pre.apply_inverse_transpose(X[j]) for j in run.sampled_indices])
             w_of_v = pre.apply_inverse
             v_star = pre.T @ w0[pre.piv]
+        else:
+            run = kaczmarz_row_norm(X, data.y, 40, RngStream(35), w_star=w0)
+            rows = X[run.sampled_indices]
+            w_of_v = lambda v: v
+            v_star = w0
         v_ref, w_ref = replay_traces(rows, data.y[run.sampled_indices], w_of_v, v_star, w0)
         assert w_ref[-1] > 1e-8 * w_ref[0]
         np.testing.assert_allclose(run.error_trace, v_ref, rtol=1e-12)
@@ -271,6 +276,18 @@ class TestKaczmarzFast:
             kaczmarz_fast(Dataset(X=X, y=y), 5, RngStream(31), check_consistency=True)
 
 
+@pytest.mark.parametrize("solver", ["exact", "fast", "row_norm"])
+def test_zero_iterations_is_invalid_k(solver):
+    data, _ = consistent_instance(20, 3, 37)
+    calls = {
+        "exact": lambda: kaczmarz_exact(thin_svd(data), data.y, 0, RngStream(38)),
+        "fast": lambda: kaczmarz_fast(data, 0, RngStream(38)),
+        "row_norm": lambda: kaczmarz_row_norm(data.X, data.y, 0, RngStream(38)),
+    }
+    with pytest.raises(InvalidK):
+        calls[solver]()
+
+
 class TestTypedErrors:
     """Bad arguments raise CullsqError subclasses that are also the
     builtin ValueError or TypeError."""
@@ -281,7 +298,6 @@ class TestTypedErrors:
             lambda: labels_for_target(100, 2, 0.5),
             lambda: labels_for_target(100, 2, 2.0, "slow"),
             lambda: kaczmarz_exact(thin_svd(data), np.ones(19), 5, RngStream(33)),
-            lambda: fast_setup(data.X, FastSolverConfig(column_sketch="gauss"), RngStream(34)),
         ]
         for call in calls:
             with pytest.raises(InvalidInput) as info:

@@ -180,8 +180,8 @@ class TestThinSvd:
         assert np.max(np.abs(svd.U.T @ svd.U - np.eye(20))) <= 1e-13
 
     def test_memory_is_two_copies_of_u(self):
-        # the factor U, then the frozen copy ThinSvd keeps; neither a
-        # temporary of |U| nor a sign-flipped copy of U
+        # the last Cholesky QR product holds Q and U at once; neither a
+        # temporary of |U|, a sign-flipped copy of U nor a frozen copy
         n, d = 2**20, 10
         data = Dataset(X=np.random.default_rng(31).standard_normal((n, d)))
         tracemalloc.start()
@@ -192,6 +192,16 @@ class TestThinSvd:
             tracemalloc.stop()
         assert svd.U.shape == (n, d)
         assert peak <= 2 * data.X.nbytes + 8 * 2**20
+
+    def test_keeps_its_own_u_and_copies_a_callers(self):
+        svd = thin_svd(random_dataset(40, 5, np.random.default_rng(29)))
+        assert not svd.U.flags.writeable
+        U, sigma, V = svd.U.copy(), svd.sigma.copy(), svd.V.copy()
+        held = ThinSvd(U, sigma, V)
+        for mine, theirs in [(held.U, U), (held.sigma, sigma), (held.V, V)]:
+            assert not np.shares_memory(mine, theirs)
+            assert not mine.flags.writeable
+            assert theirs.flags.writeable
 
     def test_condition_numbers(self):
         gen = np.random.default_rng(30)
