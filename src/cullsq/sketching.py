@@ -3,7 +3,7 @@
 Two sketch families are provided:
 
 * dense sign: entries drawn uniformly from {-1/sqrt(r), +1/sqrt(r)};
-* SRHT: zero-pad to a power of two, flip signs, fast Walsh-Hadamard
+* SRHT: zero-pad to a power of two, flip signs, Walsh-Hadamard
   transform, subsample r coordinates without replacement, rescale by
   sqrt(n_pad / r).
 
@@ -25,13 +25,23 @@ work, and the fast Kaczmarz set-up uses exact norms.  (The saving of the
 JL step in Drineas et al. needs R^{-1} Pi2^T formed once, d x r2, and
 X times it in n d r2 products; that product is not implemented.)
 
-Memory: the FWHT runs in place with a half-size temporary, so an SRHT of
-an (n, d) matrix holds the padded copy plus half of it.  Its levels that
-pair rows less than a cache block apart run block by block, the rest
-across the whole array.  The leverage estimates are computed in row
-blocks and take O(n d + block * r2), never the O(n r2) of sketching
-every row at once; the label-free set-up of the fast Kaczmarz solver
-thus stays O(n d) in memory.
+Memory: an SRHT computes only its r sampled rows and never forms the
+zero-padded (n_pad x d) copy (Woolfe, Liberty, Rokhlin and Tygert, ACHA
+2008, compute the sampled outputs of a randomized transform without the
+full one).  X is walked in blocks of B rows, B a power of two from
+(n_pad, r) alone; each block is signed, transformed by H_B as one GEMM
+per small Sylvester factor, and added into the r outputs with a sign
+fixed by the block number (:func:`_sampled_hadamard`).  It holds
+O(B d + r d) beyond X: a tracemalloc peak of 1.4 MB at 2^20 x 10 with
+r = 2876, where transforming the padded copy in place peaked at 160 MB.
+:func:`fwht` is the all-rows case of the same kernel.  The GEMMs sum in
+another order than a butterfly does, so SRHT outputs differ from those
+of earlier versions of this module in the last bits (about 1e-15
+relative); the signs and coordinates a seed draws are unchanged.  The
+leverage estimates are computed in row blocks and take
+O(n d + block * r2), never the O(n r2) of sketching every row at once;
+the label-free set-up of the fast Kaczmarz solver thus stays O(n d) in
+memory.
 """
 
 from __future__ import annotations
@@ -62,10 +72,17 @@ IDENTITY = "identity"
 # row-block size of approx_leverage, in elements of the (r2 x block)
 # sketch: 2^21 doubles, 16 MB
 LEVERAGE_BLOCK_ELEMENTS = 2**21
-# row-block size of the passes meant to stay in cache (the FWHT's
-# short-stride levels, the exact row norms of X R^{-1}), in elements:
-# 2^17 doubles, 1 MB
+# row-block size of the exact row norms of X R^{-1}, meant to stay in
+# cache, in elements: 2^17 doubles, 1 MB
 CACHE_BLOCK_ELEMENTS = 2**17
+# the sampled Hadamard transform walks X in blocks of at least this many
+# rows (more when r is larger), and applies H_B as a product of
+# Sylvester factors of at most 2^HADAMARD_FACTOR_BITS rows, one GEMM
+# each: with one OpenBLAS thread on a Xeon with 2 MB of L2 per core,
+# factors of 8 ran a 4096 x 20 block two to three times as fast as
+# factors of 16 or 64
+HADAMARD_MIN_BLOCK = 2**12
+HADAMARD_FACTOR_BITS = 3
 
 
 def next_pow2(n: int) -> int:
@@ -78,48 +95,94 @@ def fwht(M: np.ndarray) -> np.ndarray:
     """Normalized fast Walsh-Hadamard transform along axis 0.
 
     Orthogonal (self-inverse) Sylvester ordering; the leading dimension
-    must be a power of two.  The input is not modified: the butterfly
-    runs in place on one copy, so the transform holds the output plus a
-    half-size temporary.
+    must be a power of two.  The input is not modified.  This is the
+    all-rows case of the sampled kernel behind the SRHT: n rows make one
+    block of n rows, transformed by one GEMM per Sylvester factor of at
+    most ``2**HADAMARD_FACTOR_BITS`` rows, so the transform holds the
+    output plus a few arrays of the input's size.  Inputs with integer
+    entries give exact integer sums before the final division.
     """
-    a = np.array(M, dtype=float, order="C")
-    n = a.shape[0]
-    if n & (n - 1):
+    a = np.asarray(M, dtype=float)
+    n = a.shape[0] if a.ndim else 0
+    if n < 1 or n & (n - 1):
         raise InvalidDimension(f"leading dimension {n} is not a power of two")
-    _hadamard_inplace(a.reshape(n, -1))
-    a /= math.sqrt(n)
-    return a
+    out = _sampled_hadamard(a.reshape(n, -1), n, np.arange(n))
+    out /= math.sqrt(n)
+    return out.reshape(a.shape)
 
 
-def _hadamard_inplace(a: np.ndarray) -> None:
-    """Unnormalized Walsh-Hadamard butterfly of a C-contiguous (n, m)
-    float array, n a power of two, overwriting it.
+def _sylvester(bits: int) -> np.ndarray:
+    """The unnormalized 2^bits x 2^bits Sylvester-Hadamard matrix."""
+    H = np.ones((1, 1))
+    for _ in range(bits):
+        H = np.kron(H, [[1.0, 1.0], [1.0, -1.0]])
+    return H
 
-    A level of stride h pairs rows i and i + h inside aligned groups of
-    2h rows, so every level with 2h <= B stays within a block of B rows.
-    Those levels run block by block while the block is in cache; the
-    remaining levels run across the whole array.  Each element sees the
-    same operations in the same order whatever B is, so the output does
-    not depend on the blocking.  Each level keeps one half-size temporary.
+
+def _sampled_hadamard(
+    M: np.ndarray, n_pad: int, rows: np.ndarray, signs: Optional[np.ndarray] = None
+) -> np.ndarray:
+    """Rows ``rows`` of H diag(signs) [M; 0], H the unnormalized n_pad x
+    n_pad Sylvester-Hadamard matrix and M of shape (n_in, m), n_in <=
+    n_pad; the result is (len(rows), m) and the padded copy is never
+    formed.
+
+    H[i, k] = (-1)^popcount(i & k).  With a block size B, a power of two,
+    write i = hi B + lo and k = c B + l; the entry splits as
+    (-1)^popcount(hi & c) H_B[lo, l].  So M is walked in blocks of B
+    rows: each block c is signed and transformed by H_B once, and adds its
+    rows lo into the sampled outputs with the sign (-1)^popcount(hi & c).
+    Blocks past n_in are zero and skipped.  H_B is the Kronecker product
+    of Sylvester factors of at most 2^HADAMARD_FACTOR_BITS rows: viewing
+    the block as (f, rest), ``block.T @ H_f`` applies one factor along the
+    leading axis and moves that axis last, so each factor is one GEMM and
+    after all of them the block is back in transposed, (m, B), layout.
+
+    B = max(HADAMARD_MIN_BLOCK, next_pow2(r)) capped at n_pad, so the r
+    gathers of each block cost at most about what its transform costs.
+    Work: n_in m (sum of factor sizes) products plus ceil(n_in / B) r m
+    gathers.  Memory: O(B m + r m) beyond the output.
     """
-    n, m = a.shape
-    rows = max(2, CACHE_BLOCK_ELEMENTS // max(m, 1))
-    B = min(n, 1 << (rows.bit_length() - 1))    # a power of two <= rows
-    for start in range(0, n, B):
-        _butterfly_levels(a[start:start + B], 1)
-    _butterfly_levels(a, B)
-
-
-def _butterfly_levels(a: np.ndarray, h: int) -> None:
-    """Run the butterfly levels of stride h, 2h, ... < len(a) in place."""
-    n = a.shape[0]
-    while h < n:
-        blocks = a.reshape(n // (2 * h), 2, h, -1)
-        top, bot = blocks[:, 0], blocks[:, 1]
-        tmp = top - bot
-        top += bot
-        bot[...] = tmp
+    n_in, m = M.shape
+    r = len(rows)
+    B = min(n_pad, max(HADAMARD_MIN_BLOCK, next_pow2(r)))
+    bits = B.bit_length() - 1
+    count = -(-bits // HADAMARD_FACTOR_BITS)
+    factors = [
+        _sylvester(bits // count + (j < bits % count)) for j in range(count)
+    ]
+    hi = rows >> bits
+    lo = rows & (B - 1)
+    # (-1)^popcount(v) for every block number v
+    parity_sign = np.ones(n_pad // B)
+    h = 1
+    while h < len(parity_sign):
+        parity_sign[h:2 * h] = -parity_sign[:h]
         h *= 2
+
+    x = np.empty(B * m)
+    y = np.empty(B * m)
+    acc = np.empty((m, r))
+    gathered = np.empty((m, r)) if n_in > B else None
+    for c, start in enumerate(range(0, n_in, B)):
+        stop = min(start + B, n_in)
+        block = x.reshape(B, m)
+        block_signs = 1.0 if signs is None else signs[start:stop, None].astype(float)
+        np.multiply(M[start:stop], block_signs, out=block[: stop - start])
+        block[stop - start:] = 0.0
+        src, dst = x, y
+        for H in factors:
+            f = len(H)
+            np.matmul(src.reshape(f, B * m // f).T, H, out=dst.reshape(B * m // f, f))
+            src, dst = dst, src
+        transformed = src.reshape(m, B)
+        if c == 0:
+            np.take(transformed, lo, axis=1, out=acc)
+        else:
+            np.take(transformed, lo, axis=1, out=gathered)
+            gathered *= parity_sign[hi & c]
+            acc += gathered
+    return acc.T.copy()
 
 
 def hadamard_columns(n: int, d: int) -> np.ndarray:
@@ -218,13 +281,9 @@ def apply_sketch(op: SketchOperator, M: np.ndarray) -> np.ndarray:
     elif op.kind == DENSE_SIGN:
         out = op.matrix @ M
     elif op.kind == SRHT:
-        padded = np.empty((op.n_pad, M.shape[1]))
-        np.multiply(M, op.signs[: op.n_in, None], out=padded[: op.n_in])
-        padded[op.n_in:] = 0.0
-        _hadamard_inplace(padded)
-        # normalize only the kept rows
-        out = padded[op.coords] / math.sqrt(op.n_pad)
-        out *= math.sqrt(op.n_pad / op.r)
+        # sqrt(n_pad / r) times the rows coords of H / sqrt(n_pad)
+        out = _sampled_hadamard(M, op.n_pad, op.coords, op.signs)
+        out /= math.sqrt(op.r)
     else:
         raise InvalidDimension(f"unknown sketch kind {op.kind!r}")
     return out[:, 0] if squeeze else out

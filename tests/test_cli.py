@@ -5,12 +5,20 @@ import sys
 import numpy as np
 import pytest
 
+from cullsq import influence
 from cullsq.cli import main
 from cullsq.dataio import load_matrix, load_vector
 
 
 def run_cli(*args):
     return main([str(a) for a in args])
+
+
+def accept_every_proposal(monkeypatch):
+    """Make the rejection sampler accept every proposal it draws."""
+    monkeypatch.setattr(
+        influence, "_acceptance_ratios", lambda spec, q_weight, d, k: np.ones(len(spec))
+    )
 
 
 @pytest.fixture
@@ -227,18 +235,38 @@ class TestVerifyCommand:
         b.pop("timings")
         assert json.dumps(a, sort_keys=True) == json.dumps(b, sort_keys=True)
 
-    def test_failing_criterion_exits_two(self, capsys):
-        # 50 draws cannot hit TV < 0.01 against 45 cells
+    def test_failing_criterion_exits_two(self, capsys, monkeypatch):
+        # the accept-every-proposal mutant, at 2000 draws
+        accept_every_proposal(monkeypatch)
         rc = run_cli(
             "verify", "sampler", "--n", 10, "--d", 2, "--k", 2,
-            "--trials", 50, "--seed", 14,
+            "--trials", 2000, "--seed", 14,
         )
         assert rc == 2
-        assert "FAIL" in capsys.readouterr().out
+        assert "sampler-tv-lt-bound: FAIL" in capsys.readouterr().out
 
     def test_sampler_defaults_pass(self, capsys):
         assert run_cli("verify", "sampler") == 0
         assert "FAIL" not in capsys.readouterr().out
+
+    # an exact sampler's expected TV is 0.053 at 2000 draws, and seed
+    # 1053 measures 0.0101 at the defaults: both above 0.01, both inside
+    # the bound calibrated at the run's own draw count
+    @pytest.mark.parametrize("flags", [["--trials", 2000], ["--seed", 1053]],
+                             ids=["trials-2000", "seed-1053"])
+    def test_exact_sampler_passes_tv_at_its_draw_count(self, capsys, flags):
+        assert run_cli("verify", "sampler", *flags) == 0
+        assert "FAIL" not in capsys.readouterr().out
+
+    def test_accept_every_proposal_fails_tv_at_defaults(self, tmp_path, monkeypatch):
+        # the proposal distribution itself, about 0.27 from the target in
+        # TV; test_failing_criterion_exits_two runs it at 2000 draws
+        accept_every_proposal(monkeypatch)
+        out = tmp_path / "rep.json"
+        assert run_cli("verify", "sampler", "--out", out) == 2
+        crit = {c["name"]: c for c in json.loads(out.read_text())["criteria"]}
+        tv = crit["sampler-tv-lt-bound"]
+        assert not tv["passed"] and tv["measured"] > 0.25
 
     def test_invalid_config_exits_one(self, capsys):
         rc = run_cli("verify", "k-points", "--n", 12, "--d", 2, "--k", 6)
@@ -322,6 +350,7 @@ def test_commands_that_never_factor_do_not_import_scipy(tmp_path):
     script = f"""
 import sys
 import cullsq
+from cullsq import influence
 from cullsq.cli import main
 codes = [main(argv) for argv in (
     ["gen", "--n", "64", "--d", "3", "--out-x", {str(x)!r}, "--out-y", {str(y)!r}],

@@ -32,8 +32,10 @@ from cullsq import (
     srht_dim,
     thin_svd,
 )
+from cullsq import sketching
 from cullsq.sketching import (
     CACHE_BLOCK_ELEMENTS,
+    HADAMARD_MIN_BLOCK,
     IDENTITY,
     LEVERAGE_BLOCK_ELEMENTS,
     SRHT,
@@ -98,7 +100,8 @@ def reference_fwht(M):
 
 
 def fwht_block_rows(m):
-    """Rows per cache block of the FWHT for m columns."""
+    """Rows of m columns in a 1 MB (CACHE_BLOCK_ELEMENTS) block, rounded
+    down to a power of two."""
     return 1 << ((CACHE_BLOCK_ELEMENTS // m).bit_length() - 1)
 
 
@@ -136,9 +139,10 @@ class TestFwht:
         np.testing.assert_allclose(out, H @ M, rtol=0, atol=atol)
         np.testing.assert_allclose(fwht(out), M, rtol=0, atol=atol)
 
-    # the hypothesis test above stays below one cache block; these run
-    # half a block, exactly one and eight (short-stride levels blocked,
-    # the rest across the array)
+    # the hypothesis test above stays small; these run half, one and
+    # eight 1 MB blocks of rows (up to 2^20), where the GEMM factors of
+    # the kernel sum in another order than the one-level-at-a-time
+    # butterfly, so they agree to rounding
     @pytest.mark.parametrize("m", [1, 3])
     @pytest.mark.parametrize("blocks", [0.5, 1, 8])
     @pytest.mark.parametrize("fortran", [False, True])
@@ -150,7 +154,16 @@ class TestFwht:
         before = M.copy()
         out = fwht(M)
         assert np.array_equal(M, before)
-        assert np.array_equal(out, reference_fwht(M))
+        atol = 1e-12 * np.abs(M).max()
+        np.testing.assert_allclose(out, reference_fwht(M), rtol=0, atol=atol)
+
+    @pytest.mark.parametrize("n,d", [(4, 2), (64, 2), (2**14, 20)])
+    def test_integer_inputs_give_exact_sums(self, n, d):
+        # the columns of hadamard_columns are +-1/sqrt(n) to the last bit
+        basis = np.zeros((n, d))
+        basis[np.arange(d), np.arange(d)] = 1.0
+        H = scipy.linalg.hadamard(n)[:, :d] / math.sqrt(n)
+        assert np.array_equal(fwht(basis), H)
 
 
 def float_sign_srht(n_in, r, rng):
@@ -179,6 +192,10 @@ class TestApplySketch:
         op = make_srht(32, 32, RngStream(4))
         assert jlt_defect(op, U) <= 1e-10
 
+    # 24 blocks with a partial last one and padding blocks after it, 16
+    # whole blocks, and one partial block smaller than HADAMARD_MIN_BLOCK;
+    # the blocked GEMMs sum in another order than the butterfly, so the
+    # two agree to rounding, and a rerun agrees to the bit
     @pytest.mark.parametrize("n_in,m", [(3 * 2**15 + 5, 2), (2**16, 3), (1000, 1)])
     def test_srht_bit_identical_to_manual_steps(self, n_in, m):
         op = make_srht(n_in, 300, RngStream(42))
@@ -187,7 +204,10 @@ class TestApplySketch:
         padded[:n_in] = M
         padded *= op.signs[:, None]
         manual = reference_fwht(padded)[op.coords] * math.sqrt(op.n_pad / op.r)
-        assert np.array_equal(apply_sketch(op, M), manual)
+        out = apply_sketch(op, M)
+        atol = 1e-12 * np.abs(M).max()
+        np.testing.assert_allclose(out, manual, rtol=0, atol=atol)
+        assert np.array_equal(apply_sketch(op, M.copy()), out)
 
     @pytest.mark.parametrize("n_in,r,m", [(3 * 2**15 + 5, 300, 2), (1000, 1024, 3)])
     def test_int8_signs_equal_float_sign_reference(self, n_in, r, m):
@@ -203,13 +223,16 @@ class TestApplySketch:
         vals = np.unique(np.abs(op.matrix))
         np.testing.assert_allclose(vals, [1.0 / math.sqrt(7)], atol=1e-15)
 
+    # the GEMMs of a block are as wide as M, and BLAS may sum a narrow
+    # product in another order than a wide one, so the columns agree to
+    # rounding
     def test_srht_columnwise_consistency_bit_for_bit(self):
         gen = np.random.default_rng(6)
         M = gen.standard_normal((24, 6))
         op = make_srht(24, 16, RngStream(7))
         full = apply_sketch(op, M)
         cols = np.column_stack([apply_sketch(op, M[:, j]) for j in range(6)])
-        assert np.array_equal(full, cols)
+        np.testing.assert_allclose(full, cols, rtol=0, atol=1e-12 * np.abs(M).max())
 
     @pytest.mark.parametrize("n_in,r", [(24, 16), (32, 5), (1, 1), (100, 128)])
     def test_srht_equals_explicit_matrix(self, n_in, r):
@@ -219,6 +242,27 @@ class TestApplySketch:
         explicit = math.sqrt(op.n_pad / op.r) * (H[op.coords] * op.signs)[:, :n_in]
         M = np.random.default_rng(12).standard_normal((n_in, 3))
         np.testing.assert_allclose(apply_sketch(op, M), explicit @ M, rtol=0, atol=1e-12)
+
+    @settings(max_examples=80, deadline=None)
+    @given(data=st.data(), min_block=st.sampled_from([1, 2, 8, 32]),
+           m=st.integers(1, 3), seed=st.integers(0, 2**32 - 1))
+    def test_srht_equals_explicit_matrix_across_block_edges(self, data, min_block, m, seed):
+        # a small HADAMARD_MIN_BLOCK puts several blocks into inputs small
+        # enough for the explicit matrix; n_in sits on and next to block
+        # edges j B - 1, j B, j B + 1, or anywhere
+        edge = data.draw(st.integers(1, 4)) * min_block + data.draw(st.integers(-1, 1))
+        n_in = max(1, data.draw(st.one_of(st.just(edge), st.integers(1, 150))))
+        n_pad = next_pow2(n_in)
+        r = data.draw(st.one_of(st.just(n_pad), st.integers(1, n_pad)))
+        op = make_srht(n_in, r, RngStream(seed))
+        M = np.random.default_rng(seed).standard_normal((n_in, m))
+        H = scipy.linalg.hadamard(n_pad) / math.sqrt(n_pad)
+        explicit = math.sqrt(n_pad / r) * (H[op.coords] * op.signs)[:, :n_in] @ M
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(sketching, "HADAMARD_MIN_BLOCK", min_block)
+            out = apply_sketch(op, M)
+        np.testing.assert_allclose(out, explicit, rtol=0,
+                                   atol=1e-12 * max(1.0, np.abs(explicit).max()))
 
     def test_expected_norm_preserved(self):
         gen = np.random.default_rng(8)
@@ -472,3 +516,20 @@ def test_fast_setup_memory_is_order_n_d():
     assert setup.leverage.ell_hat.shape == (n,)
     assert np.all(setup.leverage.ell_hat > 0)
     assert peak <= 256 * 2**20
+
+
+def test_srht_apply_memory_is_order_block_d_plus_r_d():
+    # the padded (n_pad x d) copy an SRHT once formed is 80 MB here; the
+    # sampled kernel holds two blocks of 4096 x 10 and a few r x 10 arrays
+    n, d, r = 2**20, 10, 2876
+    X = np.random.default_rng(34).standard_normal((n, d))
+    op = make_srht(n, r, RngStream(35))
+    assert HADAMARD_MIN_BLOCK == 4096
+    tracemalloc.start()
+    try:
+        out = apply_sketch(op, X)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert out.shape == (r, d)
+    assert peak - out.nbytes <= 8 * 2**20
