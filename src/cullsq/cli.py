@@ -28,7 +28,7 @@ from .influence import (
     rejection_sample_many,
     rejection_sample_subset,
 )
-from .kaczmarz import FastSolverConfig, kaczmarz_exact, kaczmarz_fast
+from .kaczmarz import kaczmarz_exact, kaczmarz_fast
 from .regression import Dataset, full_solve, leverage_scores, thin_svd
 from .rng import RngStream
 from .sketching import (
@@ -236,7 +236,7 @@ def _cmd_kaczmarz(args) -> int:
     if args.mode == "exact":
         run = kaczmarz_exact(thin_svd(data), data.y, args.iters, rng, w_star=w_star)
     else:
-        run = kaczmarz_fast(data, args.iters, rng, cfg=FastSolverConfig(), w_star=w_star)
+        run = kaczmarz_fast(data, args.iters, rng, w_star=w_star)
     if args.out:
         dataio.save_vector(args.out, run.w)
     if args.trace:

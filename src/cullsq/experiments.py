@@ -608,15 +608,12 @@ def _kaczmarz(cfg: ExperimentConfig):
         data = Dataset(X=X, y=X @ w0)
         svd = thin_svd(data)
         w_star, _ = full_solve(data, svd)
-        fcfg = FastSolverConfig()
-        setup = fast_setup(X, fcfg, rng.substream(2))
+        setup = fast_setup(X, FastSolverConfig(), rng.substream(2))
         K = 400 if cfg.iters is None else cfg.iters
         trials = cfg.trials if cfg.mode == "fast" else min(cfg.trials, 100)
 
         runs = [
-            kaczmarz_fast(
-                data, K, rng.substream(20_000 + i), cfg=fcfg, w_star=w_star, setup=setup
-            )
+            kaczmarz_fast(data, K, rng.substream(20_000 + i), w_star=w_star, setup=setup)
             for i in range(trials)
         ]
         traces = np.stack([r.error_trace for r in runs])

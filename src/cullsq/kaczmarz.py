@@ -224,10 +224,11 @@ def kaczmarz_fast(
     """Sketch-preconditioned Kaczmarz.
 
     Indices are presampled i.i.d. from the leverage estimates, the
-    preconditioned rows q_t = R^{-T} x_{j_t} come from one multi-RHS
-    triangular solve, and the iterate maps back via w = R^{-1} v_K.  A
-    precomputed ``setup`` may be reused across runs, in which case only
-    the iteration sampling consumes randomness.
+    preconditioned rows q_t = R^{-T} x_{j_t} come from one product of
+    the sampled rows with the cached d x d R^{-1}, and the iterate maps
+    back via w = R^{-1} v_K.  A precomputed ``setup`` may be reused
+    across runs, in which case only the iteration sampling consumes
+    randomness.
     """
     if not isinstance(rng, RngStream):
         raise InvalidRng("kaczmarz_fast needs an RngStream (it derives substreams)")

@@ -13,8 +13,11 @@ that quantity and :func:`embedding_property_report` evaluates the
 standard consequences (singular-value deviation, pseudo-inverse bounds).
 
 A QR factorization with column pivoting of the sketched matrix yields a
-triangular-times-permutation preconditioner R = T P whose inverse
-applies in O(d^2); the singular values of X R^{-1} are exactly the
+triangular-times-permutation preconditioner R = T P.  Householder QR
+first reduces the (r x d) sketch to a d x d triangle, and the pivoting
+runs on that triangle in O(d^3); R^{-1} is then formed once, a d x d
+array, and every apply is one matrix product with it, so the package
+needs numpy alone.  The singular values of X R^{-1} are exactly the
 inverses of those of Pi U (reversed), so X R^{-1} inherits the sketch's
 conditioning.  The squared row norms of X R^{-1} are then constant
 relative-error approximations to the leverage scores.  A second sketch
@@ -47,14 +50,10 @@ memory.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
-
-# scipy.linalg is imported inside the functions that factor or solve:
-# its import takes about 0.3 s, which a CLI command that never builds a
-# preconditioner should not pay
 
 from .errors import (
     DimensionMismatch,
@@ -373,31 +372,40 @@ class Preconditioner:
     """Triangular-times-permutation factor R = T P from pivoted QR.
 
     ``piv`` is the column permutation reported by the factorization:
-    sketch[:, piv] = Q T.  Applying R^{-1} = P^T T^{-1} costs O(d^2)
-    via one triangular solve plus an index shuffle.
+    sketch[:, piv] = Q T.  R^{-1} = P^T T^{-1} is formed once, as the
+    read-only d x d array ``Rinv``, so each apply is one matrix product:
+    O(d^2) per vector and one GEMM for a block of rows.
     """
 
     T: np.ndarray
     piv: np.ndarray
+    Rinv: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        T = np.asarray(self.T, dtype=float)
-        piv = np.asarray(self.piv, dtype=np.intp)
-        d = T.shape[0]
-        if T.shape != (d, d) or piv.shape != (d,):
+        T = np.array(self.T, dtype=float)
+        piv = np.array(self.piv, dtype=np.intp)
+        d = T.shape[0] if T.ndim == 2 else 0
+        if d < 1 or T.shape != (d, d) or piv.shape != (d,):
             raise InvalidInput("inconsistent factor shapes")
+        if not np.all(np.isfinite(T)):
+            raise InvalidInput("triangular factor has non-finite entries")
+        if np.any(np.tril(T, -1)):
+            raise InvalidInput("triangular factor has entries below the diagonal")
+        if not np.array_equal(np.sort(piv), np.arange(d)):
+            raise InvalidInput(f"piv is not a permutation of range({d})")
         diag = np.abs(np.diag(T))
-        if diag.min() < 1e-12 * np.abs(T).max():
+        if diag.min() <= 1e-12 * np.abs(T).max():
             raise SketchRankDeficient(
                 f"triangular factor numerically singular "
                 f"(min |T_ii| = {diag.min():.3e})"
             )
-        Tc = T.copy()
-        Tc.setflags(write=False)
-        pc = piv.copy()
-        pc.setflags(write=False)
-        object.__setattr__(self, "T", Tc)
-        object.__setattr__(self, "piv", pc)
+        # LU with partial pivoting takes no row swap on an upper triangle
+        # and leaves it unchanged, so this inverse is a back substitution
+        Rinv = np.empty((d, d))
+        Rinv[piv] = np.linalg.inv(T)
+        for name, a in (("T", T), ("piv", piv), ("Rinv", Rinv)):
+            a.setflags(write=False)
+            object.__setattr__(self, name, a)
 
     @property
     def d(self) -> int:
@@ -409,38 +417,58 @@ class Preconditioner:
         return P
 
     def r_matrix(self) -> np.ndarray:
-        """Dense R = T P (for inspection; solves never form it)."""
+        """Dense R = T P (for inspection; applies use ``Rinv``)."""
         inv_piv = np.argsort(self.piv)
         return self.T[:, inv_piv]
 
     def apply_inverse(self, b: np.ndarray) -> np.ndarray:
-        """R^{-1} b = P^T T^{-1} b, for b of shape (d,) or (d, m)."""
-        import scipy.linalg
-
-        z = scipy.linalg.solve_triangular(self.T, np.asarray(b, dtype=float))
-        out = np.empty_like(z)
-        out[self.piv] = z
-        return out
+        """R^{-1} b, for b of shape (d,) or (d, m)."""
+        return self.Rinv @ np.asarray(b, dtype=float)
 
     def apply_inverse_transpose(self, b: np.ndarray) -> np.ndarray:
-        """R^{-T} b = T^{-T} P b."""
-        import scipy.linalg
-
-        b = np.asarray(b, dtype=float)
-        return scipy.linalg.solve_triangular(self.T, b[self.piv], trans="T")
+        """R^{-T} b, for b of shape (d,) or (d, m)."""
+        return self.Rinv.T @ np.asarray(b, dtype=float)
 
     def x_times_inverse(self, X: np.ndarray) -> np.ndarray:
-        """X R^{-1} through one multi-RHS triangular solve."""
-        import scipy.linalg
+        """X R^{-1}."""
+        return np.asarray(X, dtype=float) @ self.Rinv
 
-        X = np.asarray(X, dtype=float)
-        return scipy.linalg.solve_triangular(self.T, X[:, self.piv].T, trans="T").T
+
+def _pivoted_qr_of_triangle(R0: np.ndarray):
+    """Businger-Golub column-pivoted Householder QR of a d x d matrix:
+    (T, piv) with R0[:, piv] = Q T, Q orthogonal.
+
+    Each step moves the column of largest norm over the remaining rows
+    to the front, as LAPACK geqp3 does (its first such column on a tie),
+    and reflects it onto the diagonal.  The partial norms are recomputed
+    at each step rather than downdated, O(d^2) a step and O(d^3) in all.
+    """
+    A = np.array(R0, dtype=float)
+    d = A.shape[1]
+    piv = np.arange(d)
+    for j in range(d):
+        tail = A[j:, j:]
+        p = j + int(np.argmax(np.einsum("ij,ij->j", tail, tail)))
+        A[:, [j, p]] = A[:, [p, j]]
+        piv[[j, p]] = piv[[p, j]]
+        v = A[j:, j].copy()
+        alpha = -math.copysign(np.linalg.norm(v), v[0])
+        if alpha == 0.0:
+            continue    # a zero column: Preconditioner reports the rank
+        v[0] -= alpha
+        A[j:, j + 1:] -= np.outer(v, (2.0 / (v @ v)) * (v @ A[j:, j + 1:]))
+        A[j, j] = alpha
+        A[j + 1:, j] = 0.0
+    return A, piv
 
 
 def build_preconditioner(X: np.ndarray, op: SketchOperator) -> Preconditioner:
-    """Pivoted QR of the sketched matrix; requires op output >= d rows."""
-    import scipy.linalg
+    """Pivoted QR of the sketched matrix; requires op output >= d rows.
 
+    Householder QR reduces the (r x d) sketch to a d x d triangle, and the
+    column pivoting runs on that triangle only: column norms are the same
+    in both, so the pivots are those of pivoted QR on the sketch.
+    """
     X = np.asarray(X, dtype=float)
     d = X.shape[1]
     if op.r < d:
@@ -448,7 +476,7 @@ def build_preconditioner(X: np.ndarray, op: SketchOperator) -> Preconditioner:
             f"sketch dimension r={op.r} is below the column count d={d}"
         )
     sketched = apply_sketch(op, X)
-    _, T, piv = scipy.linalg.qr(sketched, mode="economic", pivoting=True)
+    T, piv = _pivoted_qr_of_triangle(np.linalg.qr(sketched, mode="r"))
     return Preconditioner(T=T, piv=piv)
 
 
@@ -472,10 +500,11 @@ def approx_leverage(
 ) -> ApproxLeverage:
     """Squared row norms of (X R^{-1}) Pi2.
 
-    The preconditioned rows are produced by triangular solves (R^{-1} is
-    never formed densely); ``op2`` must accept d-dimensional input.  An
-    identity ``op2`` gives the exact squared row norms of X R^{-1}; with
-    identity sketches on both sides these are the exact leverage scores.
+    The preconditioned rows are one product with the cached d x d
+    ``precond.Rinv`` per row block; ``op2`` must accept d-dimensional
+    input.  An identity ``op2`` gives the exact squared row norms of
+    X R^{-1}; with identity sketches on both sides these are the exact
+    leverage scores.
     Any other ``op2`` is applied to the rows of X R^{-1} after they are
     formed, which adds r2 d products per row to the d an exact norm
     needs, so it is never cheaper and only approximates the norms.

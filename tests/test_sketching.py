@@ -33,6 +33,7 @@ from cullsq import (
     thin_svd,
 )
 from cullsq import sketching
+from cullsq.designs import conditioned_design
 from cullsq.sketching import (
     CACHE_BLOCK_ELEMENTS,
     HADAMARD_MIN_BLOCK,
@@ -369,27 +370,66 @@ class TestPreconditioner:
         assert checked >= 8
 
     def test_solves_match_dense_inverse(self):
+        # each apply is one product with the cached R^{-1}; against
+        # np.linalg.solve on R it may differ by about kappa u, here
+        # allowed 1e3 kappa u, also at kappa = 1e10
         gen = np.random.default_rng(19)
-        X = gen.standard_normal((60, 5))
-        precond = build_preconditioner(X, make_srht(60, 32, RngStream(20)))
-        R = precond.r_matrix()
-        R_inv = np.linalg.inv(R)
-        np.testing.assert_allclose(precond.x_times_inverse(X), X @ R_inv, atol=1e-10)
-        b = gen.standard_normal(5)
-        np.testing.assert_allclose(precond.apply_inverse(b), R_inv @ b, atol=1e-10)
-        np.testing.assert_allclose(
-            precond.apply_inverse_transpose(b), R_inv.T @ b, atol=1e-10
+        X_small = gen.standard_normal((60, 5))
+        n = 2**14
+        X_bad = conditioned_design(n, 20, 1e10, np.random.default_rng(30))
+        cases = [
+            (X_small, make_srht(60, 32, RngStream(20))),
+            (X_bad, make_srht(n, FastSolverConfig().resolve_r1(n, 20), RngStream(31))),
+        ]
+        for X, op in cases:
+            precond = build_preconditioner(X, op)
+            R = precond.r_matrix()
+            tol = 1e3 * np.linalg.cond(R) * np.finfo(float).eps
+            d = X.shape[1]
+            b = gen.standard_normal((d, 3))
+            for got, want in (
+                (precond.x_times_inverse(X), np.linalg.solve(R.T, X.T).T),
+                (precond.apply_inverse(b), np.linalg.solve(R, b)),
+                (precond.apply_inverse(b[:, 0]), np.linalg.solve(R, b[:, 0])),
+                (precond.apply_inverse_transpose(b), np.linalg.solve(R.T, b)),
+            ):
+                assert got.shape == want.shape
+                assert np.abs(got - want).max() <= tol * np.abs(want).max()
+            np.testing.assert_allclose(
+                precond.T @ precond.permutation_matrix(), R, atol=1e-14
+            )
+            assert not precond.Rinv.flags.writeable
+
+    @pytest.mark.parametrize("kappa", [1e4, 1e10])
+    @pytest.mark.parametrize("d", [8, 20])
+    def test_pivoted_qr_matches_lapack(self, d, kappa):
+        # the pivoted QR of the sketch's triangle against LAPACK geqp3 on
+        # the whole sketch: the same pivots, T up to the signs of its rows
+        n = 2**14
+        X = conditioned_design(n, d, kappa, np.random.default_rng(32))
+        op = make_srht(n, FastSolverConfig().resolve_r1(n, d), RngStream(33))
+        precond = build_preconditioner(X, op)
+        _, T_ref, piv_ref = scipy.linalg.qr(
+            apply_sketch(op, X), mode="economic", pivoting=True
         )
-        np.testing.assert_allclose(
-            precond.T @ precond.permutation_matrix(), R, atol=1e-14
-        )
+        np.testing.assert_array_equal(precond.piv, piv_ref)
+        signs = np.sign(np.diag(precond.T)) * np.sign(np.diag(T_ref))
+        err = np.abs(precond.T * signs[:, None] - T_ref).max()
+        assert err <= 1e-12 * np.abs(T_ref).max()
+        diag = np.abs(np.diag(precond.T))
+        assert np.all(diag[1:] <= diag[:-1] * (1.0 + 1e-12))
+        svals = np.linalg.svd(precond.x_times_inverse(X), compute_uv=False)
+        assert svals[0] / svals[-1] <= math.sqrt(3.0)
 
     def test_rank_deficient_sketch_rejected(self):
         gen = np.random.default_rng(21)
         base = gen.standard_normal((40, 2))
-        X = np.column_stack([base, base[:, 0]])  # duplicate column
-        with pytest.raises(SketchRankDeficient):
-            build_preconditioner(X, make_identity_sketch(40))
+        for X in (
+            np.column_stack([base, base[:, 0]]),    # duplicate column
+            np.column_stack([base, np.zeros(40)]),  # zero column
+        ):
+            with pytest.raises(SketchRankDeficient):
+                build_preconditioner(X, make_identity_sketch(40))
 
     def test_sketch_smaller_than_d_rejected(self):
         gen = np.random.default_rng(22)
@@ -398,8 +438,24 @@ class TestPreconditioner:
             build_preconditioner(X, make_dense_sign_jlt(40, 3, RngStream(23)))
 
     def test_inconsistent_factor_shapes_typed(self):
-        with pytest.raises(InvalidInput):
-            Preconditioner(T=np.eye(3), piv=np.arange(2))
+        lower = np.diag([1.0, 2.0, 3.0])
+        lower[2, 0] = 1.0
+        with_nan = np.diag([1.0, 2.0, 3.0])
+        with_nan[0, 2] = np.nan
+        for T, piv in (
+            (np.eye(3), np.arange(2)),
+            (np.zeros((0, 0)), []),
+            (1.0, [0]),
+            (np.diag([1.0, 2.0, 3.0]), [0, 0, 1]),    # not a permutation
+            (np.diag([1.0, 2.0, 3.0]), [0, 1, 3]),
+            (lower, np.arange(3)),                    # not upper triangular
+            (with_nan, np.arange(3)),
+            (np.diag([1.0, np.inf, 3.0]), np.arange(3)),
+        ):
+            with pytest.raises(InvalidInput):
+                Preconditioner(T=T, piv=piv)
+        with pytest.raises(SketchRankDeficient):
+            Preconditioner(T=np.zeros((3, 3)), piv=np.arange(3))
 
 
 class TestApproxLeverage:
