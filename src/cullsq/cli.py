@@ -165,10 +165,10 @@ def _cmd_reject_sample(args) -> int:
     svd = thin_svd(data)
     profile = leverage_scores(svd)
     if args.exact:
-        dist = enumerate_subset_distribution(svd, profile, args.k)
+        subsets, probs = enumerate_subset_distribution(svd, profile, args.k)
         lines = [
-            ";".join(str(i) for i in subset.indices) + f",{prob:.17g}"
-            for subset, prob in dist
+            ";".join(map(str, row)) + f",{prob:.17g}"
+            for row, prob in zip(subsets.tolist(), probs.tolist())
         ]
         return _emit("\n".join(lines) + "\n", args.out)
     rng = RngStream(args.seed)

@@ -272,12 +272,6 @@ def _increases(data: Dataset, svd, w_star, subsets) -> np.ndarray:
     return _subset_projection(svd.U, subsets, residuals[subsets])[1]
 
 
-def _enumerated(svd, profile, k):
-    """Every k-subset as a (C(n, k), k) array, and its influence probability."""
-    dist = enumerate_subset_distribution(svd, profile, k)
-    return np.array([s.array() for s, _ in dist], dtype=np.intp), np.array([p for _, p in dist])
-
-
 def _consistent_check(data: Dataset, opt_error: float, prefix: str, error: float):
     """``[criterion]`` checking ``error`` against an absolute 1e-12 scale
     when the system is consistent (the optimal error is at a 1e-20
@@ -286,6 +280,21 @@ def _consistent_check(data: Dataset, opt_error: float, prefix: str, error: float
     if opt_error > 1e-20 * scale:
         return []
     return [_criterion(f"{prefix}-consistent-absolute", error, 1e-12 * scale)]
+
+
+def _exact_expectation(data, svd, w_star, opt_error, subsets, probs, measurements,
+                       prefix, name, bound):
+    """Criteria on the exact expected error opt + sum_A p_A increase_A:
+    ``_consistent_check`` on a consistent system, else the ratio to the
+    optimum against ``bound`` at ``EXACT_TOL`` as criterion ``name``.
+    Records ``expected_error`` and ``ratio`` in ``measurements``."""
+    expected = opt_error + float(probs @ _increases(data, svd, w_star, subsets))
+    measurements["expected_error"] = expected
+    criteria = _consistent_check(data, opt_error, prefix, expected)
+    if not criteria:
+        ratio = measurements["ratio"] = expected / opt_error
+        criteria.append(_criterion(name, ratio, bound, slack=EXACT_TOL, tol=EXACT_TOL))
+    return criteria
 
 
 # ----------------------------------------------------------------------
@@ -299,25 +308,22 @@ def _one_point(cfg: ExperimentConfig):
     on the uniform-leverage design the bound is attained exactly.
     """
     _, data, svd, profile, w_star, opt_error = _prepare(cfg)
-    probs = single_row_influences(profile)
-    increases = _increases(data, svd, w_star, np.arange(cfg.n)[:, None])
-    expected = opt_error + float(probs @ increases)
     bound = 1.0 + cfg.d / (cfg.n - cfg.d) ** 2
     measurements = {
         "opt_error": opt_error,
-        "expected_error": expected,
         "bound_ratio": bound,
         "z1": profile.z1,
         "z1_lower_bound": (cfg.n - cfg.d) ** 2 / cfg.d,
     }
-    criteria = _consistent_check(data, opt_error, "one-point", expected)
-    if not criteria:
-        ratio = measurements["ratio"] = expected / opt_error
-        criteria.append(_criterion("one-point-ratio-le-bound", ratio, bound,
-                                   slack=EXACT_TOL, tol=EXACT_TOL))
-        if cfg.design == HADAMARD_UNIFORM:
-            criteria.append(_criterion("one-point-ratio-equals-bound", abs(ratio - bound),
-                                       EXACT_TOL, tol=EXACT_TOL))
+    criteria = _exact_expectation(
+        data, svd, w_star, opt_error, np.arange(cfg.n)[:, None],
+        single_row_influences(profile), measurements, "one-point",
+        "one-point-ratio-le-bound", bound,
+    )
+    if "ratio" in measurements and cfg.design == HADAMARD_UNIFORM:
+        criteria.append(_criterion("one-point-ratio-equals-bound",
+                                   abs(measurements["ratio"] - bound),
+                                   EXACT_TOL, tol=EXACT_TOL))
     return criteria, measurements
 
 
@@ -344,14 +350,11 @@ def _k_points(cfg: ExperimentConfig):
         "mode": "exact" if exact else "monte-carlo",
     }
     if exact:
-        subsets, probs = _enumerated(svd, profile, k)
-        increases = _increases(data, svd, w_star, subsets)
-        expected = measurements["expected_error"] = opt_error + float(probs @ increases)
-        criteria = _consistent_check(data, opt_error, "k-points", expected)
-        if not criteria:
-            ratio = measurements["ratio"] = expected / opt_error
-            criteria.append(_criterion("k-points-exact-ratio-le-bound", ratio, theorem_bound,
-                                       slack=EXACT_TOL, tol=EXACT_TOL))
+        subsets, probs = enumerate_subset_distribution(svd, profile, k)
+        criteria = _exact_expectation(
+            data, svd, w_star, opt_error, subsets, probs, measurements, "k-points",
+            "k-points-exact-ratio-le-bound", theorem_bound,
+        )
         return criteria, measurements
 
     subsets, stats = rejection_sample_many(svd, profile, k, cfg.trials, rng.substream(1))
@@ -418,7 +421,7 @@ def _sampler(cfg: ExperimentConfig):
     """
     rng, _, svd, profile, _, _ = _prepare(cfg)
     k = cfg.k
-    subsets_enum, probs = _enumerated(svd, profile, k)
+    subsets_enum, probs = enumerate_subset_distribution(svd, profile, k)
 
     # acceptance ratio over every subset
     spec = _subset_projection(svd.U, subsets_enum)

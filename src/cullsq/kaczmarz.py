@@ -25,6 +25,7 @@ number of distinct sampled indices).
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -89,9 +90,12 @@ def labels_for_target(n: float, d: int, kappa: float, variant: str = "exact") ->
     """Iteration count reaching the d/n error floor.
 
     exact: ceil(d ln(n kappa^2 / d)); fast: ceil(9 d ln(n kappa / d)).
+    Needs n > d >= 1 and a finite kappa >= 1.
     """
-    if kappa < 1.0:
-        raise InvalidInput("condition number must be >= 1")
+    if not (n > d >= 1):
+        raise InvalidInput(f"need n > d >= 1, got n={n}, d={d}")
+    if not (math.isfinite(kappa) and kappa >= 1.0):
+        raise InvalidInput(f"condition number must be finite and >= 1, got {kappa}")
     if variant == "exact":
         val = d * math.log(n * kappa**2 / d)
     elif variant == "fast":
@@ -122,8 +126,8 @@ def _kaczmarz(
     them one per row, back to w.  Given ``v_star`` and ``w_star`` the
     iterates are kept as a (K+1, d) array and traced after the loop.
     """
-    if K < 1:
-        raise InvalidK("need at least one iteration")
+    if not isinstance(K, numbers.Integral) or K < 1:
+        raise InvalidK(f"need an integer count of at least one iteration, got {K!r}")
     idx = inverse_cdf_draw(gen, np.cumsum(weights), K)
     Q = rows_of(idx)
     norms_sq = np.einsum("ij,ij->i", Q, Q)
@@ -216,7 +220,6 @@ def kaczmarz_fast(
     data: Dataset,
     K: int,
     rng: RngStream,
-    cfg: Optional[FastSolverConfig] = None,
     w_star: Optional[np.ndarray] = None,
     check_consistency: bool = False,
     setup: Optional[FastSetup] = None,
@@ -239,7 +242,7 @@ def kaczmarz_fast(
         if np.linalg.norm(X @ w_ls - y) > CONSISTENCY_RTOL * np.linalg.norm(y):
             raise InconsistentSystem("labels are not in the column space of X")
     if setup is None:
-        setup = fast_setup(X, cfg or FastSolverConfig(), rng)
+        setup = fast_setup(X, FastSolverConfig(), rng)
     pre = setup.precond
     v_star = None
     if w_star is not None:
@@ -265,6 +268,8 @@ def kaczmarz_row_norm(
     """
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=float)
+    if y.shape != (X.shape[0],):
+        raise InvalidInput(f"y must have shape ({X.shape[0]},)")
     return _kaczmarz(
         np.einsum("ij,ij->i", X, X), lambda idx: X[idx], y, K, as_generator(rng),
         lambda vs: vs, w_star, w_star,

@@ -13,6 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import InvalidRng
+
 _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
 
@@ -55,7 +57,7 @@ def as_generator(rng) -> np.random.Generator:
         return rng.generator()
     if isinstance(rng, np.random.Generator):
         return rng
-    raise TypeError(f"expected RngStream or numpy Generator, got {type(rng)!r}")
+    raise InvalidRng(f"expected RngStream or numpy Generator, got {type(rng)!r}")
 
 
 def inverse_cdf_draw(gen: np.random.Generator, cumulative: np.ndarray, size=None):

@@ -35,6 +35,7 @@ from cullsq import regression
 from cullsq.influence import (
     DEFAULT_BATCH,
     _acceptance_ratios,
+    _influence_weights,
     _propose_batch,
     _uniform_subsets,
 )
@@ -154,6 +155,9 @@ class TestSampleSumOverRows:
             sample_sum_over_rows(np.ones(4), 0, RngStream(0))
         with pytest.raises(InvalidK):
             sample_sum_over_rows(np.ones(4), 5, RngStream(0))
+        for count in (0, -1):
+            with pytest.raises(InvalidK):
+                sample_sum_over_rows_many(np.ones(4), 2, count, RngStream(0))
 
     def test_nonpositive_weights(self):
         with pytest.raises(NonpositiveWeight):
@@ -211,9 +215,9 @@ class TestRejectionSampler:
         X = gen.standard_normal((10, 2))
         svd = thin_svd(Dataset(X=X))
         prof = leverage_scores(svd)
-        dist = enumerate_subset_distribution(svd, prof, 2)
+        subsets, probs = enumerate_subset_distribution(svd, prof, 2)
         draws, stats = rejection_sample_many(svd, prof, 2, 20_000, RngStream(9))
-        keys = {s.indices: p for s, p in dist}
+        keys = dict(zip(map(tuple, subsets.tolist()), probs))
         counts = {}
         for row in draws:
             t = tuple(int(v) for v in row)
@@ -231,9 +235,9 @@ class TestRejectionSampler:
         X = gen.standard_normal((12, 3))
         svd = thin_svd(Dataset(X=X))
         prof = leverage_scores(svd)
-        dist = enumerate_subset_distribution(svd, prof, 3)
+        subsets, probs_enum = enumerate_subset_distribution(svd, prof, 3)
         draws, _ = rejection_sample_many(svd, prof, 3, 100_000, RngStream(31))
-        probs = {s.indices: p for s, p in dist}
+        probs = dict(zip(map(tuple, subsets.tolist()), probs_enum))
         counts = {}
         for row in draws:
             t = tuple(int(v) for v in row)
@@ -323,8 +327,8 @@ class TestEnumeration:
         X = hadamard_columns(4, 2)
         svd = thin_svd(Dataset(X=X))
         prof = leverage_scores(svd)
-        dist = enumerate_subset_distribution(svd, prof, 1)
-        np.testing.assert_allclose([p for _, p in dist], 0.25 * np.ones(4), atol=1e-12)
+        _, probs = enumerate_subset_distribution(svd, prof, 1)
+        np.testing.assert_allclose(probs, 0.25 * np.ones(4), atol=1e-12)
 
     def test_all_rows_subset_degenerate(self):
         X = hadamard_columns(4, 2)
@@ -338,10 +342,10 @@ class TestEnumeration:
         X = gen.standard_normal((8, 2))
         svd = thin_svd(Dataset(X=X))
         prof = leverage_scores(svd)
-        dist = enumerate_subset_distribution(svd, prof, 2)
-        subsets = [s.indices for s, _ in dist]
+        rows, probs = enumerate_subset_distribution(svd, prof, 2)
+        subsets = list(map(tuple, rows.tolist()))
         assert subsets == sorted(subsets)
-        assert abs(sum(p for _, p in dist) - 1.0) <= 1e-10
+        assert abs(sum(probs) - 1.0) <= 1e-10
 
     def test_normalizer_lower_bound(self):
         # sum of weights >= C(n,k) (1-Qbar)^2 / Qbar with Qbar the mean norm
@@ -356,6 +360,49 @@ class TestEnumeration:
         weights = (1.0 - specs) ** 2 / specs
         qbar = specs.mean()
         assert weights.sum() >= len(subsets) * (1 - qbar) ** 2 / qbar - 1e-8
+
+    def test_k1_equals_single_row_influences(self):
+        gen = np.random.default_rng(26)
+        X = gen.standard_normal((15, 3))
+        svd = thin_svd(Dataset(X=X))
+        prof = leverage_scores(svd)
+        subsets, probs = enumerate_subset_distribution(svd, prof, 1)
+        assert np.array_equal(subsets, np.arange(15)[:, None])
+        np.testing.assert_allclose(probs, single_row_influences(prof), rtol=0, atol=1e-12)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(2, 9), st.integers(1, 3), st.integers(1, 4), st.integers(0, 2**32 - 1))
+    def test_arrays_match_per_subset_reference(self, n, d, k, seed):
+        # k <= n - d keeps generic subsets off rank loss, so the normalizer
+        # is positive
+        d = min(d, n - 1)
+        k = min(k, n - d)
+        X = np.random.default_rng(seed).standard_normal((n, d))
+        svd = thin_svd(Dataset(X=X))
+        prof = leverage_scores(svd)
+        subsets, probs = enumerate_subset_distribution(svd, prof, k)
+        combos = list(combinations(range(n), k))
+        assert subsets.dtype == np.intp and subsets.shape == (len(combos), k)
+        assert subsets.tolist() == [list(c) for c in combos]
+        weights = _influence_weights(
+            np.array([partial_projection_norm(svd, RowSubset.of(c)) for c in combos])
+        )
+        np.testing.assert_allclose(probs, weights / weights.sum(), rtol=0, atol=1e-12)
+
+    def test_memory_order_subsets_times_k(self):
+        # C(100, 3) = 161,700 subsets: the (C, 3) index array and the
+        # probabilities take 5.2 MB; per-subset objects took 43 MB
+        X = np.random.default_rng(27).standard_normal((100, 4))
+        svd = thin_svd(Dataset(X=X))
+        prof = leverage_scores(svd)
+        tracemalloc.start()
+        try:
+            subsets, probs = enumerate_subset_distribution(svd, prof, 3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert subsets.shape == (161_700, 3) and probs.shape == (161_700,)
+        assert peak < 16 * 2**20
 
     def test_too_large_guard(self):
         gen = np.random.default_rng(22)
@@ -402,11 +449,10 @@ class TestCrossValidation:
         X = gen.standard_normal((9, 2))
         svd = thin_svd(Dataset(X=X))
         prof = leverage_scores(svd)
-        dist = enumerate_subset_distribution(svd, prof, 2)
-        probs = np.array([p for _, p in dist])
-        idx_of = {s.indices: i for i, (s, _) in enumerate(dist)}
+        subsets, probs = enumerate_subset_distribution(svd, prof, 2)
+        idx_of = {s: i for i, s in enumerate(map(tuple, subsets.tolist()))}
         draws, _ = rejection_sample_many(svd, prof, 2, 200_000, RngStream(51))
-        counts = np.zeros(len(dist))
+        counts = np.zeros(len(probs))
         for row in draws:
             counts[idx_of[tuple(int(v) for v in row)]] += 1
         res = scipy.stats.chisquare(counts, probs * 200_000)
@@ -444,10 +490,10 @@ class TestCrossValidation:
         svd = thin_svd(data)
         prof = leverage_scores(svd)
         w_star, opt = full_solve(data, svd)
-        dist = enumerate_subset_distribution(svd, prof, 2)
+        subsets, probs = enumerate_subset_distribution(svd, prof, 2)
         exact = sum(
-            pr * leave_A_out_error(data, s, svd, full=(w_star, opt))
-            for s, pr in dist
+            pr * leave_A_out_error(data, RowSubset.of(s), svd, full=(w_star, opt))
+            for s, pr in zip(subsets, probs)
             if pr > 0
         )
         draws, _ = rejection_sample_many(svd, prof, 2, 5000, RngStream(54))

@@ -21,6 +21,7 @@ from cullsq import (
     thin_svd,
 )
 from cullsq.designs import conditioned_design
+from cullsq.rng import as_generator
 
 
 def consistent_instance(n, d, seed):
@@ -278,14 +279,17 @@ class TestKaczmarzFast:
 
 @pytest.mark.parametrize("solver", ["exact", "fast", "row_norm"])
 def test_zero_iterations_is_invalid_k(solver):
+    # so is a count that is not an integer; numpy integers are counts
     data, _ = consistent_instance(20, 3, 37)
     calls = {
-        "exact": lambda: kaczmarz_exact(thin_svd(data), data.y, 0, RngStream(38)),
-        "fast": lambda: kaczmarz_fast(data, 0, RngStream(38)),
-        "row_norm": lambda: kaczmarz_row_norm(data.X, data.y, 0, RngStream(38)),
+        "exact": lambda K: kaczmarz_exact(thin_svd(data), data.y, K, RngStream(38)),
+        "fast": lambda K: kaczmarz_fast(data, K, RngStream(38)),
+        "row_norm": lambda K: kaczmarz_row_norm(data.X, data.y, K, RngStream(38)),
     }
-    with pytest.raises(InvalidK):
-        calls[solver]()
+    for K in (0, 2.5):
+        with pytest.raises(InvalidK):
+            calls[solver](K)
+    assert calls[solver](np.int64(3)).iterations == 3
 
 
 class TestTypedErrors:
@@ -298,6 +302,11 @@ class TestTypedErrors:
             lambda: labels_for_target(100, 2, 0.5),
             lambda: labels_for_target(100, 2, 2.0, "slow"),
             lambda: kaczmarz_exact(thin_svd(data), np.ones(19), 5, RngStream(33)),
+            lambda: kaczmarz_row_norm(data.X, np.ones(21), 5, RngStream(33)),
+            lambda: labels_for_target(100, 2, math.nan),
+            lambda: labels_for_target(100, 2, math.inf),
+            lambda: labels_for_target(100, 0, 2.0),
+            lambda: labels_for_target(2, 2, 2.0),
         ]
         for call in calls:
             with pytest.raises(InvalidInput) as info:
@@ -307,7 +316,13 @@ class TestTypedErrors:
 
     def test_fast_solver_needs_rng_stream(self):
         data, _ = consistent_instance(20, 3, 35)
-        with pytest.raises(InvalidRng) as info:
-            kaczmarz_fast(data, 5, np.random.default_rng(36))
-        assert isinstance(info.value, CullsqError)
-        assert isinstance(info.value, TypeError)
+        calls = [
+            lambda: kaczmarz_fast(data, 5, np.random.default_rng(36)),
+            lambda: as_generator(42),
+        ]
+        for call in calls:
+            with pytest.raises(InvalidRng) as info:
+                call()
+            assert isinstance(info.value, CullsqError)
+            assert isinstance(info.value, TypeError)
+
