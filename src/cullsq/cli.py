@@ -1,9 +1,9 @@
 """Command-line harness.
 
 Subcommands: gen, solve, reject-sample, sketch, precond, kaczmarz,
-verify.  Matrices travel as headerless CSV; experiment reports as JSON.
-Exit codes: 0 on success (all criteria pass for verify), 2 when a
-verification criterion fails, 1 on operational errors.
+verify, whose flags are the :class:`ExperimentConfig` fields.  CSV goes
+through :mod:`cullsq.dataio`, reports are JSON.  Exit codes: 0 on
+success, 2 when a verification criterion fails, 1 on any other error.
 """
 
 from __future__ import annotations
@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from typing import get_args, get_type_hints
 
 import numpy as np
 
@@ -40,12 +41,14 @@ from .sketching import (
 )
 
 
-def _add_common(p):
-    p.add_argument("--seed", type=int, default=0, help="random seed")
+class _Parser(argparse.ArgumentParser):
+    # a usage error exits 1 with one line, as any CullsqError does in main
+    def error(self, message):
+        raise CullsqError(f"{self.prog}: {message}")
 
 
 def _build_parser():
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="cullsq",
         description="Influence-based row rejection and preconditioned Kaczmarz "
         "for label-frugal least squares.",
@@ -54,85 +57,72 @@ def _build_parser():
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("gen", help="generate a synthetic dataset")
+    p.set_defaults(run=_cmd_gen)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--d", type=int, required=True)
     p.add_argument("--design", choices=DESIGN_KINDS, default="gaussian")
     p.add_argument("--noise", type=float, default=1.0)
-    p.add_argument("--spike-fraction", type=float, default=0.1)
     p.add_argument("--out-x", required=True, help="design matrix CSV path")
     p.add_argument("--out-y", help="labels CSV path")
-    _add_common(p)
+    p.add_argument("--seed", type=int, default=0, help="random seed")
 
     p = sub.add_parser("solve", help="full least-squares solve")
+    p.set_defaults(run=_cmd_solve)
     p.add_argument("--x", required=True)
     p.add_argument("--y", required=True)
     p.add_argument("--out", help="write weights CSV here")
 
     p = sub.add_parser("reject-sample", help="sample row subsets to throw out")
+    p.set_defaults(run=_cmd_reject_sample)
     p.add_argument("--x", required=True)
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--count", type=int, default=1)
-    p.add_argument("--max-trials", type=int, default=None)
-    p.add_argument(
-        "--exact",
-        action="store_true",
-        help="export the exact subset distribution instead of sampling",
-    )
+    p.add_argument("--exact", action="store_true",
+                   help="export the exact subset distribution instead of sampling")
     p.add_argument("--out", help="CSV output (indices semicolon-joined[, probability])")
-    _add_common(p)
+    p.add_argument("--seed", type=int, default=0, help="random seed")
 
     p = sub.add_parser("sketch", help="apply a sketch to a matrix")
+    p.set_defaults(run=_cmd_sketch)
     p.add_argument("--kind", choices=["srht", "sign", "identity"], required=True)
     p.add_argument("--r", type=int, help="embedding dimension")
     p.add_argument("--in", dest="input", required=True)
     p.add_argument("--out", required=True)
-    _add_common(p)
+    p.add_argument("--seed", type=int, default=0, help="random seed")
 
     p = sub.add_parser("precond", help="build the sketched QR preconditioner")
+    p.set_defaults(run=_cmd_precond)
     p.add_argument("--x", required=True)
     p.add_argument("--kind", choices=["srht", "sign", "identity"], default="srht")
     p.add_argument("--r", type=int, help="embedding dimension")
     p.add_argument("--out-t", help="triangular factor CSV")
     p.add_argument("--out-p", help="permutation matrix CSV")
     p.add_argument("--out-summary", help="JSON summary with singular values")
-    _add_common(p)
+    p.add_argument("--seed", type=int, default=0, help="random seed")
 
     p = sub.add_parser("kaczmarz", help="run a randomized Kaczmarz solve")
+    p.set_defaults(run=_cmd_kaczmarz)
     p.add_argument("--x", required=True)
     p.add_argument("--y", required=True)
     p.add_argument("--mode", choices=["exact", "fast"], default="exact")
     p.add_argument("--iters", type=int, required=True)
     p.add_argument("--trace", help="CSV error trace (t, squared_error); test mode")
     p.add_argument("--out", help="write weights CSV here")
-    _add_common(p)
+    p.add_argument("--seed", type=int, default=0, help="random seed")
 
     p = sub.add_parser("verify", help="run a theorem-verification experiment")
+    p.set_defaults(run=_cmd_verify)
     p.add_argument("experiment", choices=EXPERIMENT_NAMES)
     p.add_argument("--config", help="JSON config file (over the defaults; flags override it)")
-    p.add_argument("--n", type=int)
-    p.add_argument("--d", type=int)
-    p.add_argument("--k", type=int)
-    p.add_argument("--design", choices=DESIGN_KINDS)
-    p.add_argument("--noise", type=float)
-    p.add_argument("--spike-fraction", type=float, dest="spike_fraction")
-    p.add_argument("--trials", type=int)
-    p.add_argument("--mode", choices=["exact", "fast", "both"])
-    p.add_argument("--kappa", type=float)
-    p.add_argument("--iters", type=int)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--out", help="write the JSON report here")
+    # a flag per config field, typed by its annotation; validate() judges values
+    for name, hint in get_type_hints(ExperimentConfig).items():
+        if name != "experiment":
+            p.add_argument("--" + name.replace("_", "-"), type=(get_args(hint) or (hint,))[0])
     return parser
 
 
 def _cmd_gen(args) -> int:
-    data = make_dataset(
-        args.design,
-        args.n,
-        args.d,
-        args.noise,
-        RngStream(args.seed),
-        spike_fraction=args.spike_fraction,
-    )
+    data = make_dataset(args.design, args.n, args.d, args.noise, RngStream(args.seed))
     dataio.save_matrix(args.out_x, data.X)
     if args.out_y:
         dataio.save_vector(args.out_y, data.y)
@@ -165,29 +155,23 @@ def _cmd_reject_sample(args) -> int:
     svd = thin_svd(data)
     profile = leverage_scores(svd)
     if args.exact:
-        subsets, probs = enumerate_subset_distribution(svd, profile, args.k)
-        lines = [
-            ";".join(map(str, row)) + f",{prob:.17g}"
-            for row, prob in zip(subsets.tolist(), probs.tolist())
-        ]
-        return _emit("\n".join(lines) + "\n", args.out)
+        dataio.save_distribution(
+            args.out or sys.stdout, *enumerate_subset_distribution(svd, profile, args.k)
+        )
+        return 0
     rng = RngStream(args.seed)
     if args.count == 1:
-        subset, trials = rejection_sample_subset(
-            svd, profile, args.k, rng, max_trials=args.max_trials
-        )
-        rows = [subset.indices]
+        subset, trials = rejection_sample_subset(svd, profile, args.k, rng)
+        draws = subset.array()[None]
         print(f"accepted after {trials} proposals")
     else:
-        draws, stats = rejection_sample_many(
-            svd, profile, args.k, args.count, rng, max_trials=args.max_trials
-        )
-        rows = [tuple(int(v) for v in row) for row in draws]
+        draws, stats = rejection_sample_many(svd, profile, args.k, args.count, rng)
         print(
             f"accepted {args.count} subsets from {stats.proposals} proposals "
             f"(rate {stats.acceptance_rate:.4f})"
         )
-    return _emit("\n".join(";".join(str(i) for i in row) for row in rows) + "\n", args.out)
+    dataio.save_subsets(args.out or sys.stdout, draws)
+    return 0
 
 
 def _make_op(kind, n_in, r, seed):
@@ -230,9 +214,7 @@ def _cmd_precond(args) -> int:
 def _cmd_kaczmarz(args) -> int:
     data = Dataset(X=dataio.load_matrix(args.x), y=dataio.load_vector(args.y))
     rng = RngStream(args.seed)
-    w_star = None
-    if args.trace:
-        w_star, _ = full_solve(data)  # oracle solve, test mode only
+    w_star = full_solve(data)[0] if args.trace else None  # oracle solve, test mode only
     if args.mode == "exact":
         run = kaczmarz_exact(thin_svd(data), data.y, args.iters, rng, w_star=w_star)
     else:
@@ -240,10 +222,7 @@ def _cmd_kaczmarz(args) -> int:
     if args.out:
         dataio.save_vector(args.out, run.w)
     if args.trace:
-        with open(args.trace, "w", encoding="ascii") as fh:
-            fh.write("t,squared_error\n")
-            for t, err in enumerate(run.error_trace):
-                fh.write(f"{t},{err:.17g}\n")
+        dataio.save_trace(args.trace, run.error_trace)
     print(
         f"{args.mode} kaczmarz: {run.iterations} iterations, "
         f"{run.labels_used} distinct labels"
@@ -252,7 +231,7 @@ def _cmd_kaczmarz(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    flags = {k: v for k, v in vars(args).items() if k not in ("command", "config")}
+    flags = {k: v for k, v in vars(args).items() if k not in ("command", "run", "config")}
     cfg = ExperimentConfig.from_file(args.config, **flags)
     report = run_experiment(cfg)
     for crit in report.criteria:
@@ -262,27 +241,15 @@ def _cmd_verify(args) -> int:
             f"(measured={crit['measured']}, bound={crit['bound']})"
         )
     if cfg.out:
-        with open(cfg.out, "w", encoding="ascii") as fh:
-            fh.write(report.to_json(include_timings=True))
+        _emit(report.to_json(include_timings=True), cfg.out)
         print(f"report written to {cfg.out}")
     return 0 if report.passed else 2
 
 
-_COMMANDS = {
-    "gen": _cmd_gen,
-    "solve": _cmd_solve,
-    "reject-sample": _cmd_reject_sample,
-    "sketch": _cmd_sketch,
-    "precond": _cmd_precond,
-    "kaczmarz": _cmd_kaczmarz,
-    "verify": _cmd_verify,
-}
-
-
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
     try:
-        return _COMMANDS[args.command](args)
+        args = _build_parser().parse_args(argv)
+        return args.run(args)
     except (CullsqError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -12,19 +12,24 @@ not.  Ragged rows, bad literals and non-ASCII bytes raise
 :class:`DimensionMismatch` naming the file and the first bad line; so
 does a file without a row.
 
-Written values use ``format(v, ".17g")``, which round-trips every
-double exactly.
+Every CSV the package writes has its format here and goes through one
+block writer, :func:`_save_rows`: matrices and vectors (``%.17g``, which
+round-trips every double exactly), subset rows (``;``-joined indices,
+with or without a ``,%.17g`` probability) and the Kaczmarz trace (a
+``t,squared_error`` header, then ``%d,%.17g``).
 """
 
 from __future__ import annotations
 
+import contextlib
 import itertools
+import os
 
 import numpy as np
 
 from .errors import DimensionMismatch
 
-# values per %-format call in save_matrix: bounds the Python floats
+# values per %-format call in _save_rows: bounds the Python numbers
 # alive at once
 WRITE_BLOCK_VALUES = 1 << 16
 
@@ -91,15 +96,35 @@ def load_matrix(path) -> np.ndarray:
             raise _locate_error(path, exc) from None
 
 
+def _save_rows(dest, header, row_format, *columns) -> None:
+    """Write ``header`` to ``dest`` (a path or a text stream), then row i
+    as ``row_format % values``, the values being row i of each column
+    (1-D or 2-D) in turn; ``%d`` prints an integer column that a float
+    one turned into floats exactly."""
+    block = max(1, WRITE_BLOCK_VALUES // max(row_format.count("%"), 1))
+    with (open(dest, "w", encoding="ascii") if isinstance(dest, (str, os.PathLike))
+          else contextlib.nullcontext(dest)) as fh:
+        fh.write(header)
+        for start in range(0, len(columns[0]), block):
+            values = np.column_stack([c[start:start + block] for c in columns])
+            fh.write((row_format * len(values)) % tuple(values.ravel().tolist()))
+
+
 def save_matrix(path, matrix) -> None:
     matrix = np.atleast_2d(np.asarray(matrix, dtype=float))
-    n, d = matrix.shape
-    row_format = ",".join(["%.17g"] * d) + "\n"
-    block = max(1, WRITE_BLOCK_VALUES // max(d, 1))
-    with open(path, "w", encoding="ascii") as fh:
-        for start in range(0, n, block):
-            values = matrix[start:start + block]
-            fh.write((row_format * len(values)) % tuple(values.ravel().tolist()))
+    _save_rows(path, "", ",".join(["%.17g"] * matrix.shape[1]) + "\n", matrix)
+
+
+def save_subsets(dest, subsets) -> None:
+    _save_rows(dest, "", ";".join(["%d"] * subsets.shape[1]) + "\n", subsets)
+
+
+def save_distribution(dest, subsets, probs) -> None:
+    _save_rows(dest, "", ";".join(["%d"] * subsets.shape[1]) + ",%.17g\n", subsets, probs)
+
+
+def save_trace(path, errors) -> None:
+    _save_rows(path, "t,squared_error\n", "%d,%.17g\n", np.arange(len(errors)), errors)
 
 
 def load_vector(path) -> np.ndarray:

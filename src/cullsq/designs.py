@@ -2,8 +2,9 @@
 
 Three design families cover the leverage-profile extremes: i.i.d.
 gaussian (mildly non-uniform leverage), hadamard-uniform (exactly
-uniform leverage d/n), and coherent (a fraction of rows inflated by 1e3
-so leverage concentrates on them and the coherence mu blows up).
+uniform leverage d/n), and coherent (the first ``SPIKE_FRACTION`` of
+the rows inflated by ``SPIKE_SCALE`` so leverage concentrates on them
+and the coherence mu blows up).
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ from .rng import as_generator
 from .sketching import hadamard_columns
 
 SPIKE_SCALE = 1e3
+SPIKE_FRACTION = 0.1
 
 GAUSSIAN = "gaussian"
 HADAMARD_UNIFORM = "hadamard-uniform"
@@ -37,14 +39,12 @@ def hadamard_uniform_design(n: int, d: int) -> np.ndarray:
     return hadamard_columns(n, d)
 
 
-def coherent_design(n: int, d: int, spike_fraction: float, rng) -> np.ndarray:
-    """Gaussian design with the first ceil(spike_fraction * n) rows
-    scaled by 1e3 to concentrate leverage on them."""
-    if not (0.0 < spike_fraction < 1.0):
-        raise InvalidConfig(f"spike fraction must be in (0, 1), got {spike_fraction}")
+def coherent_design(n: int, d: int, rng) -> np.ndarray:
+    """Gaussian design with its first round(SPIKE_FRACTION * n) rows (at
+    least one) scaled by SPIKE_SCALE to concentrate leverage on them."""
     gen = as_generator(rng)
     X = gen.standard_normal((n, d))
-    m = max(1, int(round(spike_fraction * n)))
+    m = max(1, int(round(SPIKE_FRACTION * n)))
     X[:m] *= SPIKE_SCALE
     return X
 
@@ -52,8 +52,8 @@ def coherent_design(n: int, d: int, spike_fraction: float, rng) -> np.ndarray:
 def conditioned_design(n: int, d: int, kappa: float, rng) -> np.ndarray:
     """Design with prescribed condition number: random orthonormal
     factors around geometrically spaced singular values 1 .. 1/kappa."""
-    if kappa < 1.0:
-        raise InvalidConfig("condition number must be >= 1")
+    if not (np.isfinite(kappa) and kappa >= 1.0 and n >= d):
+        raise InvalidConfig(f"need a finite kappa >= 1 and n >= d, got {kappa=}, {n=}, {d=}")
     gen = as_generator(rng)
     U, _ = np.linalg.qr(gen.standard_normal((n, d)))
     V, _ = np.linalg.qr(gen.standard_normal((d, d)))
@@ -61,31 +61,24 @@ def conditioned_design(n: int, d: int, kappa: float, rng) -> np.ndarray:
     return (U * sigma) @ V.T
 
 
-def make_design(kind: str, n: int, d: int, rng, spike_fraction: float = 0.1) -> np.ndarray:
+def make_design(kind: str, n: int, d: int, rng) -> np.ndarray:
     if kind == GAUSSIAN:
         return gaussian_design(n, d, rng)
     if kind == HADAMARD_UNIFORM:
         return hadamard_uniform_design(n, d)
     if kind == COHERENT:
-        return coherent_design(n, d, spike_fraction, rng)
+        return coherent_design(n, d, rng)
     raise InvalidConfig(f"unknown design kind {kind!r}")
 
 
-def make_dataset(
-    kind: str,
-    n: int,
-    d: int,
-    noise: float,
-    rng,
-    spike_fraction: float = 0.1,
-) -> Dataset:
+def make_dataset(kind: str, n: int, d: int, noise: float, rng) -> Dataset:
     """Design plus labels y = X w0 + noise * g with gaussian w0 and g.
 
     noise = 0 gives a consistent system.  Draw order (design entries,
     then w0, then g) is fixed so a seed pins the dataset exactly.
     """
     gen = as_generator(rng)
-    X = make_design(kind, n, d, gen, spike_fraction=spike_fraction)
+    X = make_design(kind, n, d, gen)
     w0 = gen.standard_normal(d)
     y = X @ w0
     if noise != 0.0:

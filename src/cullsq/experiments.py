@@ -42,6 +42,7 @@ from .errors import InvalidConfig
 from .influence import (
     ENUMERATION_LIMIT,
     _acceptance_ratios,
+    _enumerate,
     enumerate_subset_distribution,
     estimate_acceptance,
     rejection_sample_many,
@@ -97,7 +98,6 @@ class ExperimentConfig:
     d: int = 5
     k: Optional[int] = None
     design: str = GAUSSIAN
-    spike_fraction: float = 0.1
     noise: float = 1.0
     trials: int = 2000
     seed: int = 0
@@ -246,9 +246,7 @@ def generate_dataset(cfg: ExperimentConfig, rng: Optional[RngStream] = None) -> 
     cfg.validate()
     if rng is None:
         rng = RngStream(cfg.seed).substream(0)
-    return make_dataset(
-        cfg.design, cfg.n, cfg.d, cfg.noise, rng, spike_fraction=cfg.spike_fraction
-    )
+    return make_dataset(cfg.design, cfg.n, cfg.d, cfg.noise, rng)
 
 
 def _prepare(cfg: ExperimentConfig):
@@ -421,22 +419,18 @@ def _sampler(cfg: ExperimentConfig):
     """
     rng, _, svd, profile, _, _ = _prepare(cfg)
     k = cfg.k
-    subsets_enum, probs = enumerate_subset_distribution(svd, profile, k)
+    subsets_enum, spec, probs = _enumerate(svd, k)
 
     # acceptance ratio over every subset
-    spec = _subset_projection(svd.U, subsets_enum)
     q_weights = (1.0 / profile.ell)[subsets_enum].sum(axis=1)
     max_theta = float(_acceptance_ratios(spec, q_weights, svd.d, k).max())
 
     draws, stats = rejection_sample_many(svd, profile, k, cfg.trials, rng.substream(1))
+    # base-n keys of sorted rows: the lexicographic enumeration is sorted
+    # by key, and every draw is one of its rows
     encode = cfg.n ** np.arange(k - 1, -1, -1, dtype=np.int64)
-    keys_enum = subsets_enum @ encode
-    keys_drawn = draws @ encode
-    order = np.argsort(keys_enum)
-    counts = np.zeros(len(probs))
-    uniq, cnt = np.unique(keys_drawn, return_counts=True)
-    pos = order[np.searchsorted(keys_enum[order], uniq)]
-    counts[pos] = cnt
+    counts = np.bincount(np.searchsorted(subsets_enum @ encode, draws @ encode),
+                         minlength=len(probs))
     tv = 0.5 * float(np.abs(counts / cfg.trials - probs).sum())
 
     max_drawn_spec = float(_subset_projection(svd.U, draws).max())
@@ -488,8 +482,7 @@ def _preconditioner(cfg: ExperimentConfig):
     worst_identity = 0.0
     for i in range(seeds):
         sub = rng.substream(i)
-        X = make_design(cfg.design, cfg.n, cfg.d, sub.substream(0),
-                        spike_fraction=cfg.spike_fraction)
+        X = make_design(cfg.design, cfg.n, cfg.d, sub.substream(0))
         svd = thin_svd(Dataset(X=X))
         ops = {
             "identity": make_identity_sketch(cfg.n),
@@ -668,8 +661,7 @@ def _jlt(cfg: ExperimentConfig):
     rng = RngStream(cfg.seed)
     seeds = cfg.trials
     n, d = cfg.n, cfg.d
-    X = make_design(cfg.design, n, d, rng.substream(0),
-                    spike_fraction=cfg.spike_fraction)
+    X = make_design(cfg.design, n, d, rng.substream(0))
     svd = thin_svd(Dataset(X=X))
     profile = leverage_scores(svd)
 

@@ -313,6 +313,12 @@ def enumerate_subset_distribution(
     """Every k-subset as a (C(n, k), k) array of index rows in
     lexicographic order, and the (C(n, k),) array of its exact influence
     probabilities.  Exponential in k; guarded at C(n, k) <= 2e6."""
+    subsets, _, probs = _enumerate(svd, k)
+    return subsets, probs
+
+
+def _enumerate(svd: ThinSvd, k: int) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The subsets, the spectral norm of each and the probabilities."""
     n = svd.n
     if not (1 <= k <= n):
         raise InvalidK(f"k={k} out of range for n={n}")
@@ -320,10 +326,11 @@ def enumerate_subset_distribution(
     if total > ENUMERATION_LIMIT:
         raise TooLarge(f"C({n},{k}) = {total} exceeds {ENUMERATION_LIMIT}")
     subsets = np.fromiter(combinations(range(n), k), dtype=(np.intp, k), count=total)
-    weights = _influence_weights(_subset_projection(svd.U, subsets))
+    spec = _subset_projection(svd.U, subsets)
+    weights = _influence_weights(spec)
     normalizer = weights.sum()
     if normalizer <= 0.0:
         raise DegenerateDistribution(
             "every subset has spectral norm 1; influence normalizer is zero"
         )
-    return subsets, weights / normalizer
+    return subsets, spec, weights / normalizer

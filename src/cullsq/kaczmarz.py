@@ -32,7 +32,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import InconsistentSystem, InvalidInput, InvalidK, InvalidRng
-from .regression import Dataset, ThinSvd
+from .regression import Dataset, ThinSvd, _as_design
 from .rng import RngStream, as_generator, inverse_cdf_draw
 from .sketching import (
     ApproxLeverage,
@@ -207,7 +207,7 @@ def fast_setup(X: np.ndarray, cfg: FastSolverConfig, rng: RngStream) -> FastSetu
     exact norms give factor 1 for less work than a row-space sketch of
     the rows already formed.
     """
-    X = np.asarray(X, dtype=float)
+    X = _as_design(X)
     n, d = X.shape
     op1 = make_srht(n, cfg.resolve_r1(n, d), rng.substream(1))
     precond = build_preconditioner(X, op1)
@@ -266,7 +266,7 @@ def kaczmarz_row_norm(
     Converges at a rate governed by the squared condition number; the
     preconditioned variants are measured against it.
     """
-    X = np.asarray(X, dtype=float)
+    X = _as_design(X)
     y = np.asarray(y, dtype=float)
     if y.shape != (X.shape[0],):
         raise InvalidInput(f"y must have shape ({X.shape[0]},)")

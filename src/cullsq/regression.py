@@ -77,6 +77,14 @@ def _frozen(a: np.ndarray) -> np.ndarray:
     return out
 
 
+def _as_design(X) -> np.ndarray:
+    """X as a float array, raising InvalidInput unless it is 2-D."""
+    X = np.asarray(X, dtype=float)
+    if X.ndim != 2:
+        raise InvalidInput(f"X must be 2-D, got shape {X.shape}")
+    return X
+
+
 @dataclass(frozen=True)
 class Dataset:
     """Design matrix with optional labels.
@@ -89,9 +97,7 @@ class Dataset:
     y: Optional[np.ndarray] = None
 
     def __post_init__(self):
-        X = np.asarray(self.X, dtype=float)
-        if X.ndim != 2:
-            raise InvalidInput(f"X must be 2-D, got shape {X.shape}")
+        X = _as_design(self.X)
         n, d = X.shape
         if not (n > d >= 1):
             raise InvalidInput(f"need n > d >= 1, got n={n}, d={d}")

@@ -9,6 +9,7 @@ streams via :meth:`RngStream.substream`.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,6 +34,13 @@ class RngStream:
 
     seed: int
     stream_id: int = 0
+
+    def __post_init__(self):
+        if not all(isinstance(v, numbers.Integral) for v in (self.seed, self.stream_id)):
+            raise InvalidRng(f"seed and stream_id must be integers, got {self!r}")
+        # as Python ints: a numpy integer overflows in the 64-bit key arithmetic
+        object.__setattr__(self, "seed", int(self.seed))
+        object.__setattr__(self, "stream_id", int(self.stream_id))
 
     def generator(self) -> np.random.Generator:
         """Fresh generator positioned at the start of this stream."""

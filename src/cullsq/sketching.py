@@ -62,6 +62,7 @@ from .errors import (
     SketchRankDeficient,
     ZeroRow,
 )
+from .regression import _as_design
 from .rng import as_generator
 
 DENSE_SIGN = "dense_sign"
@@ -469,7 +470,7 @@ def build_preconditioner(X: np.ndarray, op: SketchOperator) -> Preconditioner:
     column pivoting runs on that triangle only: column norms are the same
     in both, so the pivots are those of pivoted QR on the sketch.
     """
-    X = np.asarray(X, dtype=float)
+    X = _as_design(X)
     d = X.shape[1]
     if op.r < d:
         raise SketchRankDeficient(
@@ -519,7 +520,7 @@ def approx_leverage(
 
     Raises ``ZeroRow`` for all-zero rows of X, whose estimates are zero.
     """
-    X = np.asarray(X, dtype=float)
+    X = _as_design(X)
     n, d = X.shape
     if op2.n_in != d:
         raise DimensionMismatch(

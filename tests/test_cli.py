@@ -1,11 +1,23 @@
+import dataclasses
 import json
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from cullsq import influence
+from cullsq import (
+    Dataset,
+    ExperimentConfig,
+    RngStream,
+    dataio,
+    enumerate_subset_distribution,
+    influence,
+    leverage_scores,
+    rejection_sample_many,
+    thin_svd,
+)
 from cullsq.cli import main
 from cullsq.dataio import load_matrix, load_vector
 
@@ -126,6 +138,56 @@ class TestRejectSample:
             assert len(idx_part.split(";")) == 2
             total += float(prob_part)
         assert abs(total - 1.0) <= 1e-10
+
+
+class TestSubsetExportsAcrossWriterBlocks:
+    """The exports equal rows built one at a time with str.join, across
+    more than one block of the dataio writer."""
+
+    @pytest.fixture
+    def design(self, tmp_path):
+        assert run_cli("gen", "--n", 50, "--d", 3, "--seed", 21,
+                       "--out-x", tmp_path / "x.csv") == 0
+        svd = thin_svd(Dataset(X=load_matrix(tmp_path / "x.csv")))
+        return tmp_path / "x.csv", svd, leverage_scores(svd)
+
+    def test_exact_export_to_file_and_stdout(self, design, tmp_path, capsys):
+        x_path, svd, profile = design
+        subsets, probs = enumerate_subset_distribution(svd, profile, 3)
+        assert len(probs) == 19_600 > dataio.WRITE_BLOCK_VALUES // 4
+        expect = "".join(";".join(map(str, row)) + f",{p:.17g}\n"
+                         for row, p in zip(subsets.tolist(), probs.tolist()))
+        assert run_cli("reject-sample", "--x", x_path, "--k", 3, "--exact",
+                       "--out", tmp_path / "e.csv") == 0
+        assert (tmp_path / "e.csv").read_text() == expect
+        capsys.readouterr()
+        assert run_cli("reject-sample", "--x", x_path, "--k", 3, "--exact") == 0
+        assert capsys.readouterr().out == expect
+
+    def test_sampled_export(self, design, tmp_path, capsys):
+        x_path, svd, profile = design
+        count = dataio.WRITE_BLOCK_VALUES // 3 + 100
+        draws, stats = rejection_sample_many(svd, profile, 3, count, RngStream(22))
+        expect = "".join(";".join(map(str, row)) + "\n" for row in draws.tolist())
+        assert run_cli("reject-sample", "--x", x_path, "--k", 3, "--count", count,
+                       "--seed", 22, "--out", tmp_path / "s.csv") == 0
+        assert (tmp_path / "s.csv").read_text() == expect
+        assert f"from {stats.proposals} proposals" in capsys.readouterr().out
+
+
+def test_exact_export_memory_is_one_writer_block(tmp_path):
+    # C(100, 3) = 161,700 rows: the subsets, probabilities and kernel
+    # blocks, plus one block of formatted text, not every row's string
+    assert run_cli("gen", "--n", 100, "--d", 4, "--seed", 23, "--out-x", tmp_path / "x.csv") == 0
+    tracemalloc.start()
+    try:
+        rc = run_cli("reject-sample", "--x", tmp_path / "x.csv", "--k", 3, "--exact",
+                     "--out", tmp_path / "e.csv")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rc == 0
+    assert peak < 20 * 2**20, f"peak {peak / 2**20:.1f} MB"
 
 
 class TestSketchAndPrecond:
@@ -322,6 +384,25 @@ class TestVerifyCommand:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
 
+    # a valid one-point value for each field but the experiment
+    FLAG_VALUES = dict(n=64, d=3, k=2, design="coherent", noise=0.5, trials=3, seed=9,
+                       mode="exact", kappa=10.0, iters=7, out="rep.json")
+
+    @pytest.mark.parametrize(
+        "field", [f.name for f in dataclasses.fields(ExperimentConfig) if f.name != "experiment"])
+    def test_every_config_field_is_a_flag(self, tmp_path, monkeypatch, field):
+        monkeypatch.chdir(tmp_path)
+        value = self.FLAG_VALUES[field]
+        flag = "--" + field.replace("_", "-")
+        assert run_cli("verify", "one-point", flag, value, "--out", "rep.json") == 0
+        assert json.loads((tmp_path / "rep.json").read_text())["config"][field] == value
+
+    @pytest.mark.parametrize("flag, value", [("--design", "nope"), ("--mode", "slow")])
+    def test_bad_choice_reaches_validate(self, capsys, flag, value):
+        assert run_cli("verify", "kaczmarz", flag, value) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: unknown") and err.count("\n") == 1 and value in err
+
     def test_config_file_with_flag_override(self, tmp_path):
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps({"experiment": "k-points", "n": 12, "d": 2, "k": 2, "seed": 15}))
@@ -333,6 +414,35 @@ class TestVerifyCommand:
         report = json.loads((tmp_path / "rep.json").read_text())
         assert report["config"]["k"] == 3
         assert report["config"]["n"] == 12
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "k-points", "--n", "abc"],
+        ["gen", "--n", "5", "--out-x", "x.csv"],
+        ["verify", "nope"],
+        ["reject-sample", "--x", "x.csv", "--k", "2", "--max-trials", "3"],
+        ["verify", "one-point", "--spike-fraction", "0.2"],
+        [],
+    ],
+    ids=["bad-int", "missing-flag", "unknown-experiment", "deleted-max-trials",
+         "deleted-spike-fraction", "no-command"],
+)
+def test_usage_error_exits_one_with_one_line(capsys, argv):
+    # exit 2 from verify means a failed criterion and nothing else
+    assert run_cli(*argv) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: cullsq") and captured.err.count("\n") == 1
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["--version"], ["verify", "--help"]])
+def test_help_and_version_exit_zero(capsys, argv):
+    with pytest.raises(SystemExit) as info:
+        run_cli(*argv)
+    assert info.value.code == 0
+    assert capsys.readouterr().out
 
 
 def test_console_entry_point():

@@ -1,3 +1,5 @@
+import io
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -85,6 +87,34 @@ def test_save_matrix_writes_format_17g(tmp_path, monkeypatch, block_values):
     save_matrix(path, M)
     expect = "".join(",".join(format(v, ".17g") for v in row) + "\n" for row in M)
     assert path.read_text() == expect
+
+
+@pytest.mark.parametrize("block_values", [7, dataio.WRITE_BLOCK_VALUES])
+def test_subset_and_trace_rows_match_one_row_at_a_time(tmp_path, monkeypatch, block_values):
+    # one writer for every format: blocks of 1 or 2 rows here, one block
+    # at the default size; a stream takes the same text as a file
+    monkeypatch.setattr(dataio, "WRITE_BLOCK_VALUES", block_values)
+    gen = np.random.default_rng(2)
+    subsets = np.sort(gen.choice(10**6, size=(9, 3)), axis=1)
+    probs = gen.random(9) * 10.0 ** np.arange(-8, 1)
+    errors = np.concatenate([gen.random(6), SPECIAL_VALUES])
+    expect = {
+        "subsets": "".join(";".join(map(str, row)) + "\n" for row in subsets.tolist()),
+        "distribution": "".join(";".join(map(str, row)) + f",{p:.17g}\n"
+                                for row, p in zip(subsets.tolist(), probs.tolist())),
+        "trace": "t,squared_error\n" + "".join(f"{t},{e:.17g}\n" for t, e in enumerate(errors)),
+    }
+    writers = {
+        "subsets": lambda dest: dataio.save_subsets(dest, subsets),
+        "distribution": lambda dest: dataio.save_distribution(dest, subsets, probs),
+        "trace": lambda dest: dataio.save_trace(dest, errors),
+    }
+    for name, write in writers.items():
+        write(tmp_path / f"{name}.csv")
+        assert (tmp_path / f"{name}.csv").read_text() == expect[name]
+        stream = io.StringIO()
+        write(stream)
+        assert stream.getvalue() == expect[name]
 
 
 float_values = st.one_of(st.floats(), st.sampled_from(SPECIAL_VALUES))

@@ -12,12 +12,15 @@ from cullsq import (
     InvalidK,
     InvalidRng,
     RngStream,
+    approx_leverage,
+    build_preconditioner,
     fast_setup,
     full_solve,
     kaczmarz_exact,
     kaczmarz_fast,
     kaczmarz_row_norm,
     labels_for_target,
+    make_identity_sketch,
     thin_svd,
 )
 from cullsq.designs import conditioned_design
@@ -307,6 +310,10 @@ class TestTypedErrors:
             lambda: labels_for_target(100, 2, math.inf),
             lambda: labels_for_target(100, 0, 2.0),
             lambda: labels_for_target(2, 2, 2.0),
+            lambda: fast_setup(np.ones(20), FastSolverConfig(), RngStream(33)),
+            lambda: approx_leverage(np.ones(20), build_preconditioner(
+                data.X, make_identity_sketch(20)), make_identity_sketch(3)),
+            lambda: kaczmarz_row_norm(np.ones(20), np.ones(20), 5, RngStream(33)),
         ]
         for call in calls:
             with pytest.raises(InvalidInput) as info:
@@ -319,6 +326,9 @@ class TestTypedErrors:
         calls = [
             lambda: kaczmarz_fast(data, 5, np.random.default_rng(36)),
             lambda: as_generator(42),
+            lambda: RngStream(1.5),
+            lambda: RngStream("a"),
+            lambda: RngStream(0, 2.0),
         ]
         for call in calls:
             with pytest.raises(InvalidRng) as info:

@@ -29,6 +29,11 @@ def test_substreams_are_deterministic_and_distinct():
     )
 
 
+def test_numpy_integers_are_valid_seeds():
+    a = RngStream(seed=np.int64(123), stream_id=np.int32(7)).generator().random(10)
+    assert np.array_equal(a, RngStream(seed=123, stream_id=7).generator().random(10))
+
+
 def test_known_philox_draw_is_stable():
     # frozen once; any change here means reproducibility across versions broke
     val = RngStream(seed=42, stream_id=7).generator().random(3)

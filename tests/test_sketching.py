@@ -10,6 +10,7 @@ from cullsq import (
     Dataset,
     DimensionMismatch,
     FastSolverConfig,
+    InvalidConfig,
     InvalidDimension,
     InvalidInput,
     Preconditioner,
@@ -456,6 +457,12 @@ class TestPreconditioner:
                 Preconditioner(T=T, piv=piv)
         with pytest.raises(SketchRankDeficient):
             Preconditioner(T=np.zeros((3, 3)), piv=np.arange(3))
+
+    def test_bad_conditioned_design_typed(self):
+        # a nan kappa passed a plain kappa < 1 check and gave a nan matrix
+        for n, d, kappa in ((10, 3, math.nan), (10, 3, math.inf), (10, 3, 0.5), (2, 3, 10.0)):
+            with pytest.raises(InvalidConfig):
+                conditioned_design(n, d, kappa, np.random.default_rng(0))
 
 
 class TestApproxLeverage:
