@@ -51,7 +51,6 @@ from .influence import (
     estimate_acceptance,
     rejection_sample_many,
     rejection_sample_subset,
-    sample_sum_over_rows,
     sample_sum_over_rows_many,
     single_row_influences,
     subset_influence,
@@ -66,7 +65,6 @@ from .sketching import (
     check_embedding_properties,
     embedding_defect,
     fwht,
-    jlt_defect,
     jlt_dim,
     make_dense_sign_jlt,
     make_identity_sketch,
@@ -88,12 +86,6 @@ from .experiments import (
     ExperimentReport,
     generate_dataset,
     run_experiment,
-    verify_jlt,
-    verify_k_points,
-    verify_kaczmarz,
-    verify_one_point,
-    verify_preconditioner,
-    verify_sampler,
 )
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -6,7 +6,8 @@ defaults, then these, then a ``--config`` file, then flags).  A body
 takes a validated config and returns ``(criteria, measurements)``;
 ``run_experiment`` validates, times, stamps the seed on every criterion
 and assembles the ``ExperimentReport``.  Every precondition on a config
-lives in ``ExperimentConfig.validate``.
+lives in ``ExperimentConfig.validate``.  ``run_experiment(cfg)`` is the
+one way in: ``cfg.experiment`` names the experiment.
 
 Every experiment is a pure function of its configuration (the seed
 included), reports each measured quantity next to the bound it is
@@ -24,7 +25,7 @@ import math
 import numbers
 import operator
 import time
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass
 from typing import Callable, Dict, List, NamedTuple, Optional, Tuple, get_args, get_type_hints
 
 import numpy as np
@@ -43,7 +44,6 @@ from .influence import (
     ENUMERATION_LIMIT,
     _acceptance_ratios,
     _enumerate,
-    enumerate_subset_distribution,
     estimate_acceptance,
     rejection_sample_many,
     single_row_influences,
@@ -81,6 +81,9 @@ EXACT_TOL = 1e-10
 SAMPLER_ENUMERATION_LIMIT = 200_000
 # false-fail budget of the sampler's total-variation criterion
 SAMPLER_TV_DELTA = 1e-6
+# squared error, relative to its scale, below which a Kaczmarz trace is
+# not checked (see _fit_log_slope)
+RELATIVE_ERROR_FLOOR = 1e-22
 # what a config field annotated int or float accepts (bool never does)
 _FIELD_CHECKS = {int: numbers.Integral, float: numbers.Real}
 
@@ -251,11 +254,13 @@ def generate_dataset(cfg: ExperimentConfig, rng: Optional[RngStream] = None) -> 
 
 def _prepare(cfg: ExperimentConfig):
     """The seeded stream, the dataset on its substream 0, its thin SVD,
-    leverage profile and optimal fit ``(w_star, opt_error)``."""
+    leverage profile, the residuals X w* - y of the optimal fit and the
+    optimal error."""
     rng = RngStream(cfg.seed)
     data = generate_dataset(cfg, rng.substream(0))
     svd = thin_svd(data)
-    return (rng, data, svd, leverage_scores(svd), *full_solve(data, svd))
+    w_star, opt_error = full_solve(data, svd)
+    return rng, data, svd, leverage_scores(svd), data.X @ w_star - data.y, opt_error
 
 
 def _mean_sem(values: np.ndarray):
@@ -263,10 +268,9 @@ def _mean_sem(values: np.ndarray):
     return float(values.mean()), float(values.std(ddof=1) / math.sqrt(len(values)))
 
 
-def _increases(data: Dataset, svd, w_star, subsets) -> np.ndarray:
+def _increases(svd, residuals, subsets) -> np.ndarray:
     """Closed-form error increase of each subset row (zero for subsets
     within 1e-10 of singular, whose influence probability is zero)."""
-    residuals = data.X @ w_star - data.y
     return _subset_projection(svd.U, subsets, residuals[subsets])[1]
 
 
@@ -280,13 +284,12 @@ def _consistent_check(data: Dataset, opt_error: float, prefix: str, error: float
     return [_criterion(f"{prefix}-consistent-absolute", error, 1e-12 * scale)]
 
 
-def _exact_expectation(data, svd, w_star, opt_error, subsets, probs, measurements,
-                       prefix, name, bound):
+def _exact_expectation(data, opt_error, probs, increases, measurements, prefix, name, bound):
     """Criteria on the exact expected error opt + sum_A p_A increase_A:
     ``_consistent_check`` on a consistent system, else the ratio to the
     optimum against ``bound`` at ``EXACT_TOL`` as criterion ``name``.
     Records ``expected_error`` and ``ratio`` in ``measurements``."""
-    expected = opt_error + float(probs @ _increases(data, svd, w_star, subsets))
+    expected = opt_error + float(probs @ increases)
     measurements["expected_error"] = expected
     criteria = _consistent_check(data, opt_error, prefix, expected)
     if not criteria:
@@ -305,7 +308,7 @@ def _one_point(cfg: ExperimentConfig):
     The expectation is a finite sum over rows, so no sampling is needed;
     on the uniform-leverage design the bound is attained exactly.
     """
-    _, data, svd, profile, w_star, opt_error = _prepare(cfg)
+    _, data, svd, profile, residuals, opt_error = _prepare(cfg)
     bound = 1.0 + cfg.d / (cfg.n - cfg.d) ** 2
     measurements = {
         "opt_error": opt_error,
@@ -314,9 +317,9 @@ def _one_point(cfg: ExperimentConfig):
         "z1_lower_bound": (cfg.n - cfg.d) ** 2 / cfg.d,
     }
     criteria = _exact_expectation(
-        data, svd, w_star, opt_error, np.arange(cfg.n)[:, None],
-        single_row_influences(profile), measurements, "one-point",
-        "one-point-ratio-le-bound", bound,
+        data, opt_error, single_row_influences(profile),
+        _increases(svd, residuals, np.arange(cfg.n)[:, None]), measurements,
+        "one-point", "one-point-ratio-le-bound", bound,
     )
     if "ratio" in measurements and cfg.design == HADAMARD_UNIFORM:
         criteria.append(_criterion("one-point-ratio-equals-bound",
@@ -332,10 +335,11 @@ def _one_point(cfg: ExperimentConfig):
 def _k_points(cfg: ExperimentConfig):
     """Joint k-row rejection expectation against (1 + dk^2/(n-dk)^2).
 
-    Exact enumeration when C(n, k) <= 2e6, otherwise Monte Carlo over
-    the rejection sampler with mean + 3 SE reported against the bound.
+    Exact enumeration when C(n, k) <= 2e6, one kernel pass giving the
+    probabilities and the increases, otherwise Monte Carlo over the
+    rejection sampler with mean + 3 SE reported against the bound.
     """
-    rng, data, svd, profile, w_star, opt_error = _prepare(cfg)
+    rng, data, svd, profile, residuals, opt_error = _prepare(cfg)
     k = cfg.k
     theorem_bound = 1.0 + cfg.d * k**2 / (cfg.n - cfg.d * k) ** 2
     target_bound = 1.0 + cfg.d / cfg.n
@@ -348,15 +352,15 @@ def _k_points(cfg: ExperimentConfig):
         "mode": "exact" if exact else "monte-carlo",
     }
     if exact:
-        subsets, probs = enumerate_subset_distribution(svd, profile, k)
+        _, _, probs, increases = _enumerate(svd, k, residuals)
         criteria = _exact_expectation(
-            data, svd, w_star, opt_error, subsets, probs, measurements, "k-points",
+            data, opt_error, probs, increases, measurements, "k-points",
             "k-points-exact-ratio-le-bound", theorem_bound,
         )
         return criteria, measurements
 
     subsets, stats = rejection_sample_many(svd, profile, k, cfg.trials, rng.substream(1))
-    increases = _increases(data, svd, w_star, subsets)
+    increases = _increases(svd, residuals, subsets)
     measurements["proposals"] = stats.proposals
     measurements["accepted"] = stats.accepted
     measurements["acceptance_rate"] = stats.acceptance_rate
@@ -416,10 +420,14 @@ def _sampler(cfg: ExperimentConfig):
     1e-6, at any ``trials``.  At the defaults (45 subsets, 1e5 draws)
     the bound is 0.0159, and a sampler that accepts every proposal
     measures TV about 0.27.
+
+    Each draw is matched to its enumerated row, and its spectral norm is
+    read there.  A draw that matches no row (a repeated or out-of-range
+    index) counts in no bin and as degenerate, norm 1.
     """
     rng, _, svd, profile, _, _ = _prepare(cfg)
     k = cfg.k
-    subsets_enum, spec, probs = _enumerate(svd, k)
+    subsets_enum, spec, probs, _ = _enumerate(svd, k)
 
     # acceptance ratio over every subset
     q_weights = (1.0 / profile.ell)[subsets_enum].sum(axis=1)
@@ -427,13 +435,14 @@ def _sampler(cfg: ExperimentConfig):
 
     draws, stats = rejection_sample_many(svd, profile, k, cfg.trials, rng.substream(1))
     # base-n keys of sorted rows: the lexicographic enumeration is sorted
-    # by key, and every draw is one of its rows
+    # by key; the match is then checked on the whole row
     encode = cfg.n ** np.arange(k - 1, -1, -1, dtype=np.int64)
-    counts = np.bincount(np.searchsorted(subsets_enum @ encode, draws @ encode),
-                         minlength=len(probs))
+    row = np.searchsorted(subsets_enum @ encode, draws @ encode).clip(max=len(probs) - 1)
+    matched = (subsets_enum[row] == draws).all(axis=1)
+    counts = np.bincount(row[matched], minlength=len(probs))
     tv = 0.5 * float(np.abs(counts / cfg.trials - probs).sum())
 
-    max_drawn_spec = float(_subset_projection(svd.U, draws).max())
+    max_drawn_spec = float(np.where(matched, spec[row], 1.0).max())
     bound = estimate_acceptance(profile, k, svd.d)
     rate = stats.acceptance_rate
     rate_se = math.sqrt(max(rate * (1.0 - rate), 0.0) / stats.proposals)
@@ -523,7 +532,19 @@ def _preconditioner(cfg: ExperimentConfig):
 # ----------------------------------------------------------------------
 
 def _fit_log_slope(means: np.ndarray) -> float:
-    floor = means[0] * 1e-22
+    """Least-squares slope of ln(mean squared error) against the step,
+    over the steps whose mean is above ``RELATIVE_ERROR_FLOOR`` times
+    the first.
+
+    The floor is about (1e5 u)^2, u = 2^-53 the float64 unit roundoff.
+    A float64 iterate's squared error bottoms out near u^2 of its scale
+    (3e-33 to 5e-33 of kappa(R)^2 ||w*||^2 in the fast weight traces at
+    kappa = 10, 1e6 and 1e10), so a step above the floor is ten orders
+    clear of rounding and still follows its rate.  The weight-space
+    criterion checks the steps whose bound factor rate^t is above the
+    same floor, so rate^t never underflows to zero.
+    """
+    floor = means[0] * RELATIVE_ERROR_FLOOR
     valid = means > max(floor, 0.0)
     ts = np.flatnonzero(valid)
     return float(np.polyfit(ts, np.log(means[valid]), 1)[0])
@@ -538,9 +559,11 @@ def _kaczmarz(cfg: ExperimentConfig):
     3 SE, and the whole error profile must track (1 - 1/d)^t.
 
     fast: on a conditioned instance the fitted log-slope of the mean
-    squared error must be at most ln(1 - 1/(9d)) + 0.02, preprocessing
-    reads no labels, and the label count is bounded by the iteration
-    count.
+    squared error must be at most ln(1 - 1/(9d)) + 0.02, the mean weight
+    error must stay under (1 - 1/(9d))^t kappa(R)^2 ||w*||^2 at every
+    step t above the rounding floor (:func:`_fit_log_slope`),
+    preprocessing reads no labels, and the label count is bounded by the
+    iteration count.
     """
     rng = RngStream(cfg.seed)
     criteria = []
@@ -620,14 +643,16 @@ def _kaczmarz(cfg: ExperimentConfig):
         criteria.append(_criterion("kaczmarz-fast-slope-le-bound", slope, slope_bound))
         criteria.append(_criterion("kaczmarz-fast-label-accounting", max_labels, K))
         # trend bound in weight space: contraction^t scaled by the squared
-        # singular-value ratio of R
+        # singular-value ratio of R, over the steps with rate^t above the
+        # rounding floor
         s_r = np.linalg.svd(setup.precond.r_matrix(), compute_uv=False)
         kappa_r_sq = (s_r[0] / s_r[-1]) ** 2
         w_norm_sq = float(w_star @ w_star)
         rate = 1.0 - 1.0 / (9.0 * cfg.d)
-        w_means = w_traces.mean(axis=0)
-        ts = np.arange(len(w_means))
-        w_gap = float(np.max(w_means / (rate**ts * kappa_r_sq * w_norm_sq)))
+        decay = rate ** np.arange(w_traces.shape[1])
+        checked = decay >= RELATIVE_ERROR_FLOOR
+        w_means = w_traces.mean(axis=0)[checked]
+        w_gap = float(np.max(w_means / (decay[checked] * kappa_r_sq * w_norm_sq)))
         criteria.append(_criterion("kaczmarz-fast-w-space-bound", w_gap, 1.0, slack=1e-6))
         measurements.update(
             {
@@ -765,19 +790,3 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
         timings={"wall_clock_s": time.perf_counter() - t0},
         passed=all(c["passed"] for c in criteria),
     )
-
-
-def _verifier(name: str):
-    def verify(cfg: ExperimentConfig) -> ExperimentReport:
-        return run_experiment(replace(cfg, experiment=name))
-
-    verify.__doc__ = EXPERIMENTS[name].body.__doc__
-    return verify
-
-
-verify_one_point = _verifier("one-point")
-verify_k_points = _verifier("k-points")
-verify_sampler = _verifier("sampler")
-verify_preconditioner = _verifier("precond")
-verify_kaczmarz = _verifier("kaczmarz")
-verify_jlt = _verifier("jlt")

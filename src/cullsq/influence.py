@@ -28,7 +28,10 @@ k-subset as one (C(n, k), k) index array and the probabilities as one
 array, from one pass of the blocked kernel.  Near its C(n, k) <= 2e6
 limit (200 x 5, k = 3, 1,313,400 subsets, one BLAS thread on a 2-core
 Xeon) it takes 2.3-2.8 s and a 61 MB tracemalloc peak; a list of one
-object per subset took 8.3-10.1 s and 341 MB.
+object per subset took 8.3-10.1 s and 341 MB.  Given the residuals of
+the optimal fit, the same pass (:func:`_enumerate`) also returns each
+subset's closed-form error increase, so every exact check reads one
+pass.
 """
 
 from __future__ import annotations
@@ -82,16 +85,10 @@ def _check_weights(f_values: np.ndarray) -> np.ndarray:
     return f
 
 
-def sample_sum_over_rows(f_values, k: int, rng) -> RowSubset:
-    """Draw one k-subset with probability proportional to its weight sum,
-    sum_{i in A} f_i / (C(n-1, k-1) * sum_j f_j).  A draw of
-    :func:`sample_sum_over_rows_many` with count 1."""
-    return RowSubset.of(sample_sum_over_rows_many(f_values, k, 1, rng)[0])
-
-
 def sample_sum_over_rows_many(f_values, k: int, count: int, rng) -> np.ndarray:
     """Draw ``count`` independent k-subsets from the sum-over-rows
-    distribution, as a (count, k) array of sorted index rows.
+    distribution, P[A] = sum_{i in A} f_i / (C(n-1, k-1) * sum_j f_j),
+    as a (count, k) array of sorted index rows.
 
     Each row is one index drawn by inverse CDF over the weights plus a
     uniform (k-1)-subset of the other n-1 indices, which costs O(k) per
@@ -313,12 +310,15 @@ def enumerate_subset_distribution(
     """Every k-subset as a (C(n, k), k) array of index rows in
     lexicographic order, and the (C(n, k),) array of its exact influence
     probabilities.  Exponential in k; guarded at C(n, k) <= 2e6."""
-    subsets, _, probs = _enumerate(svd, k)
+    subsets, _, probs, _ = _enumerate(svd, k)
     return subsets, probs
 
 
-def _enumerate(svd: ThinSvd, k: int) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The subsets, the spectral norm of each and the probabilities."""
+def _enumerate(svd: ThinSvd, k: int, residuals=None):
+    """One kernel pass over every k-subset: the (C(n, k), k) subsets in
+    lexicographic order, the spectral norm of each, the probabilities
+    and, given the n ``residuals`` X w* - y of the optimal fit, each
+    subset's closed-form error increase (else None)."""
     n = svd.n
     if not (1 <= k <= n):
         raise InvalidK(f"k={k} out of range for n={n}")
@@ -326,11 +326,14 @@ def _enumerate(svd: ThinSvd, k: int) -> Tuple[np.ndarray, np.ndarray, np.ndarray
     if total > ENUMERATION_LIMIT:
         raise TooLarge(f"C({n},{k}) = {total} exceeds {ENUMERATION_LIMIT}")
     subsets = np.fromiter(combinations(range(n), k), dtype=(np.intp, k), count=total)
-    spec = _subset_projection(svd.U, subsets)
+    if residuals is None:
+        spec, increases = _subset_projection(svd.U, subsets), None
+    else:
+        spec, increases = _subset_projection(svd.U, subsets, residuals[subsets])
     weights = _influence_weights(spec)
     normalizer = weights.sum()
     if normalizer <= 0.0:
         raise DegenerateDistribution(
             "every subset has spectral norm 1; influence normalizer is zero"
         )
-    return subsets, spec, weights / normalizer
+    return subsets, spec, weights / normalizer, increases

@@ -9,7 +9,7 @@ Two sketch families are provided:
 
 An operator Pi is an eps-embedding for an orthonormal U when
 ``||I - (Pi U)^T (Pi U)||_2 <= eps``; :func:`embedding_defect` measures
-that quantity and :func:`embedding_property_report` evaluates the
+that quantity and :func:`check_embedding_properties` checks the
 standard consequences (singular-value deviation, pseudo-inverse bounds).
 
 A QR factorization with column pivoting of the sketched matrix yields a
@@ -298,25 +298,22 @@ def embedding_defect(sketched_u: np.ndarray) -> float:
     return float(np.max(np.abs(eigs)))
 
 
-def jlt_defect(op: SketchOperator, U: np.ndarray) -> float:
-    """Embedding defect of the operator on an orthonormal-column U."""
-    return embedding_defect(apply_sketch(op, U))
+def check_embedding_properties(sketched_u: np.ndarray, slack: float = 1e-8) -> dict:
+    """Measured consequences of an embedding with defect e, checked
+    against their bounds with the measured defect substituted for eps.
 
-
-def embedding_property_report(sketched_u: np.ndarray) -> dict:
-    """Measured consequences of an embedding with defect e < 1.
-
-    Returns the defect plus the quantities bounded by the standard
-    implications: singular-value deviation (<= e), ||S - S^{-1}|| and
-    ||pinv - transpose|| (<= e/sqrt(1-e)), ||I - S^{-2}|| and
-    ||I - pinv pinv^T|| (<= e/(1-e)), along with the rank.
+    Returns the defect, the rank and the quantities bounded by the
+    standard implications: singular-value deviation (<= e),
+    ||S - S^{-1}|| and ||pinv - transpose|| (<= e/sqrt(1-e)),
+    ||I - S^{-2}|| and ||I - pinv pinv^T|| (<= e/(1-e)).  The checks
+    are applicable only when the defect is below 1.
     """
     PU = np.asarray(sketched_u, dtype=float)
     d = PU.shape[1]
-    defect = embedding_defect(PU)
+    e = embedding_defect(PU)
     svals = np.linalg.svd(PU, compute_uv=False)
     report = {
-        "defect": defect,
+        "defect": e,
         "rank": int(np.sum(svals > 0.0)),
         "sv_deviation": float(np.max(np.abs(1.0 - svals**2))),
     }
@@ -330,15 +327,6 @@ def embedding_property_report(sketched_u: np.ndarray) -> dict:
         report["pinv_gram_deviation"] = float(
             np.linalg.norm(np.eye(d) - pinv @ pinv.T, ord=2)
         )
-    return report
-
-
-def check_embedding_properties(sketched_u: np.ndarray, slack: float = 1e-8) -> dict:
-    """Evaluate the embedding-consequence bounds with the measured defect
-    substituted for eps.  Only applicable when the defect is below 1."""
-    report = embedding_property_report(sketched_u)
-    e = report["defect"]
-    d = np.asarray(sketched_u).shape[1]
     applicable = e < 1.0
     report["applicable"] = applicable
     if not applicable:

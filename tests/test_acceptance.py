@@ -24,14 +24,9 @@ from cullsq import (
     leverage_scores,
     partial_projection_norm,
     rejection_sample_many,
+    run_experiment,
     subset_influence,
     thin_svd,
-    verify_jlt,
-    verify_k_points,
-    verify_kaczmarz,
-    verify_one_point,
-    verify_preconditioner,
-    verify_sampler,
 )
 from cullsq.designs import make_design
 from _helpers import random_dataset
@@ -86,7 +81,7 @@ class TestCriterion02OnePoint:
         details = []
         ok = True
         for design, n in (("gaussian", 100), ("coherent", 100)):
-            report = verify_one_point(
+            report = run_experiment(
                 ExperimentConfig(experiment="one-point", n=n, d=5,
                                  design=design, seed=21)
             )
@@ -94,7 +89,7 @@ class TestCriterion02OnePoint:
             ok &= crit["passed"]
             details.append(f"{design}: ratio {crit['measured']:.12f} <= {crit['bound']:.12f}")
         # uniform-leverage design attains the bound; power-of-two size
-        report = verify_one_point(
+        report = run_experiment(
             ExperimentConfig(experiment="one-point", n=128, d=5,
                              design="hadamard-uniform", seed=22)
         )
@@ -111,7 +106,7 @@ class TestCriterion03KPointsExact:
         details = []
         ok = True
         for k in (2, 3):
-            report = verify_k_points(
+            report = run_experiment(
                 ExperimentConfig(experiment="k-points", n=12, d=2, k=k, seed=23)
             )
             crit = crit_from_report(report, "k-points-exact-ratio-le-bound")
@@ -127,7 +122,7 @@ class TestCriterion04KPointsMonteCarlo:
         n, d = 400, 4
         k = math.floor(n / (d + math.sqrt(n)))
         assert k == 16
-        report = verify_k_points(
+        report = run_experiment(
             ExperimentConfig(experiment="k-points", n=n, d=d, k=k,
                              trials=2000, seed=24)
         )
@@ -144,7 +139,7 @@ class TestCriterion04KPointsMonteCarlo:
 class TestCriterion05SamplerExactness:
     def test_total_variation_and_acceptance_ratio(self):
         t0 = time.perf_counter()
-        report = verify_sampler(
+        report = run_experiment(
             ExperimentConfig(experiment="sampler", n=10, d=2, k=2,
                              trials=100_000, seed=25)
         )
@@ -227,7 +222,7 @@ class TestCriterion07PositiveResidual:
 class TestCriterion08Preconditioner:
     def test_singular_value_inversion_identity(self):
         t0 = time.perf_counter()
-        report = verify_preconditioner(
+        report = run_experiment(
             ExperimentConfig(experiment="precond", n=256, d=8, trials=20, seed=30)
         )
         inv = crit_from_report(report, "precond-sv-inversion-identity")
@@ -243,7 +238,7 @@ class TestCriterion08Preconditioner:
 @pytest.fixture(scope="module")
 def jlt_report():
     t0 = time.perf_counter()
-    report = verify_jlt(
+    report = run_experiment(
         ExperimentConfig(experiment="jlt", n=512, d=8, trials=20, seed=31)
     )
     report.timings["acceptance_elapsed"] = time.perf_counter() - t0
@@ -280,7 +275,7 @@ class TestCriterion10ApproxLeverage:
 class TestCriterion11KaczmarzExact:
     def test_error_floor_and_contraction(self):
         t0 = time.perf_counter()
-        report = verify_kaczmarz(
+        report = run_experiment(
             ExperimentConfig(experiment="kaczmarz", mode="exact", n=400, d=5,
                              trials=200, seed=32)
         )
@@ -298,7 +293,7 @@ class TestCriterion11KaczmarzExact:
 class TestCriterion12KaczmarzFast:
     def test_slope_and_label_accounting(self):
         t0 = time.perf_counter()
-        report = verify_kaczmarz(
+        report = run_experiment(
             ExperimentConfig(experiment="kaczmarz", mode="fast", n=2048, d=8,
                              kappa=1e6, trials=100, iters=400, seed=33)
         )
@@ -319,10 +314,10 @@ class TestCriterion13Determinism:
         t0 = time.perf_counter()
         pairs = []
         for maker in (
-            lambda: verify_one_point(
+            lambda: run_experiment(
                 ExperimentConfig(experiment="one-point", n=64, d=3, seed=34)
             ),
-            lambda: verify_sampler(
+            lambda: run_experiment(
                 ExperimentConfig(experiment="sampler", n=10, d=2, k=2,
                                  trials=2000, seed=35)
             ),

@@ -1,4 +1,6 @@
+import dataclasses
 import json
+import sys
 import tracemalloc
 
 import numpy as np
@@ -13,9 +15,8 @@ from cullsq import (
     leverage_scores,
     run_experiment,
     thin_svd,
-    verify_k_points,
-    verify_one_point,
 )
+from cullsq import experiments, influence, regression
 from cullsq.designs import make_dataset
 from cullsq.experiments import EXPERIMENT_NAMES, EXPERIMENTS, _jsonable
 
@@ -131,7 +132,7 @@ class TestConfigValidation:
 
 class TestVerifiers:
     def test_report_verdicts_are_json_booleans(self):
-        report = verify_one_point(ExperimentConfig(experiment="one-point", n=16, d=2, seed=1))
+        report = run_experiment(ExperimentConfig(experiment="one-point", n=16, d=2, seed=1))
         text = report.to_json()
         payload = json.loads(text)
         assert payload["passed"] is True
@@ -140,7 +141,7 @@ class TestVerifiers:
         assert _jsonable({"a": np.bool_(False), "b": [True]}) == {"a": False, "b": [True]}
 
     def test_one_point_consistent_reports_absolute(self):
-        report = verify_one_point(
+        report = run_experiment(
             ExperimentConfig(experiment="one-point", n=40, d=3, noise=0.0, seed=5)
         )
         names = [c["name"] for c in report.criteria]
@@ -149,7 +150,7 @@ class TestVerifiers:
 
     def test_k_points_consistent_zero_increase(self):
         # Monte Carlo path: C(120, 5) is too large to enumerate
-        report = verify_k_points(
+        report = run_experiment(
             ExperimentConfig(experiment="k-points", n=120, d=2, k=5,
                              noise=0.0, trials=200, seed=6)
         )
@@ -157,11 +158,11 @@ class TestVerifiers:
         assert crit and crit[0]["passed"]
 
     def test_k_points_mode_selection(self):
-        exact = verify_k_points(
+        exact = run_experiment(
             ExperimentConfig(experiment="k-points", n=12, d=2, k=2, seed=7)
         )
         assert exact.measurements["mode"] == "exact"
-        mc = verify_k_points(
+        mc = run_experiment(
             ExperimentConfig(experiment="k-points", n=120, d=2, k=5,
                              trials=100, seed=7)
         )
@@ -174,7 +175,7 @@ class TestVerifiers:
                                trials=2000, seed=11)
         tracemalloc.start()
         try:
-            report = verify_k_points(cfg)
+            report = run_experiment(cfg)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -199,3 +200,76 @@ class TestVerifiers:
         assert report.criteria
         assert all(c["seed"] == 10 for c in report.criteria)
         assert report.passed == all(c["passed"] for c in report.criteria)
+
+
+def defaults(experiment, **fields):
+    return ExperimentConfig(experiment=experiment,
+                            **{**EXPERIMENTS[experiment].defaults, **fields})
+
+
+class TestOneOraclePass:
+    # the exact k-points reads its probabilities and its increases from
+    # one enumeration pass, and the sampler check reads each draw's norm
+    # from the enumeration; the sampler's own proposal rounds are apart
+    @pytest.mark.parametrize("cfg", [defaults("k-points"), defaults("sampler", trials=2000)],
+                             ids=["k-points", "sampler"])
+    def test_one_kernel_pass_outside_the_proposal_rounds(self, monkeypatch, cfg):
+        real = regression._subset_projection
+        callers = []
+
+        def spy(*args, **kwargs):
+            callers.append(sys._getframe(1).f_code.co_name)
+            return real(*args, **kwargs)
+
+        for module in (regression, influence, experiments):
+            if getattr(module, "_subset_projection", None) is real:
+                monkeypatch.setattr(module, "_subset_projection", spy)
+        report = run_experiment(cfg)
+        assert report.passed
+        assert [c for c in callers if c != "_accept_reject"] == ["_enumerate"]
+
+    def test_draw_matching_no_enumerated_row_fails_degenerate_check(self, monkeypatch):
+        # one draw in a hundred repeats its first index: no enumerated
+        # row, which a nearest-key match would bin with a neighbour and
+        # no other criterion catches at the defaults
+        real = experiments.rejection_sample_many
+
+        def mutant(*args, **kwargs):
+            draws, stats = real(*args, **kwargs)
+            draws[::100, 1] = draws[::100, 0]
+            return draws, stats
+
+        monkeypatch.setattr(experiments, "rejection_sample_many", mutant)
+        report = run_experiment(defaults("sampler"))
+        crit = {c["name"]: c for c in report.criteria}["sampler-no-degenerate-draws"]
+        assert crit["measured"] == 1.0 and not crit["passed"]
+        assert not report.passed
+
+
+class TestFastWeightSpaceBound:
+    # at K = 4000 the bound rate^t kappa(R)^2 ||w*||^2 falls below the
+    # float64 floor of the iterate; the steps past RELATIVE_ERROR_FLOOR
+    # are not checked
+    cfg = defaults("kaczmarz", mode="fast", iters=4000, trials=20)
+
+    @staticmethod
+    def w_space(report):
+        return {c["name"]: c for c in report.criteria}["kaczmarz-fast-w-space-bound"]
+
+    def test_correct_solver_passes_past_the_floor(self):
+        report = run_experiment(self.cfg)
+        crit = self.w_space(report)
+        assert report.passed and crit["measured"] < 0.1
+
+    def test_extra_weight_error_fails(self, monkeypatch):
+        # every step's squared weight error grows by 1e-4 ||w*||^2
+        real = experiments.kaczmarz_fast
+
+        def mutant(data, K, rng, w_star=None, setup=None):
+            run = real(data, K, rng, w_star=w_star, setup=setup)
+            extra = 1e-4 * float(w_star @ w_star)
+            return dataclasses.replace(run, w_error_trace=run.w_error_trace + extra)
+
+        monkeypatch.setattr(experiments, "kaczmarz_fast", mutant)
+        crit = self.w_space(run_experiment(self.cfg))
+        assert not crit["passed"] and crit["measured"] > 1e5

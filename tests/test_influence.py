@@ -21,11 +21,12 @@ from cullsq import (
     default_max_trials,
     enumerate_subset_distribution,
     estimate_acceptance,
+    full_solve,
+    leave_A_out_error,
     leverage_scores,
     partial_projection_norm,
     rejection_sample_many,
     rejection_sample_subset,
-    sample_sum_over_rows,
     sample_sum_over_rows_many,
     single_row_influences,
     subset_influence,
@@ -35,11 +36,12 @@ from cullsq import regression
 from cullsq.influence import (
     DEFAULT_BATCH,
     _acceptance_ratios,
+    _enumerate,
     _influence_weights,
     _propose_batch,
     _uniform_subsets,
 )
-from cullsq.regression import _subset_projection
+from cullsq.regression import SPEC_SINGULAR_TOL, _subset_projection
 from cullsq.rng import inverse_cdf_draw
 from cullsq.sketching import hadamard_columns
 from _helpers import random_orthonormal
@@ -98,8 +100,8 @@ class TestSampleSumOverRows:
         gen = RngStream(2).generator()
         counts = {}
         for _ in range(20_000):
-            sub = sample_sum_over_rows(np.ones(5), 2, gen)
-            counts[sub.indices] = counts.get(sub.indices, 0) + 1
+            sub = tuple(sample_sum_over_rows_many(np.ones(5), 2, 1, gen)[0])
+            counts[sub] = counts.get(sub, 0) + 1
         freqs = np.array(list(counts.values())) / 20_000
         assert len(counts) == 10
         assert np.all(np.abs(freqs - 0.1) <= 0.02)
@@ -140,7 +142,7 @@ class TestSampleSumOverRows:
         f = np.array([1.0, 3.0, 0.5, 2.0, 1.5])
         gen = RngStream(4).generator()
         seq = np.array(
-            [sample_sum_over_rows(f, 2, gen).indices for _ in range(20_000)]
+            [sample_sum_over_rows_many(f, 2, 1, gen)[0] for _ in range(20_000)]
         )
         bat = sample_sum_over_rows_many(f, 2, 20_000, RngStream(5))
         for draws in (seq, bat):
@@ -152,18 +154,18 @@ class TestSampleSumOverRows:
 
     def test_invalid_k(self):
         with pytest.raises(InvalidK):
-            sample_sum_over_rows(np.ones(4), 0, RngStream(0))
+            sample_sum_over_rows_many(np.ones(4), 0, 1, RngStream(0))
         with pytest.raises(InvalidK):
-            sample_sum_over_rows(np.ones(4), 5, RngStream(0))
+            sample_sum_over_rows_many(np.ones(4), 5, 1, RngStream(0))
         for count in (0, -1):
             with pytest.raises(InvalidK):
                 sample_sum_over_rows_many(np.ones(4), 2, count, RngStream(0))
 
     def test_nonpositive_weights(self):
         with pytest.raises(NonpositiveWeight):
-            sample_sum_over_rows(np.array([1.0, 0.0, 2.0]), 1, RngStream(0))
+            sample_sum_over_rows_many(np.array([1.0, 0.0, 2.0]), 1, 1, RngStream(0))
         with pytest.raises(NonpositiveWeight):
-            sample_sum_over_rows(np.array([1.0, -1.0]), 1, RngStream(0))
+            sample_sum_over_rows_many(np.array([1.0, -1.0]), 1, 1, RngStream(0))
 
 
 class TestSubsetInfluence:
@@ -388,6 +390,33 @@ class TestEnumeration:
             np.array([partial_projection_norm(svd, RowSubset.of(c)) for c in combos])
         )
         np.testing.assert_allclose(probs, weights / weights.sum(), rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("k_above_d", [False, True], ids=["k<=d", "k>d"])
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(1, 3), st.integers(0, 3), st.data(), st.integers(0, 2**32 - 1))
+    def test_residual_pass_adds_increases_only(self, k_above_d, d, extra, draw, seed):
+        # the kernel's two sides: k x k Gram for k <= d, d x d for k > d;
+        # n - k > d keeps generic subsets off rank loss
+        n = 2 * d + 2 + extra if k_above_d else d + 2 + extra
+        k = draw.draw(st.integers(d + 1, n - d - 1) if k_above_d
+                      else st.integers(1, min(d, n - d - 1)))
+        gen = np.random.default_rng(seed)
+        X = gen.standard_normal((n, d))
+        data = Dataset(X=X, y=X @ gen.standard_normal(d) + gen.standard_normal(n))
+        svd = thin_svd(data)
+        w_star, opt = full_solve(data, svd)
+        subsets, spec, probs, increases = _enumerate(svd, k, X @ w_star - data.y)
+        plain_subsets, plain_spec, plain_probs, none = _enumerate(svd, k)
+        assert none is None
+        assert np.array_equal(subsets, plain_subsets)
+        assert np.array_equal(spec, plain_spec) and np.array_equal(probs, plain_probs)
+        live = spec < 1.0 - SPEC_SINGULAR_TOL
+        assert np.all(increases[~live] == 0.0)
+        reference = [
+            leave_A_out_error(data, RowSubset.of(a), svd, full=(w_star, opt)) - opt
+            for a in subsets[live]
+        ]
+        np.testing.assert_allclose(increases[live], reference, rtol=1e-10, atol=1e-12 * opt)
 
     def test_memory_order_subsets_times_k(self):
         # C(100, 3) = 161,700 subsets: the (C, 3) index array and the

@@ -24,7 +24,6 @@ from cullsq import (
     embedding_defect,
     fast_setup,
     fwht,
-    jlt_defect,
     jlt_dim,
     leverage_scores,
     make_dense_sign_jlt,
@@ -192,7 +191,7 @@ class TestApplySketch:
         gen = np.random.default_rng(3)
         U = random_orthonormal(32, 4, gen)
         op = make_srht(32, 32, RngStream(4))
-        assert jlt_defect(op, U) <= 1e-10
+        assert embedding_defect(apply_sketch(op, U)) <= 1e-10
 
     # 24 blocks with a partial last one and padding blocks after it, 16
     # whole blocks, and one partial block smaller than HADAMARD_MIN_BLOCK;
@@ -293,7 +292,8 @@ class TestDefectAndProperties:
         gen = np.random.default_rng(10)
         U = random_orthonormal(n, d, gen)
         hits = sum(
-            jlt_defect(make_dense_sign_jlt(n, r, RngStream(200 + i)), U) <= 0.5
+            embedding_defect(apply_sketch(make_dense_sign_jlt(n, r, RngStream(200 + i)), U))
+            <= 0.5
             for i in range(100)
         )
         assert hits >= 99
@@ -360,7 +360,7 @@ class TestPreconditioner:
         checked = 0
         for i in range(10):
             op = make_dense_sign_jlt(256, 256, RngStream(500 + i))
-            if jlt_defect(op, U) > 0.5:
+            if embedding_defect(apply_sketch(op, U)) > 0.5:
                 continue
             svals = np.linalg.svd(
                 build_preconditioner(X, op).x_times_inverse(X), compute_uv=False
@@ -501,7 +501,7 @@ class TestApproxLeverage:
         good_seeds = 0
         for i in range(20):
             op1 = make_dense_sign_jlt(n, 400, RngStream(700 + i))
-            if jlt_defect(op1, svd.U) > 0.5:
+            if embedding_defect(apply_sketch(op1, svd.U)) > 0.5:
                 continue
             precond = build_preconditioner(X, op1)
             op2 = make_dense_sign_jlt(d, r2, RngStream(800 + i))
