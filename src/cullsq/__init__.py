@@ -45,7 +45,6 @@ from .regression import (
 from .influence import (
     AcceptanceBound,
     SamplerStats,
-    SubsetInfluence,
     default_max_trials,
     enumerate_subset_distribution,
     estimate_acceptance,
@@ -53,10 +52,8 @@ from .influence import (
     rejection_sample_subset,
     sample_sum_over_rows_many,
     single_row_influences,
-    subset_influence,
 )
 from .sketching import (
-    ApproxLeverage,
     Preconditioner,
     SketchOperator,
     apply_sketch,
@@ -65,7 +62,6 @@ from .sketching import (
     check_embedding_properties,
     embedding_defect,
     fwht,
-    jlt_dim,
     make_dense_sign_jlt,
     make_identity_sketch,
     make_srht,

@@ -24,11 +24,7 @@ from .experiments import (
     ExperimentConfig,
     run_experiment,
 )
-from .influence import (
-    enumerate_subset_distribution,
-    rejection_sample_many,
-    rejection_sample_subset,
-)
+from .influence import _enumerate, rejection_sample_many, rejection_sample_subset
 from .kaczmarz import kaczmarz_exact, kaczmarz_fast
 from .regression import Dataset, full_solve, leverage_scores, thin_svd
 from .rng import RngStream
@@ -153,12 +149,11 @@ def _emit(text: str, path) -> int:
 def _cmd_reject_sample(args) -> int:
     data = Dataset(X=dataio.load_matrix(args.x))
     svd = thin_svd(data)
-    profile = leverage_scores(svd)
     if args.exact:
-        dataio.save_distribution(
-            args.out or sys.stdout, *enumerate_subset_distribution(svd, profile, args.k)
-        )
+        subsets, _, probs, _ = _enumerate(svd, args.k)
+        dataio.save_distribution(args.out or sys.stdout, subsets, probs)
         return 0
+    profile = leverage_scores(svd)
     rng = RngStream(args.seed)
     if args.count == 1:
         subset, trials = rejection_sample_subset(svd, profile, args.k, rng)

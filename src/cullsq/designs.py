@@ -62,6 +62,9 @@ def conditioned_design(n: int, d: int, kappa: float, rng) -> np.ndarray:
 
 
 def make_design(kind: str, n: int, d: int, rng) -> np.ndarray:
+    """An n x d design of the named kind; needs n > d >= 1."""
+    if not (n > d >= 1):
+        raise InvalidConfig(f"need n > d >= 1, got n={n}, d={d}")
     if kind == GAUSSIAN:
         return gaussian_design(n, d, rng)
     if kind == HADAMARD_UNIFORM:

@@ -719,14 +719,13 @@ def _jlt(cfg: ExperimentConfig):
     leverage_hits = 0
     for i in range(seeds):
         op2 = make_dense_sign_jlt(d, r2, rng.substream(300 + i))
-        ell_hat = approx_leverage(X, precond, op2).ell_hat
-        ratios = ell_hat / true_row_sq
+        ratios = approx_leverage(X, precond, op2) / true_row_sq
         if ratios.min() >= 0.5 and ratios.max() <= 1.5:
             leverage_hits += 1
 
     ident = approx_leverage(
         X, build_preconditioner(X, make_identity_sketch(n)), make_identity_sketch(d)
-    ).ell_hat
+    )
     ident_err = float(np.max(np.abs(ident - profile.ell)))
 
     need = seeds - 1

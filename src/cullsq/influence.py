@@ -37,7 +37,6 @@ pass.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from itertools import combinations
 from typing import NamedTuple, Optional, Tuple
 
@@ -56,7 +55,6 @@ from .regression import (
     RowSubset,
     ThinSvd,
     _subset_projection,
-    partial_projection_norm,
 )
 from .rng import as_generator, inverse_cdf_draw
 
@@ -157,31 +155,6 @@ def _acceptance_ratios(spec, q_weight, d: int, k: int) -> np.ndarray:
     return np.where(np.asarray(spec) < 1.0 - SPEC_SINGULAR_TOL, theta, 0.0)
 
 
-@dataclass(frozen=True)
-class SubsetInfluence:
-    """Influence data for one subset: spectral norm of the partial
-    projection, unnormalized influence weight, proposal weight, and the
-    acceptance ratio theta (guaranteed <= 1 up to roundoff)."""
-
-    subset: RowSubset
-    spec: float
-    weight: float
-    q_weight: float
-    theta: float
-
-
-def subset_influence(
-    svd: ThinSvd, profile: LeverageProfile, subset: RowSubset
-) -> SubsetInfluence:
-    spec = partial_projection_norm(svd, subset)
-    q_weight = float(np.sum(1.0 / profile.ell[subset.array()]))
-    theta = float(_acceptance_ratios(spec, q_weight, svd.d, subset.k))
-    return SubsetInfluence(
-        subset=subset, spec=spec, weight=float(_influence_weights(spec)),
-        q_weight=q_weight, theta=theta,
-    )
-
-
 def default_max_trials(profile: LeverageProfile, k: int) -> int:
     """Proposal budget: 50x the expected trials implied by the
     k^2/(n*mu) acceptance lower bound."""
@@ -226,8 +199,9 @@ class SamplerStats(NamedTuple):
         return self.accepted / self.proposals if self.proposals else 0.0
 
 
-def _accept_reject(svd, profile, k, count, rng, max_trials):
-    """The rejection loop behind both public samplers.  Keeping the first
+def _accept_reject(svd, profile, k, count, rng):
+    """The rejection loop behind both public samplers, within
+    ``default_max_trials`` proposals per subset.  Keeping the first
     ``count`` accepted proposals of an i.i.d. stream gives exact draws
     however the stream is cut into rounds.  A round proposes the count
     still needed over the rate estimate (accepted + 1) / (proposals + 1),
@@ -237,11 +211,9 @@ def _accept_reject(svd, profile, k, count, rng, max_trials):
     n, d = svd.n, svd.d
     if not (1 <= k < n):
         raise InvalidK(f"k={k} out of range for n={n}")
-    if max_trials is None:
-        max_trials = default_max_trials(profile, k)
-    if min(count, max_trials) < 1:
-        raise InvalidK("count and max_trials must be at least 1")
-    budget = max_trials * count
+    if count < 1:
+        raise InvalidK("count must be at least 1")
+    budget = default_max_trials(profile, k) * count
     gen = as_generator(rng)
     inv_ell = 1.0 / profile.ell
     cumulative = np.cumsum(inv_ell)
@@ -273,15 +245,14 @@ def rejection_sample_subset(
     profile: LeverageProfile,
     k: int,
     rng,
-    max_trials: int | None = None,
 ) -> Tuple[RowSubset, int]:
     """Draw one subset distributed exactly by the joint influence.
 
     Returns the subset and the number of proposals consumed, the
     accepted one included.  Raises :class:`TrialBudgetExceeded` after
-    ``max_trials`` rejected proposals.
+    :func:`default_max_trials` rejected proposals.
     """
-    out, _, trials = _accept_reject(svd, profile, k, 1, rng, max_trials)
+    out, _, trials = _accept_reject(svd, profile, k, 1, rng)
     return RowSubset.of(out[0]), trials
 
 
@@ -291,16 +262,16 @@ def rejection_sample_many(
     k: int,
     count: int,
     rng,
-    max_trials: int | None = None,
 ) -> Tuple[np.ndarray, SamplerStats]:
     """Draw ``count`` independent subsets from the joint influence.
 
     Proposals are made in rounds of at most ``DEFAULT_BATCH`` (see
-    :func:`_accept_reject`), within ``max_trials`` proposals per subset.
+    :func:`_accept_reject`), within :func:`default_max_trials` proposals
+    per subset.
     Returns a (count, k) array of sorted index rows plus statistics over
     every proposal made, those after the last draw kept included.
     """
-    out, stats, _ = _accept_reject(svd, profile, k, count, rng, max_trials)
+    out, stats, _ = _accept_reject(svd, profile, k, count, rng)
     return out, stats
 
 

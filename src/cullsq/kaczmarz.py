@@ -35,7 +35,6 @@ from .errors import InconsistentSystem, InvalidInput, InvalidK, InvalidRng
 from .regression import Dataset, ThinSvd, _as_design
 from .rng import RngStream, as_generator, inverse_cdf_draw
 from .sketching import (
-    ApproxLeverage,
     Preconditioner,
     SketchOperator,
     approx_leverage,
@@ -72,10 +71,10 @@ class FastSolverConfig:
     The dimensions follow the simplified constants 48 d ln d (SRHT
     column-space sketch, capped at the padded input size) and
     72 ln(n+1) (row-space sign sketch).  ``fast_setup`` uses only r1:
-    it forms each row of X R^{-1} anyway, and its exact norm then costs
-    d products where a row-space sketch would add r2 d.  r2 sizes the
-    row-space sign sketch that ``approx_leverage`` accepts and
-    ``verify jlt`` checks.
+    its exact norms cost d^2 products a row where a row-space sketch
+    costs r2 d, which is more whenever d < r2 (and r2 >= 80 at n >= 2).
+    r2 sizes the row-space sign sketch that ``approx_leverage`` accepts
+    and ``verify jlt`` checks.
     """
 
     def resolve_r1(self, n: int, d: int) -> int:
@@ -189,12 +188,13 @@ class FastSetup:
 
     Built from the design matrix alone: the column-space sketch, the
     triangular preconditioner, the row-space sketch (the identity: the
-    estimates are exact row norms), and the leverage estimates used as
-    the sampling distribution.
+    estimates are exact row norms), and ``leverage``, the read-only (n,)
+    array of estimates from :func:`approx_leverage` used as the sampling
+    distribution.
     """
 
     precond: Preconditioner
-    leverage: ApproxLeverage
+    leverage: np.ndarray
     column_op: SketchOperator
     row_op: SketchOperator
 
@@ -204,8 +204,8 @@ def fast_setup(X: np.ndarray, cfg: FastSolverConfig, rng: RngStream) -> FastSetu
 
     The estimates are the exact squared row norms of X R^{-1}; the
     (1 - 1/(9 d)) rate needs them only within a constant factor, and
-    exact norms give factor 1 for less work than a row-space sketch of
-    the rows already formed.
+    exact norms give factor 1 for less work than a row-space sketch
+    wherever r2 > d.
     """
     X = _as_design(X)
     n, d = X.shape
@@ -248,7 +248,7 @@ def kaczmarz_fast(
     if w_star is not None:
         v_star = pre.T @ np.asarray(w_star, dtype=float)[pre.piv]  # R w*
     return _kaczmarz(
-        setup.leverage.ell_hat, lambda idx: pre.x_times_inverse(X[idx]), y, K,
+        setup.leverage, lambda idx: pre.x_times_inverse(X[idx]), y, K,
         rng.substream(3).generator(), lambda vs: pre.apply_inverse(vs.T).T,
         v_star, w_star,
     )

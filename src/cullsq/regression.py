@@ -171,11 +171,6 @@ class ThinSvd:
     def condition_number(self) -> float:
         return float(self.sigma[0] / self.sigma[-1])
 
-    @property
-    def scaled_condition_sq(self) -> float:
-        """sum_i (sigma_1 / sigma_i)^2, between d and 1 + (d-1) kappa^2."""
-        return float(np.sum((self.sigma[0] / self.sigma) ** 2))
-
     def reconstruct(self) -> np.ndarray:
         return (self.U * self.sigma) @ self.V.T
 
@@ -228,12 +223,8 @@ class RowSubset:
         object.__setattr__(self, "indices", idx)
 
     @classmethod
-    def of(cls, indices: Iterable[int], n: Optional[int] = None) -> "RowSubset":
-        idx = sorted(int(i) for i in indices)
-        sub = cls(tuple(idx))
-        if n is not None:
-            _check_range(sub, n)
-        return sub
+    def of(cls, indices: Iterable[int]) -> "RowSubset":
+        return cls(tuple(sorted(int(i) for i in indices)))
 
     @property
     def k(self) -> int:
@@ -452,21 +443,17 @@ def leave_A_out_error(
     data: Dataset,
     subset: RowSubset,
     svd: Optional[ThinSvd] = None,
-    full=None,
 ) -> float:
     """Closed-form full-data error of the deleted-rows regression.
 
     Evaluates opt_error + r^T Q r with r = A w* - y_A, through the
     d x d form of :func:`_subset_projection`; the deficient system is
-    never solved.  ``full`` may carry a precomputed
-    ``(w_star, opt_error)`` pair.
+    never solved.
     """
     y = data.require_labels()
     if svd is None:
         svd = thin_svd(data)
-    if full is None:
-        full = full_solve(data, svd)
-    w_star, opt_error = full
+    w_star, opt_error = full_solve(data, svd)
     _check_range(subset, svd.n)
     idx = subset.array()
     resid_A = data.X[idx] @ w_star - y[idx]

@@ -21,12 +21,13 @@ needs numpy alone.  The singular values of X R^{-1} are exactly the
 inverses of those of Pi U (reversed), so X R^{-1} inherits the sketch's
 conditioning.  The squared row norms of X R^{-1} are then constant
 relative-error approximations to the leverage scores.  A second sketch
-Pi2 acting on the d-dimensional row space may compress them further, but
-here each row of X R^{-1} is formed first (d^2 products), so the sketch
-adds r2 d products per row where the exact norm adds d: it never saves
-work, and the fast Kaczmarz set-up uses exact norms.  (The saving of the
-JL step in Drineas et al. needs R^{-1} Pi2^T formed once, d x r2, and
-X times it in n d r2 products; that product is not implemented.)
+Pi2 acting on the d-dimensional row space may compress them further, as
+in Drineas, Magdon-Ismail, Mahoney and Woodruff (JMLR 2012):
+:func:`approx_leverage` forms R^{-1} Pi2^T once, a d x r2 array, and
+takes the squared row norms of X times it, with the identity sketch
+(Pi2 = I) giving the exact norms.  That product costs n d r2 against the
+n d^2 of the exact pass, so the sketch saves work only at r2 < d, and
+the fast Kaczmarz set-up uses exact norms.
 
 Memory: an SRHT computes only its r sampled rows and never forms the
 zero-padded (n_pad x d) copy (Woolfe, Liberty, Rokhlin and Tygert, ACHA
@@ -41,10 +42,9 @@ r = 2876, where transforming the padded copy in place peaked at 160 MB.
 another order than a butterfly does, so SRHT outputs differ from those
 of earlier versions of this module in the last bits (about 1e-15
 relative); the signs and coordinates a seed draws are unchanged.  The
-leverage estimates are computed in row blocks and take
-O(n d + block * r2), never the O(n r2) of sketching every row at once;
-the label-free set-up of the fast Kaczmarz solver thus stays O(n d) in
-memory.
+leverage estimates take O(n + d r2) beyond X and a 1 MB row block,
+never the O(n r2) of sketching every row at once; the label-free set-up
+of the fast Kaczmarz solver thus stays O(n d) in memory.
 """
 
 from __future__ import annotations
@@ -69,12 +69,11 @@ DENSE_SIGN = "dense_sign"
 SRHT = "srht"
 IDENTITY = "identity"
 
-# row-block size of approx_leverage, in elements of the (r2 x block)
-# sketch: 2^21 doubles, 16 MB
-LEVERAGE_BLOCK_ELEMENTS = 2**21
-# row-block size of the exact row norms of X R^{-1}, meant to stay in
-# cache, in elements: 2^17 doubles, 1 MB
+# row-block size of approx_leverage, in elements of the (block x r2)
+# product X R^{-1} Pi2^T, meant to stay in cache: 2^17 doubles, 1 MB
 CACHE_BLOCK_ELEMENTS = 2**17
+# roundoff allowance on each bound check_embedding_properties compares
+EMBEDDING_CHECK_SLACK = 1e-8
 # the sampled Hadamard transform walks X in blocks of at least this many
 # rows (more when r is larger), and applies H_B as a product of
 # Sylvester factors of at most 2^HADAMARD_FACTOR_BITS rows, one GEMM
@@ -209,14 +208,6 @@ class SketchOperator:
     coords: Optional[np.ndarray] = None   # SRHT only, (r,) distinct
 
 
-def jlt_dim(n: int, eps: float, beta: float) -> int:
-    """Embedding dimension for the dense sign sketch good for n points:
-    ceil((8 + 4 beta) / (eps^2 - 2 eps^3 / 3) * ln(n + 1))."""
-    if not (0.0 < eps < 1.0) or beta <= 0.0 or n < 1:
-        raise InvalidDimension("need 0 < eps < 1, beta > 0, n >= 1")
-    return int(math.ceil((8.0 + 4.0 * beta) / (eps**2 - 2.0 * eps**3 / 3.0) * math.log(n + 1.0)))
-
-
 def srht_dim(n: int, d: int, eps: float, gamma: float) -> int:
     """SRHT embedding dimension ensuring an eps-embedding for a
     d-dimensional subspace of R^n with probability 1 - gamma:
@@ -298,15 +289,16 @@ def embedding_defect(sketched_u: np.ndarray) -> float:
     return float(np.max(np.abs(eigs)))
 
 
-def check_embedding_properties(sketched_u: np.ndarray, slack: float = 1e-8) -> dict:
+def check_embedding_properties(sketched_u: np.ndarray) -> dict:
     """Measured consequences of an embedding with defect e, checked
     against their bounds with the measured defect substituted for eps.
 
     Returns the defect, the rank and the quantities bounded by the
     standard implications: singular-value deviation (<= e),
     ||S - S^{-1}|| and ||pinv - transpose|| (<= e/sqrt(1-e)),
-    ||I - S^{-2}|| and ||I - pinv pinv^T|| (<= e/(1-e)).  The checks
-    are applicable only when the defect is below 1.
+    ||I - S^{-2}|| and ||I - pinv pinv^T|| (<= e/(1-e)), each within
+    ``EMBEDDING_CHECK_SLACK``.  The checks are applicable only when the
+    defect is below 1.
     """
     PU = np.asarray(sketched_u, dtype=float)
     d = PU.shape[1]
@@ -332,6 +324,7 @@ def check_embedding_properties(sketched_u: np.ndarray, slack: float = 1e-8) -> d
     if not applicable:
         report["all_hold"] = False
         return report
+    slack = EMBEDDING_CHECK_SLACK
     sqrt_bound = e / math.sqrt(1.0 - e)
     ratio_bound = e / (1.0 - e)
     checks = {
@@ -414,10 +407,6 @@ class Preconditioner:
         """R^{-1} b, for b of shape (d,) or (d, m)."""
         return self.Rinv @ np.asarray(b, dtype=float)
 
-    def apply_inverse_transpose(self, b: np.ndarray) -> np.ndarray:
-        """R^{-T} b, for b of shape (d,) or (d, m)."""
-        return self.Rinv.T @ np.asarray(b, dtype=float)
-
     def x_times_inverse(self, X: np.ndarray) -> np.ndarray:
         """X R^{-1}."""
         return np.asarray(X, dtype=float) @ self.Rinv
@@ -469,44 +458,22 @@ def build_preconditioner(X: np.ndarray, op: SketchOperator) -> Preconditioner:
     return Preconditioner(T=T, piv=piv)
 
 
-@dataclass(frozen=True)
-class ApproxLeverage:
-    """Constant-relative-error leverage estimates."""
-
-    ell_hat: np.ndarray
-
-    def __post_init__(self):
-        ell_hat = np.asarray(self.ell_hat, dtype=float)
-        if np.any(ell_hat <= 0.0) or not np.all(np.isfinite(ell_hat)):
-            raise InvalidInput("approximate leverage scores must be positive")
-        ell_hat = ell_hat.copy()
-        ell_hat.setflags(write=False)
-        object.__setattr__(self, "ell_hat", ell_hat)
-
-
 def approx_leverage(
     X: np.ndarray, precond: Preconditioner, op2: SketchOperator
-) -> ApproxLeverage:
-    """Squared row norms of (X R^{-1}) Pi2.
+) -> np.ndarray:
+    """Squared row norms of X R^{-1} Pi2^T, as a read-only (n,) array.
 
-    The preconditioned rows are one product with the cached d x d
-    ``precond.Rinv`` per row block; ``op2`` must accept d-dimensional
-    input.  An identity ``op2`` gives the exact squared row norms of
-    X R^{-1}; with identity sketches on both sides these are the exact
-    leverage scores.
-    Any other ``op2`` is applied to the rows of X R^{-1} after they are
-    formed, which adds r2 d products per row to the d an exact norm
-    needs, so it is never cheaper and only approximates the norms.
+    W = R^{-1} Pi2^T, d x r2, is formed once from the cached
+    ``precond.Rinv`` and Pi2 = ``apply_sketch(op2, I_d)``, and row i's
+    estimate is ||x_i W||^2.  The identity ``op2`` makes W = R^{-1}: the
+    exact squared row norms of X R^{-1}, and with identity sketches on
+    both sides the exact leverage scores.  Any other ``op2`` approximates
+    them in n d r2 products, fewer than the exact n d^2 only at r2 < d.
 
-    X is walked in row blocks: of at most ``CACHE_BLOCK_ELEMENTS //
-    d`` rows for the exact norms, so a block of X R^{-1} stays in cache,
-    and of at most ``LEVERAGE_BLOCK_ELEMENTS // op2.r`` rows otherwise.
-    Beyond X and the n estimates the memory is O(block * (d + r2)): the
-    (r2 x n) sketch of all rows is never held at once.  Each row's
-    estimate depends only on that row, so blocking changes nothing but
-    the order in which BLAS sums.
-
-    Raises ``ZeroRow`` for all-zero rows of X, whose estimates are zero.
+    X is walked in blocks of ``CACHE_BLOCK_ELEMENTS // r2`` rows, so a
+    block of X W stays in cache; blocking changes nothing but the order
+    in which BLAS sums.  Raises ``ZeroRow`` for all-zero rows of X and
+    ``InvalidInput`` for any other estimate not finite and positive.
     """
     X = _as_design(X)
     n, d = X.shape
@@ -514,22 +481,17 @@ def approx_leverage(
         raise DimensionMismatch(
             f"row-space sketch expects input dimension {op2.n_in}, data has d={d}"
         )
-    exact = op2.kind == IDENTITY
-    if exact:
-        block = max(1, CACHE_BLOCK_ELEMENTS // d)
-    else:
-        block = max(1, LEVERAGE_BLOCK_ELEMENTS // op2.r)
+    W = precond.Rinv @ apply_sketch(op2, np.eye(d)).T    # (d, r2)
+    block = max(1, CACHE_BLOCK_ELEMENTS // op2.r)
     ell_hat = np.empty(n)
     for start in range(0, n, block):
-        rows = slice(start, start + block)
-        Z = precond.x_times_inverse(X[rows])     # (b, d)
-        if exact:
-            ell_hat[rows] = np.einsum("ij,ij->i", Z, Z)
-        else:
-            sketched = apply_sketch(op2, Z.T)    # (r2, b)
-            ell_hat[rows] = np.einsum("ij,ij->j", sketched, sketched)
-    nonpositive = np.flatnonzero(~(ell_hat > 0.0))
-    zero = nonpositive[~np.any(X[nonpositive], axis=1)]
+        Z = X[start:start + block] @ W
+        ell_hat[start:start + block] = np.einsum("ij,ij->i", Z, Z)
+    bad = np.flatnonzero(~(np.isfinite(ell_hat) & (ell_hat > 0.0)))
+    zero = bad[~np.any(X[bad], axis=1)]
     if zero.size:
         raise ZeroRow(f"zero rows at indices {zero}")
-    return ApproxLeverage(ell_hat=ell_hat)
+    if bad.size:
+        raise InvalidInput("approximate leverage scores must be finite and positive")
+    ell_hat.setflags(write=False)
+    return ell_hat

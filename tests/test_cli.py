@@ -417,23 +417,25 @@ class TestVerifyCommand:
 
 
 @pytest.mark.parametrize(
-    "argv",
+    "argv, prefix",
     [
-        ["verify", "k-points", "--n", "abc"],
-        ["gen", "--n", "5", "--out-x", "x.csv"],
-        ["verify", "nope"],
-        ["reject-sample", "--x", "x.csv", "--k", "2", "--max-trials", "3"],
-        ["verify", "one-point", "--spike-fraction", "0.2"],
-        [],
+        (["verify", "k-points", "--n", "abc"], "error: cullsq"),
+        (["gen", "--n", "5", "--out-x", "x.csv"], "error: cullsq"),
+        (["verify", "nope"], "error: cullsq"),
+        (["reject-sample", "--x", "x.csv", "--k", "2", "--max-trials", "3"], "error: cullsq"),
+        (["verify", "one-point", "--spike-fraction", "0.2"], "error: cullsq"),
+        ([], "error: cullsq"),
+        (["gen", "--n", "-1", "--d", "2", "--out-x", "a.csv"], "error: need n > d >= 1"),
+        (["gen", "--n", "10", "--d", "-2", "--out-x", "a.csv"], "error: need n > d >= 1"),
     ],
     ids=["bad-int", "missing-flag", "unknown-experiment", "deleted-max-trials",
-         "deleted-spike-fraction", "no-command"],
+         "deleted-spike-fraction", "no-command", "gen-negative-n", "gen-negative-d"],
 )
-def test_usage_error_exits_one_with_one_line(capsys, argv):
+def test_usage_error_exits_one_with_one_line(capsys, argv, prefix):
     # exit 2 from verify means a failed criterion and nothing else
     assert run_cli(*argv) == 1
     captured = capsys.readouterr()
-    assert captured.err.startswith("error: cullsq") and captured.err.count("\n") == 1
+    assert captured.err.startswith(prefix) and captured.err.count("\n") == 1
     assert captured.out == ""
 
 

@@ -29,10 +29,9 @@ from cullsq import (
     rejection_sample_subset,
     sample_sum_over_rows_many,
     single_row_influences,
-    subset_influence,
     thin_svd,
 )
-from cullsq import regression
+from cullsq import influence, regression
 from cullsq.influence import (
     DEFAULT_BATCH,
     _acceptance_ratios,
@@ -168,16 +167,25 @@ class TestSampleSumOverRows:
             sample_sum_over_rows_many(np.array([1.0, -1.0]), 1, 1, RngStream(0))
 
 
+def weight_and_theta(svd, prof, rows):
+    """Influence weight and acceptance ratio of one subset, from the
+    norm of its partial projection."""
+    spec = partial_projection_norm(svd, RowSubset.of(rows))
+    q_weight = np.sum(1.0 / prof.ell[rows])
+    return (float(_influence_weights(spec)),
+            float(_acceptance_ratios(spec, q_weight, svd.d, len(rows))))
+
+
 class TestSubsetInfluence:
     def test_single_row_closed_form(self):
         # exact-arithmetic check at leverage 1/2: theta = (1 - 1/2)^2 / d = 1/8
         X = np.array([[1.0, 0.0], [1.0, 0.0], [0.0, 1.0], [0.0, 1.0]])
         svd = thin_svd(Dataset(X=X))
         prof = leverage_scores(svd)
-        info = subset_influence(svd, prof, RowSubset.of([2]))
+        weight, theta = weight_and_theta(svd, prof, [2])
         oracle = (Fraction(1, 2)) ** 2 / Fraction(1, 2)  # weight = (1-l)^2/l
-        assert abs(info.weight - float(oracle)) <= 1e-14
-        assert abs(info.theta - float(Fraction(1, 8))) <= 1e-14
+        assert abs(weight - float(oracle)) <= 1e-14
+        assert abs(theta - float(Fraction(1, 8))) <= 1e-14
 
     def test_single_row_random_designs(self):
         gen = np.random.default_rng(6)
@@ -185,28 +193,26 @@ class TestSubsetInfluence:
         svd = thin_svd(Dataset(X=X))
         prof = leverage_scores(svd)
         for i in range(12):
-            info = subset_influence(svd, prof, RowSubset.of([i]))
+            _, theta = weight_and_theta(svd, prof, [i])
             ell = prof.ell[i]
-            np.testing.assert_allclose(info.theta, (1 - ell) ** 2 / 3.0, rtol=1e-12)
-            assert info.theta <= 1.0 + 1e-10
+            np.testing.assert_allclose(theta, (1 - ell) ** 2 / 3.0, rtol=1e-12)
+            assert theta <= 1.0 + 1e-10
 
     def test_rank_destroying_subset_gets_zero(self):
         X = np.array([[1.0, 0.0], [0.0, 1.0], [0.0, 2.0], [0.0, 3.0]])
         svd = thin_svd(Dataset(X=X))
         prof = leverage_scores(svd)
-        info = subset_influence(svd, prof, RowSubset.of([0]))
-        assert info.weight == 0.0
-        assert info.theta == 0.0
+        weight, theta = weight_and_theta(svd, prof, [0])
+        assert weight == 0.0
+        assert theta == 0.0
 
     def test_theta_at_most_one_exhaustive(self):
         gen = np.random.default_rng(7)
         U = random_orthonormal(10, 2, gen)
         svd = thin_svd(Dataset(X=U))
         prof = leverage_scores(svd)
-        thetas = [
-            subset_influence(svd, prof, RowSubset.of(c)).theta
-            for c in combinations(range(10), 2)
-        ]
+        subsets, spec, _, _ = _enumerate(svd, 2)
+        thetas = _acceptance_ratios(spec, (1.0 / prof.ell)[subsets].sum(axis=1), 2, 2)
         assert len(thetas) == 45
         assert max(thetas) <= 1.0 + 1e-10
 
@@ -293,14 +299,15 @@ class TestRejectionSampler:
         draws, _ = rejection_sample_many(svd, prof, 2, 2000, RngStream(15))
         assert not np.any(draws == 0)
 
-    def test_trial_budget_exceeded(self):
+    def test_trial_budget_exceeded(self, monkeypatch):
         gen = np.random.default_rng(16)
         X = gen.standard_normal((10, 2))
         svd = thin_svd(Dataset(X=X))
         prof = leverage_scores(svd)
+        monkeypatch.setattr(influence, "default_max_trials", lambda profile, k: 1)
         # seed picked so the single allowed proposal is rejected
         with pytest.raises(TrialBudgetExceeded) as info:
-            rejection_sample_subset(svd, prof, 2, RngStream(2), max_trials=1)
+            rejection_sample_subset(svd, prof, 2, RngStream(2))
         err = info.value
         assert err.trials == 1
         assert err.empirical_rate == 0.0
@@ -413,7 +420,7 @@ class TestEnumeration:
         live = spec < 1.0 - SPEC_SINGULAR_TOL
         assert np.all(increases[~live] == 0.0)
         reference = [
-            leave_A_out_error(data, RowSubset.of(a), svd, full=(w_star, opt)) - opt
+            leave_A_out_error(data, RowSubset.of(a), svd) - opt
             for a in subsets[live]
         ]
         np.testing.assert_allclose(increases[live], reference, rtol=1e-10, atol=1e-12 * opt)
@@ -498,19 +505,14 @@ class TestCrossValidation:
         data = Dataset(X=X, y=y)
         svd = thin_svd(data)
         prof = leverage_scores(svd)
-        w_star, opt = full_solve(data, svd)
+        _, opt = full_solve(data, svd)
         p = single_row_influences(prof)
-        errs = np.array(
-            [
-                leave_A_out_error(data, RowSubset.of([i]), svd, full=(w_star, opt))
-                for i in range(60)
-            ]
-        )
+        errs = np.array([leave_A_out_error(data, RowSubset.of([i]), svd) for i in range(60)])
         ratio = float(p @ errs) / opt
         assert abs(ratio - (1.0 + 1.0 / prof.z1)) <= 1e-12
 
     def test_monte_carlo_mean_matches_enumerated_expectation(self):
-        from cullsq import Dataset, full_solve, leave_A_out_error
+        from cullsq import Dataset, leave_A_out_error
 
         gen = np.random.default_rng(53)
         X = gen.standard_normal((12, 2))
@@ -518,20 +520,14 @@ class TestCrossValidation:
         data = Dataset(X=X, y=y)
         svd = thin_svd(data)
         prof = leverage_scores(svd)
-        w_star, opt = full_solve(data, svd)
         subsets, probs = enumerate_subset_distribution(svd, prof, 2)
         exact = sum(
-            pr * leave_A_out_error(data, RowSubset.of(s), svd, full=(w_star, opt))
+            pr * leave_A_out_error(data, RowSubset.of(s), svd)
             for s, pr in zip(subsets, probs)
             if pr > 0
         )
         draws, _ = rejection_sample_many(svd, prof, 2, 5000, RngStream(54))
-        errs = np.array(
-            [
-                leave_A_out_error(data, RowSubset.of(r), svd, full=(w_star, opt))
-                for r in draws
-            ]
-        )
+        errs = np.array([leave_A_out_error(data, RowSubset.of(r), svd) for r in draws])
         sem = errs.std(ddof=1) / math.sqrt(len(errs))
         assert abs(errs.mean() - exact) <= 4.0 * sem
 

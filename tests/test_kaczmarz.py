@@ -259,7 +259,8 @@ class TestKaczmarzFast:
             setup = fast_setup(X, FastSolverConfig(), RngStream(34))
             run = kaczmarz_fast(data, 40, RngStream(34), w_star=w0, setup=setup)
             pre = setup.precond
-            rows = np.array([pre.apply_inverse_transpose(X[j]) for j in run.sampled_indices])
+            R = pre.r_matrix()
+            rows = np.array([np.linalg.solve(R.T, X[j]) for j in run.sampled_indices])
             w_of_v = pre.apply_inverse
             v_star = pre.T @ w0[pre.piv]
         else:

