@@ -24,7 +24,7 @@ from .experiments import (
     ExperimentConfig,
     run_experiment,
 )
-from .influence import _enumerate, rejection_sample_many, rejection_sample_subset
+from .influence import _enumerate, rejection_sample_many
 from .kaczmarz import kaczmarz_exact, kaczmarz_fast
 from .regression import Dataset, full_solve, leverage_scores, thin_svd
 from .rng import RngStream
@@ -155,16 +155,11 @@ def _cmd_reject_sample(args) -> int:
         return 0
     profile = leverage_scores(svd)
     rng = RngStream(args.seed)
-    if args.count == 1:
-        subset, trials = rejection_sample_subset(svd, profile, args.k, rng)
-        draws = subset.array()[None]
-        print(f"accepted after {trials} proposals")
-    else:
-        draws, stats = rejection_sample_many(svd, profile, args.k, args.count, rng)
-        print(
-            f"accepted {args.count} subsets from {stats.proposals} proposals "
-            f"(rate {stats.acceptance_rate:.4f})"
-        )
+    draws, stats = rejection_sample_many(svd, profile, args.k, args.count, rng)
+    print(
+        f"accepted {args.count} subsets from {stats.proposals} proposals "
+        f"(rate {stats.acceptance_rate:.4f})"
+    )
     dataio.save_subsets(args.out or sys.stdout, draws)
     return 0
 
@@ -209,9 +204,10 @@ def _cmd_precond(args) -> int:
 def _cmd_kaczmarz(args) -> int:
     data = Dataset(X=dataio.load_matrix(args.x), y=dataio.load_vector(args.y))
     rng = RngStream(args.seed)
-    w_star = full_solve(data)[0] if args.trace else None  # oracle solve, test mode only
+    svd = thin_svd(data) if args.mode == "exact" else None
+    w_star = full_solve(data, svd)[0] if args.trace else None  # oracle solve, test mode only
     if args.mode == "exact":
-        run = kaczmarz_exact(thin_svd(data), data.y, args.iters, rng, w_star=w_star)
+        run = kaczmarz_exact(svd, data.y, args.iters, rng, w_star=w_star)
     else:
         run = kaczmarz_fast(data, args.iters, rng, w_star=w_star)
     if args.out:
@@ -236,7 +232,7 @@ def _cmd_verify(args) -> int:
             f"(measured={crit['measured']}, bound={crit['bound']})"
         )
     if cfg.out:
-        _emit(report.to_json(include_timings=True), cfg.out)
+        _emit(report.to_json(), cfg.out)
         print(f"report written to {cfg.out}")
     return 0 if report.passed else 2
 

@@ -119,6 +119,10 @@ class ExperimentConfig:
             raise InvalidConfig(f"need n > d >= 1, got n={self.n}, d={self.d}")
         if self.k is not None and not (1 <= self.k < self.n):
             raise InvalidConfig(f"need 1 <= k < n, got k={self.k}")
+        why_d2 = {"kaczmarz": "one projection solves a d = 1 system, leaving no rate to check",
+                  "jlt": "the SRHT size's ln d factor is 0 at d = 1"}.get(self.experiment)
+        if why_d2 and self.d < 2:
+            raise InvalidConfig(f"{self.experiment} experiment needs d >= 2: {why_d2}")
         if self.experiment in ("k-points", "sampler") and self.k is None:
             raise InvalidConfig(f"{self.experiment} experiment needs k")
         if self.experiment == "k-points" and self.k >= self.n / self.d:
@@ -209,18 +213,8 @@ class ExperimentReport:
     timings: Dict
     passed: bool
 
-    def to_json(self, include_timings: bool = True) -> str:
-        payload = {
-            "experiment": self.experiment,
-            "config": _jsonable(self.config),
-            "library_version": self.library_version,
-            "criteria": _jsonable(self.criteria),
-            "measurements": _jsonable(self.measurements),
-            "passed": self.passed,
-        }
-        if include_timings:
-            payload["timings"] = _jsonable(self.timings)
-        return json.dumps(payload, sort_keys=True, indent=2) + "\n"
+    def to_json(self) -> str:
+        return json.dumps(_jsonable(asdict(self)), sort_keys=True, indent=2) + "\n"
 
 
 _COMPARE = {"<=": operator.le, "<": operator.lt, ">=": operator.ge}
@@ -405,6 +399,22 @@ def _null_tv_bound(probs: np.ndarray, trials: int, delta: float) -> float:
     return float(mean_abs.sum()) / (2 * N) + math.sqrt(math.log(1.0 / delta) / (2 * N))
 
 
+def _enumerated_row(subsets: np.ndarray, rows: np.ndarray, n: int) -> np.ndarray:
+    """Index of each row of ``rows`` in ``subsets``, the lexicographic
+    k-subsets of range(n), by its rank C(n, k) - 1 - sum_i C(n-1-a_i, k-i);
+    -1 where no subset equals the row.  No binomial a valid row reads
+    exceeds C(n, k), so the table is capped there and its indices
+    clipped: a repeated or out-of-range index cannot overflow.
+    """
+    total, k = subsets.shape
+    comb = np.ones((n, k + 1), dtype=np.int64)  # min(C(m, j), total)
+    for j in range(1, k + 1):  # C(m, j) = sum_{t < m} C(t, j - 1)
+        comb[:, j] = np.minimum(np.cumsum(comb[:, j - 1]) - comb[:, j - 1], total)
+    terms = comb[np.clip(n - 1 - rows, 0, n - 1), np.arange(k, 0, -1)]
+    rank = np.clip(total - 1 - terms.sum(axis=1), 0, total - 1)
+    return np.where((subsets[rank] == rows).all(axis=1), rank, -1)
+
+
 def _sampler(cfg: ExperimentConfig):
     """Rejection sampler exactness and acceptance-rate checks.
 
@@ -421,28 +431,23 @@ def _sampler(cfg: ExperimentConfig):
     the bound is 0.0159, and a sampler that accepts every proposal
     measures TV about 0.27.
 
-    Each draw is matched to its enumerated row, and its spectral norm is
-    read there.  A draw that matches no row (a repeated or out-of-range
-    index) counts in no bin and as degenerate, norm 1.
+    Each draw's spectral norm is read at its enumerated row, found by
+    rank (:func:`_enumerated_row`).  A draw that matches no row (a
+    repeated or out-of-range index) counts in no bin and as norm 1.
     """
     rng, _, svd, profile, _, _ = _prepare(cfg)
     k = cfg.k
     subsets_enum, spec, probs, _ = _enumerate(svd, k)
 
-    # acceptance ratio over every subset
     q_weights = (1.0 / profile.ell)[subsets_enum].sum(axis=1)
     max_theta = float(_acceptance_ratios(spec, q_weights, svd.d, k).max())
 
     draws, stats = rejection_sample_many(svd, profile, k, cfg.trials, rng.substream(1))
-    # base-n keys of sorted rows: the lexicographic enumeration is sorted
-    # by key; the match is then checked on the whole row
-    encode = cfg.n ** np.arange(k - 1, -1, -1, dtype=np.int64)
-    row = np.searchsorted(subsets_enum @ encode, draws @ encode).clip(max=len(probs) - 1)
-    matched = (subsets_enum[row] == draws).all(axis=1)
-    counts = np.bincount(row[matched], minlength=len(probs))
+    row = _enumerated_row(subsets_enum, draws, cfg.n)
+    counts = np.bincount(row[row >= 0], minlength=len(probs))
     tv = 0.5 * float(np.abs(counts / cfg.trials - probs).sum())
 
-    max_drawn_spec = float(np.where(matched, spec[row], 1.0).max())
+    max_drawn_spec = float(np.where(row >= 0, spec[row], 1.0).max())
     bound = estimate_acceptance(profile, k, svd.d)
     rate = stats.acceptance_rate
     rate_se = math.sqrt(max(rate * (1.0 - rate), 0.0) / stats.proposals)

@@ -12,10 +12,10 @@ with ratio
 
     theta_A = [(1 - s_A)^2 / s_A] / [(d / k^2) * sum_{i in A} 1/ell_i],
 
-which is always at most 1, so accepted subsets are distributed exactly
-according to the influence probabilities.  The acceptance probability is
-at least k^2 / (n * mu) with mu the mean inverse leverage, provided
-n >= 8 d k.
+the influence weight over the proposal weight, which is always at most
+1, so accepted subsets are distributed exactly according to the
+influence probabilities.  The acceptance probability is at least
+k^2 / (n * mu) with mu the mean inverse leverage, provided n >= 8 d k.
 
 One rejection loop serves every sampler; a single draw is a round of
 proposals that stops at its first acceptance.  A round of B proposals
@@ -147,12 +147,9 @@ def _influence_weights(spec: np.ndarray) -> np.ndarray:
 
 
 def _acceptance_ratios(spec, q_weight, d: int, k: int) -> np.ndarray:
-    """theta = [(1-s)^2/s] / [(d/k^2) q], zero where s is within 1e-10 of
-    1.  Evaluated in log space, which keeps (1-s)^2 accurate as s -> 1."""
-    s = np.clip(spec, 1e-300, 1.0 - SPEC_SINGULAR_TOL)
-    with np.errstate(over="ignore"):
-        theta = np.exp(2.0 * np.log1p(-s) - np.log(s) - np.log((d / k**2) * q_weight))
-    return np.where(np.asarray(spec) < 1.0 - SPEC_SINGULAR_TOL, theta, 0.0)
+    """theta = [(1-s)^2/s] / [(d/k^2) q]: the influence weight over the
+    sum-over-rows proposal weight, zero where s is within 1e-10 of 1."""
+    return _influence_weights(spec) * (k * k / d) / q_weight
 
 
 def default_max_trials(profile: LeverageProfile, k: int) -> int:
@@ -267,9 +264,8 @@ def rejection_sample_many(
 
     Proposals are made in rounds of at most ``DEFAULT_BATCH`` (see
     :func:`_accept_reject`), within :func:`default_max_trials` proposals
-    per subset.
-    Returns a (count, k) array of sorted index rows plus statistics over
-    every proposal made, those after the last draw kept included.
+    per subset.  Returns a (count, k) array of sorted index rows plus
+    statistics over every proposal, including any after the last draw kept.
     """
     out, stats, _ = _accept_reject(svd, profile, k, count, rng)
     return out, stats

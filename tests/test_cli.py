@@ -107,7 +107,8 @@ class TestRejectSample:
         line = (tmp_path / "s.csv").read_text().strip()
         idx = [int(v) for v in line.split(";")]
         assert len(idx) == 2 and idx == sorted(idx)
-        assert "accepted after" in capsys.readouterr().out
+        # one stats line at every count: all proposals made, the last kept included
+        assert capsys.readouterr().out.startswith("accepted 1 subsets from ")
 
     def test_many_draws(self, dataset_files, tmp_path):
         x_path, _ = dataset_files
@@ -427,9 +428,12 @@ class TestVerifyCommand:
         ([], "error: cullsq"),
         (["gen", "--n", "-1", "--d", "2", "--out-x", "a.csv"], "error: need n > d >= 1"),
         (["gen", "--n", "10", "--d", "-2", "--out-x", "a.csv"], "error: need n > d >= 1"),
+        (["verify", "kaczmarz", "--d", "1"], "error: kaczmarz experiment needs d >= 2"),
+        (["verify", "jlt", "--d", "1"], "error: jlt experiment needs d >= 2"),
     ],
     ids=["bad-int", "missing-flag", "unknown-experiment", "deleted-max-trials",
-         "deleted-spike-fraction", "no-command", "gen-negative-n", "gen-negative-d"],
+         "deleted-spike-fraction", "no-command", "gen-negative-n", "gen-negative-d",
+         "kaczmarz-d1", "jlt-d1"],
 )
 def test_usage_error_exits_one_with_one_line(capsys, argv, prefix):
     # exit 2 from verify means a failed criterion and nothing else

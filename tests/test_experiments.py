@@ -1,12 +1,16 @@
 import dataclasses
 import json
+import math
 import sys
 import tracemalloc
+from itertools import combinations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cullsq import (
+    Dataset,
     ExperimentConfig,
     InvalidConfig,
     RngStream,
@@ -18,7 +22,8 @@ from cullsq import (
 )
 from cullsq import experiments, influence, regression
 from cullsq.designs import make_dataset
-from cullsq.experiments import EXPERIMENT_NAMES, EXPERIMENTS, _jsonable
+from cullsq.experiments import EXPERIMENT_NAMES, EXPERIMENTS, _enumerated_row, _jsonable
+from cullsq.influence import _enumerate
 
 
 class TestGenerateDataset:
@@ -244,6 +249,61 @@ class TestOneOraclePass:
         crit = {c["name"]: c for c in report.criteria}["sampler-no-degenerate-draws"]
         assert crit["measured"] == 1.0 and not crit["passed"]
         assert not report.passed
+
+
+def lexicographic_subsets(n, k):
+    """Every k-subset of range(n) in lexicographic order, as ``_enumerate``
+    builds them (which it refuses at k = n, where the one subset is
+    degenerate)."""
+    subsets = np.fromiter(combinations(range(n), k), dtype=(np.intp, k), count=math.comb(n, k))
+    if k < n:
+        one_column = Dataset(X=np.arange(1.0, n + 1.0)[:, None])
+        np.testing.assert_array_equal(_enumerate(thin_svd(one_column), k)[0], subsets)
+    return subsets
+
+
+def assert_rank_is_index_and_bad_rows_miss(n, k, bad_value, position):
+    subsets = lexicographic_subsets(n, k)
+    np.testing.assert_array_equal(_enumerated_row(subsets, subsets, n), np.arange(len(subsets)))
+    sample = subsets[:: max(1, len(subsets) // 50)]
+    out_of_range = sample.copy()
+    out_of_range[:, position % k] = bad_value
+    assert (_enumerated_row(subsets, out_of_range, n) == -1).all()
+    if k >= 2:
+        repeated = sample.copy()
+        j = 1 + position % (k - 1)
+        repeated[:, j] = repeated[:, j - 1]
+        assert (_enumerated_row(subsets, repeated, n) == -1).all()
+
+
+class TestEnumeratedRow:
+    # verify sampler finds each draw's row by its lexicographic rank; a
+    # row with a repeated or out-of-range index matches none
+    @given(
+        st.integers(1, 12).flatmap(lambda n: st.tuples(st.just(n), st.integers(1, n))),
+        st.one_of(st.integers(-(2**62), -1), st.integers(12, 2**62)),
+        st.integers(0, 11),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_rank_is_index_and_bad_rows_miss(self, nk, bad_value, position):
+        assert_rank_is_index_and_bad_rows_miss(*nk, bad_value, position)
+
+    # n^k > 2^63 at each; the binomial table holds entries above C(n, k),
+    # at 100 choose 98 up to C(99, 49) > 2^63 were it not capped
+    @pytest.mark.parametrize("n, k", [(20, 16), (22, 15), (100, 98)])
+    def test_large_n_to_the_k(self, n, k):
+        assert_rank_is_index_and_bad_rows_miss(n, k, n, 3)
+
+    def test_sampler_matches_every_draw_past_int64_keys(self):
+        # 20 choose 16 = 4845 subsets, 20^16 > 2^63; at n < 8dk the
+        # acceptance bound is not guaranteed and is not asserted
+        report = run_experiment(
+            ExperimentConfig(experiment="sampler", n=20, d=1, k=16, trials=2000)
+        )
+        crit = {c["name"]: c for c in report.criteria}
+        assert crit["sampler-no-degenerate-draws"]["passed"]
+        assert crit["sampler-tv-lt-bound"]["passed"]
+        assert not report.measurements["acceptance_bound_guaranteed"]
 
 
 class TestFastWeightSpaceBound:

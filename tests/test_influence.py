@@ -186,6 +186,15 @@ class TestSubsetInfluence:
         oracle = (Fraction(1, 2)) ** 2 / Fraction(1, 2)  # weight = (1-l)^2/l
         assert abs(weight - float(oracle)) <= 1e-14
         assert abs(theta - float(Fraction(1, 8))) <= 1e-14
+        # theta at the ends of the norm's range, against exact arithmetic:
+        # near 1, past the singular cut (theta = 0) and at 1e-300
+        for s, q, d, k in [(1 - 1e-9, 3.0, 2, 2), (1 - 1e-11, 3.0, 2, 2), (1e-300, 1e10, 5, 3)]:
+            theta = float(_acceptance_ratios(np.array([s]), np.array([q]), d, k)[0])
+            if s >= 1 - SPEC_SINGULAR_TOL:
+                assert theta == 0.0
+                continue
+            exact = (1 - Fraction(s)) ** 2 / Fraction(s) / (Fraction(d, k * k) * Fraction(q))
+            assert abs(theta - float(exact)) <= 1e-14 * float(exact)
 
     def test_single_row_random_designs(self):
         gen = np.random.default_rng(6)
