@@ -37,9 +37,7 @@ from .regression import (
     ThinSvd,
     deficient_solve,
     full_solve,
-    leave_A_out_error,
     leverage_scores,
-    partial_projection_norm,
     thin_svd,
 )
 from .influence import (

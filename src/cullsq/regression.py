@@ -16,8 +16,9 @@ its Woodbury form
     r^T Q r = ||(I - G)^{-1} U_A^T r||^2,
 
 and ||P||_2 = lambda_max(G).  One blocked kernel,
-:func:`_subset_projection`, computes both for a batch of subsets; the
-samplers, the scalar functions here and the k-point and sampler
+:func:`_subset_projection`, is the one evaluator of both, for a batch of
+subsets (a single subset is a batch of one); the samplers, the
+enumeration oracle, :func:`deficient_solve`'s rank check and the
 experiments all take their subset norms and increases from it.
 
 The thin SVD is computed by Cholesky QR, in matrix products (BLAS-3)
@@ -25,11 +26,12 @@ over X instead of the memory-bound Householder passes of LAPACK's
 ``gesdd``: Gram matrix, Cholesky factor T, Q <- Q T^{-1}, twice for a
 well-conditioned X (CholeskyQR2, as accurate as Householder QR for
 kappa up to about 1e8), after which the d x d product of the factors is
-decomposed by a small SVD.  A worse X takes a pass or two more, and a
-pass whose plain Cholesky fails adds a shift of 11 (n d + d (d + 1)) u
-||X||_F^2 to the Gram (shifted CholeskyQR3), which carries the method
-to the kappa <= 1 / RANK_TOL = 1e12 the rank tolerance admits.  Beyond
-that, :class:`RankDeficient`.
+decomposed by a small SVD; every pass writes its product into one
+n x d array, so the method holds one n x d array besides X.  A worse X
+takes a pass or two more, and a pass whose plain Cholesky fails adds a
+shift of 11 (n d + d (d + 1)) u ||X||_F^2 to the Gram (shifted
+CholeskyQR3), which carries the method to the kappa <= 1 / RANK_TOL =
+1e12 the rank tolerance admits.  Beyond that, :class:`RankDeficient`.
 References: Fukaya et al., "CholeskyQR2: a simple and
 communication-avoiding algorithm", ScalA 2014; Fukaya, Kannan,
 Nakatsukasa et al., "Shifted Cholesky QR for computing the QR
@@ -171,9 +173,6 @@ class ThinSvd:
     def condition_number(self) -> float:
         return float(self.sigma[0] / self.sigma[-1])
 
-    def reconstruct(self) -> np.ndarray:
-        return (self.U * self.sigma) @ self.V.T
-
 
 @dataclass(frozen=True)
 class LeverageProfile:
@@ -234,12 +233,6 @@ class RowSubset:
         return np.array(self.indices, dtype=np.intp)
 
 
-def _check_range(subset: RowSubset, n: int) -> None:
-    # O(1): the indices are sorted and nonnegative
-    if subset.indices[-1] >= n:
-        raise InvalidInput(f"index {subset.indices[-1]} out of range for n={n}")
-
-
 @dataclass(frozen=True)
 class DeficientFit:
     """Result of the regression with a row subset deleted.
@@ -268,17 +261,24 @@ def _cholesky_qr_svd(X: np.ndarray):
     repeat until a factor lies within 1/2 of I in the 2-norm: Q then has
     kappa <= 3, and that last pass, which makes it orthonormal to
     rounding, is folded into U = Q (T^{-1} U_R), with U_R Sigma V^T the
-    SVD of the d x d product of every factor.
+    SVD of the d x d product of every factor.  Each pass writes its
+    product Q M (M = T^{-1}, or T^{-1} U_R at the last), row block by
+    row block, into U, which the next pass overwrites in place; X is
+    never written, and besides U the method holds one row block.
     """
     n, d = X.shape
     eye = np.eye(d)
-    rows = max(1, GRAM_BLOCK_ELEMENTS // d)
-    Q, R = X, eye
+    rows = min(n, max(1, GRAM_BLOCK_ELEMENTS // d))
+    blocks = [slice(start, min(start + rows, n)) for start in range(0, n, rows)]
+    # buf holds the row block of s Q or of Q M in every pass: with a new
+    # temporary per block, glibc trimmed the heap after each call and the
+    # next call faulted ~3 MB back in (32768 x 10, 1 BLAS thread)
+    Q, R, U, buf = X, eye, np.empty((n, d)), np.empty((rows, d))
     for _ in range(CHOLESKY_QR_MAX_PASSES):
         s = np.ldexp(1.0, -int(np.frexp(max(Q.max(), -Q.min()))[1]))
         G = np.zeros((d, d))
-        for start in range(0, n, rows):
-            B = Q[start:start + rows] * s
+        for b in blocks:
+            B = np.multiply(Q[b], s, out=buf[:b.stop - b.start])
             G += B.T @ B
         try:
             L = np.linalg.cholesky(G)
@@ -287,11 +287,18 @@ def _cholesky_qr_svd(X: np.ndarray):
             G[np.diag_indices(d)] += shift
             L = np.linalg.cholesky(G)
         T = L.T / s
-        if np.linalg.norm(T - eye, 2) <= 0.5:
+        last = np.linalg.norm(T - eye, 2) <= 0.5
+        if last:
             Ur, sigma, Vt = np.linalg.svd(T @ R)
-            return Q @ (np.linalg.inv(T) @ Ur), sigma, Vt
-        Q = Q @ np.linalg.inv(T)
-        R = T @ R
+            M = np.linalg.inv(T) @ Ur
+        else:
+            M = np.linalg.inv(T)
+            R = T @ R
+        for b in blocks:
+            U[b] = np.matmul(Q[b], M, out=buf[:b.stop - b.start])
+        Q = U
+        if last:
+            return U, sigma, Vt
     raise RankDeficient(
         f"Cholesky QR found no orthonormal basis in {CHOLESKY_QR_MAX_PASSES} passes"
     )
@@ -393,20 +400,6 @@ def _subset_projection(U: np.ndarray, subsets: np.ndarray, r=None):
     return top if r is None else (top, increase)
 
 
-def _require_full_rank(spec: float, subset: RowSubset) -> None:
-    if spec >= 1.0 - SPEC_SINGULAR_TOL:
-        raise SingularDeficientSystem(
-            f"||P_A||_2 = {spec:.15f}; deleting rows {subset.indices} "
-            "destroys full rank"
-        )
-
-
-def partial_projection_norm(svd: ThinSvd, subset: RowSubset) -> float:
-    """Spectral norm of the partial projection U_A U_A^T, in [0, 1]."""
-    _check_range(subset, svd.n)
-    return float(_subset_projection(svd.U, subset.array()[None])[0])
-
-
 def deficient_solve(
     data: Dataset, subset: RowSubset, svd: Optional[ThinSvd] = None
 ) -> DeficientFit:
@@ -420,9 +413,17 @@ def deficient_solve(
     y = data.require_labels()
     if svd is None:
         svd = thin_svd(data)
-    w_star, opt_error = full_solve(data, svd)
-    _require_full_rank(partial_projection_norm(svd, subset), subset)
+    # O(1): the indices are sorted and nonnegative
+    if subset.indices[-1] >= svd.n:
+        raise InvalidInput(f"index {subset.indices[-1]} out of range for n={svd.n}")
     idx = subset.array()
+    spec = float(_subset_projection(svd.U, idx[None])[0])
+    if spec >= 1.0 - SPEC_SINGULAR_TOL:
+        raise SingularDeficientSystem(
+            f"||P_A||_2 = {spec:.15f}; deleting rows {subset.indices} "
+            "destroys full rank"
+        )
+    w_star, opt_error = full_solve(data, svd)
     UA = svd.U[idx]
     P = UA @ UA.T
     A = data.X[idx]
@@ -437,26 +438,3 @@ def deficient_solve(
         full_error=full_error,
         error_increase=full_error - opt_error,
     )
-
-
-def leave_A_out_error(
-    data: Dataset,
-    subset: RowSubset,
-    svd: Optional[ThinSvd] = None,
-) -> float:
-    """Closed-form full-data error of the deleted-rows regression.
-
-    Evaluates opt_error + r^T Q r with r = A w* - y_A, through the
-    d x d form of :func:`_subset_projection`; the deficient system is
-    never solved.
-    """
-    y = data.require_labels()
-    if svd is None:
-        svd = thin_svd(data)
-    w_star, opt_error = full_solve(data, svd)
-    _check_range(subset, svd.n)
-    idx = subset.array()
-    resid_A = data.X[idx] @ w_star - y[idx]
-    spec, increase = _subset_projection(svd.U, idx[None], resid_A[None])
-    _require_full_rank(spec[0], subset)
-    return opt_error + float(increase[0])

@@ -353,6 +353,15 @@ class TestVerifyCommand:
         assert err.startswith("error: ") and err.count("\n") == 1
         assert field in err
 
+    def test_sampler_tv_bound_at_one_exits_one_naming_it(self, capsys):
+        # 2000 draws over C(22, 15) = 170,544 subsets: the TV bound is 1.037,
+        # above the largest possible TV, so the check could not fail
+        assert run_cli("verify", "sampler", "--n", 22, "--d", 1, "--k", 15,
+                       "--trials", 2000) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "1.0368" in err and "2000 draws" in err
+
     @pytest.mark.parametrize("experiment", ["jlt", "k-points"])
     def test_one_trial_has_no_standard_error(self, capsys, experiment):
         assert run_cli("verify", experiment, "--trials", 1) == 1

@@ -206,6 +206,15 @@ class TestVerifiers:
         assert all(c["seed"] == 10 for c in report.criteria)
         assert report.passed == all(c["passed"] for c in report.criteria)
 
+    def test_sampler_checks_acceptance_where_guaranteed(self):
+        # n >= 8 d k: k^2/(n mu) bounds the acceptance rate
+        report = run_experiment(
+            ExperimentConfig(experiment="sampler", n=64, d=2, k=2, trials=2000)
+        )
+        crit = {c["name"]: c for c in report.criteria}
+        assert report.measurements["acceptance_bound_guaranteed"]
+        assert crit["sampler-acceptance-ge-bound"]["passed"]
+
 
 def defaults(experiment, **fields):
     return ExperimentConfig(experiment=experiment,
@@ -296,7 +305,7 @@ class TestEnumeratedRow:
 
     def test_sampler_matches_every_draw_past_int64_keys(self):
         # 20 choose 16 = 4845 subsets, 20^16 > 2^63; at n < 8dk the
-        # acceptance bound is not guaranteed and is not asserted
+        # acceptance bound is not guaranteed and is not checked
         report = run_experiment(
             ExperimentConfig(experiment="sampler", n=20, d=1, k=16, trials=2000)
         )
@@ -304,6 +313,10 @@ class TestEnumeratedRow:
         assert crit["sampler-no-degenerate-draws"]["passed"]
         assert crit["sampler-tv-lt-bound"]["passed"]
         assert not report.measurements["acceptance_bound_guaranteed"]
+        # the rate, its SE and the bound are reported, not checked
+        assert {"acceptance_rate", "acceptance_rate_se", "acceptance_lower_bound"} <= set(
+            report.measurements)
+        assert "sampler-acceptance-ge-bound" not in crit and report.passed
 
 
 class TestFastWeightSpaceBound:

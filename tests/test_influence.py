@@ -18,13 +18,12 @@ from cullsq import (
     TooLarge,
     TrialBudgetExceeded,
     RngStream,
+    deficient_solve,
     default_max_trials,
     enumerate_subset_distribution,
     estimate_acceptance,
     full_solve,
-    leave_A_out_error,
     leverage_scores,
-    partial_projection_norm,
     rejection_sample_many,
     rejection_sample_subset,
     sample_sum_over_rows_many,
@@ -170,7 +169,7 @@ class TestSampleSumOverRows:
 def weight_and_theta(svd, prof, rows):
     """Influence weight and acceptance ratio of one subset, from the
     norm of its partial projection."""
-    spec = partial_projection_norm(svd, RowSubset.of(rows))
+    spec = _subset_projection(svd.U, np.array([rows]))[0]
     q_weight = np.sum(1.0 / prof.ell[rows])
     return (float(_influence_weights(spec)),
             float(_acceptance_ratios(spec, q_weight, svd.d, len(rows))))
@@ -371,10 +370,8 @@ class TestEnumeration:
         X = gen.standard_normal((10, 2))
         svd = thin_svd(Dataset(X=X))
         prof = leverage_scores(svd)
-        subsets = list(combinations(range(10), 2))
-        specs = np.array(
-            [partial_projection_norm(svd, RowSubset.of(c)) for c in subsets]
-        )
+        subsets = np.array(list(combinations(range(10), 2)))
+        specs = _subset_projection(svd.U, subsets)
         weights = (1.0 - specs) ** 2 / specs
         qbar = specs.mean()
         assert weights.sum() >= len(subsets) * (1 - qbar) ** 2 / qbar - 1e-8
@@ -403,7 +400,7 @@ class TestEnumeration:
         assert subsets.dtype == np.intp and subsets.shape == (len(combos), k)
         assert subsets.tolist() == [list(c) for c in combos]
         weights = _influence_weights(
-            np.array([partial_projection_norm(svd, RowSubset.of(c)) for c in combos])
+            np.array([_subset_projection(svd.U, np.array([c]))[0] for c in combos])
         )
         np.testing.assert_allclose(probs, weights / weights.sum(), rtol=0, atol=1e-12)
 
@@ -429,7 +426,7 @@ class TestEnumeration:
         live = spec < 1.0 - SPEC_SINGULAR_TOL
         assert np.all(increases[~live] == 0.0)
         reference = [
-            leave_A_out_error(data, RowSubset.of(a), svd) - opt
+            deficient_solve(data, RowSubset.of(a), svd).error_increase
             for a in subsets[live]
         ]
         np.testing.assert_allclose(increases[live], reference, rtol=1e-10, atol=1e-12 * opt)
@@ -506,37 +503,33 @@ class TestCrossValidation:
     def test_single_row_expectation_identity(self):
         # E[error after rejecting one row] equals (1 + 1/Z) times the
         # optimum exactly, whenever no row has leverage pinned at 1
-        from cullsq import Dataset, full_solve, leave_A_out_error
-
         gen = np.random.default_rng(52)
         X = gen.standard_normal((60, 4))
         y = X @ gen.standard_normal(4) + gen.standard_normal(60)
         data = Dataset(X=X, y=y)
         svd = thin_svd(data)
         prof = leverage_scores(svd)
-        _, opt = full_solve(data, svd)
+        w_star, opt = full_solve(data, svd)
         p = single_row_influences(prof)
-        errs = np.array([leave_A_out_error(data, RowSubset.of([i]), svd) for i in range(60)])
+        resid = data.X @ w_star - y
+        _, increases = _subset_projection(svd.U, np.arange(60)[:, None], resid[:, None])
+        errs = opt + increases
         ratio = float(p @ errs) / opt
         assert abs(ratio - (1.0 + 1.0 / prof.z1)) <= 1e-12
 
     def test_monte_carlo_mean_matches_enumerated_expectation(self):
-        from cullsq import Dataset, leave_A_out_error
-
         gen = np.random.default_rng(53)
         X = gen.standard_normal((12, 2))
         y = X @ gen.standard_normal(2) + gen.standard_normal(12)
         data = Dataset(X=X, y=y)
         svd = thin_svd(data)
         prof = leverage_scores(svd)
+        w_star, opt = full_solve(data, svd)
+        resid = data.X @ w_star - y
         subsets, probs = enumerate_subset_distribution(svd, prof, 2)
-        exact = sum(
-            pr * leave_A_out_error(data, RowSubset.of(s), svd)
-            for s, pr in zip(subsets, probs)
-            if pr > 0
-        )
+        exact = opt + float(probs @ _subset_projection(svd.U, subsets, resid[subsets])[1])
         draws, _ = rejection_sample_many(svd, prof, 2, 5000, RngStream(54))
-        errs = np.array([leave_A_out_error(data, RowSubset.of(r), svd) for r in draws])
+        errs = opt + _subset_projection(svd.U, draws, resid[draws])[1]
         sem = errs.std(ddof=1) / math.sqrt(len(errs))
         assert abs(errs.mean() - exact) <= 4.0 * sem
 
@@ -548,10 +541,7 @@ class TestSpectralNormAverages:
         gen = np.random.default_rng(1000 + n + d + k)
         U = random_orthonormal(n, d, gen)
         svd = thin_svd(Dataset(X=U))
-        specs = [
-            partial_projection_norm(svd, RowSubset.of(c))
-            for c in combinations(range(n), k)
-        ]
+        specs = _subset_projection(svd.U, np.array(list(combinations(range(n), k))))
         qbar = float(np.mean(specs))
         assert k / n - 1e-10 <= qbar <= d * k / n + 1e-10
 

@@ -18,9 +18,7 @@ from cullsq import (
     ZeroRow,
     deficient_solve,
     full_solve,
-    leave_A_out_error,
     leverage_scores,
-    partial_projection_norm,
     thin_svd,
 )
 from cullsq import regression
@@ -35,6 +33,21 @@ from _helpers import (
     random_dataset,
     random_orthonormal,
 )
+
+
+def kernel_norm(svd, rows):
+    """||P_A||_2 of one subset, from the batch kernel."""
+    return float(_subset_projection(svd.U, np.asarray(rows)[None])[0])
+
+
+def kernel_error(data, svd, rows):
+    """``(||P_A||_2, opt + increase)`` of one subset from the batch kernel:
+    the closed-form full-data error of the regression without its rows."""
+    w_star, opt = full_solve(data, svd)
+    idx = np.asarray(rows)
+    r = data.X @ w_star - data.y
+    spec, increase = _subset_projection(svd.U, idx[None], r[idx][None])
+    return float(spec[0]), opt + float(increase[0])
 
 
 class TestDataset:
@@ -109,7 +122,7 @@ class TestThinSvd:
         gen = np.random.default_rng(1)
         data = random_dataset(30, 4, gen)
         svd = thin_svd(data)
-        rel = np.linalg.norm(svd.reconstruct() - data.X) / np.linalg.norm(data.X)
+        rel = np.linalg.norm((svd.U * svd.sigma) @ svd.V.T - data.X) / np.linalg.norm(data.X)
         assert rel <= 1e-8
         assert np.max(np.abs(svd.U.T @ svd.U - np.eye(4))) <= 1e-10
         assert np.max(np.abs(svd.V.T @ svd.V - np.eye(4))) <= 1e-10
@@ -157,7 +170,7 @@ class TestThinSvd:
         svd = thin_svd(Dataset(X=X))
         j = int(np.argmin(svd.sigma))
         assert svd.U[0, j] == -svd.U[1, j] > 0.0
-        np.testing.assert_allclose(svd.reconstruct(), X, atol=1e-15)
+        np.testing.assert_allclose((svd.U * svd.sigma) @ svd.V.T, X, atol=1e-15)
 
     def test_failed_cholesky_takes_a_shifted_pass(self, monkeypatch):
         # kappa^2 = 1e22 is far past 1/u: a plain Cholesky of X^T X fails
@@ -179,9 +192,10 @@ class TestThinSvd:
         assert np.max(np.abs(svd.sigma - s0)) <= 1e-12 * s0[0]
         assert np.max(np.abs(svd.U.T @ svd.U - np.eye(20))) <= 1e-13
 
-    def test_memory_is_two_copies_of_u(self):
-        # the last Cholesky QR product holds Q and U at once; neither a
-        # temporary of |U|, a sign-flipped copy of U nor a frozen copy
+    def test_memory_is_one_copy_of_u(self):
+        # every Cholesky QR pass writes its product into the one n x d
+        # buffer that becomes U; neither a second product, a temporary
+        # of |U|, a sign-flipped copy of U nor a frozen copy
         n, d = 2**20, 10
         data = Dataset(X=np.random.default_rng(31).standard_normal((n, d)))
         tracemalloc.start()
@@ -191,7 +205,7 @@ class TestThinSvd:
         finally:
             tracemalloc.stop()
         assert svd.U.shape == (n, d)
-        assert peak <= 2 * data.X.nbytes + 8 * 2**20
+        assert peak <= data.X.nbytes + 8 * 2**20
 
     def test_keeps_its_own_u_and_copies_a_callers(self):
         svd = thin_svd(random_dataset(40, 5, np.random.default_rng(29)))
@@ -336,24 +350,23 @@ class TestPartialProjectionNorm:
         svd = thin_svd(data)
         prof = leverage_scores(svd)
         for i in range(12):
-            got = partial_projection_norm(svd, RowSubset.of([i]))
+            got = kernel_norm(svd, [i])
             np.testing.assert_allclose(got, prof.ell[i], atol=1e-12)
 
     def test_all_rows_give_one(self):
         gen = np.random.default_rng(11)
         data = random_dataset(9, 2, gen)
         svd = thin_svd(data)
-        got = partial_projection_norm(svd, RowSubset.of(range(9)))
+        got = kernel_norm(svd, range(9))
         assert abs(got - 1.0) <= 1e-10
 
     def test_matches_power_iteration_oracle(self):
         gen = np.random.default_rng(12)
         U = random_orthonormal(8, 2, gen)
         svd = thin_svd(Dataset(X=U))
-        sub = RowSubset.of([0, 1])
         UA = svd.U[[0, 1]]
         oracle = power_iteration_top_eig(UA @ UA.T)
-        got = partial_projection_norm(svd, sub)
+        got = kernel_norm(svd, [0, 1])
         np.testing.assert_allclose(got, oracle, atol=1e-10)
 
     def test_gram_side_agreement(self):
@@ -361,12 +374,9 @@ class TestPartialProjectionNorm:
         gen = np.random.default_rng(13)
         data = random_dataset(20, 3, gen)
         svd = thin_svd(data)
-        sub = RowSubset.of(range(8))
-        UA = svd.U[sub.array()]
+        UA = svd.U[:8]
         oracle = np.linalg.eigvalsh(UA @ UA.T)[-1]
-        np.testing.assert_allclose(
-            partial_projection_norm(svd, sub), oracle, atol=1e-12
-        )
+        np.testing.assert_allclose(kernel_norm(svd, range(8)), oracle, atol=1e-12)
 
 
 class TestDeficientSolve:
@@ -406,7 +416,7 @@ class TestLeaveAOutError:
         X = gen.standard_normal((20, 3))
         w = gen.standard_normal(3)
         data = Dataset(X=X, y=X @ w)
-        err = leave_A_out_error(data, RowSubset.of([4, 9]))
+        _, err = kernel_error(data, thin_svd(data), [4, 9])
         assert err <= 1e-12
 
     def test_single_row_closed_form(self):
@@ -418,33 +428,31 @@ class TestLeaveAOutError:
         res = data.X @ w_star - data.y
         for i in (0, 7, 19):
             expected = opt + prof.ell[i] / (1.0 - prof.ell[i]) ** 2 * res[i] ** 2
-            got = leave_A_out_error(data, RowSubset.of([i]), svd)
+            _, got = kernel_error(data, svd, [i])
             np.testing.assert_allclose(got, expected, rtol=1e-10)
 
     def test_matches_deficient_solve(self):
         gen = np.random.default_rng(18)
         data = random_dataset(40, 4, gen)
-        sub = RowSubset.of([3, 12])
-        closed = leave_A_out_error(data, sub)
-        direct = deficient_solve(data, sub).full_error
+        svd = thin_svd(data)
+        _, closed = kernel_error(data, svd, [3, 12])
+        direct = deficient_solve(data, RowSubset.of([3, 12]), svd).full_error
         assert abs(closed - direct) <= 1e-8 * (1.0 + direct)
 
-    def test_identity_over_random_instances(self):
-        gen = np.random.default_rng(19)
-        for _ in range(200):
-            n = int(gen.integers(8, 40))
-            d = int(gen.integers(1, min(6, n - 2) + 1))
-            k = int(gen.integers(1, min(4, n - d) + 1))
-            data = random_dataset(n, d, gen)
-            svd = thin_svd(data)
-            sub = RowSubset.of(gen.choice(n, size=k, replace=False))
-            from cullsq import partial_projection_norm as ppn
-
-            if ppn(svd, sub) >= 1.0 - 1e-6:
-                continue
-            closed = leave_A_out_error(data, sub, svd)
-            direct = deficient_solve(data, sub, svd).full_error
-            assert abs(closed - direct) <= 1e-8 * (1.0 + direct)
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(8, 39), st.integers(1, 6), st.integers(1, 4),
+           st.sampled_from(["gaussian", "coherent"]), st.integers(0, 2**32 - 1))
+    def test_identity_over_random_instances(self, n, d, k, design, seed):
+        k = min(k, n - d)
+        gen = np.random.default_rng(seed)
+        data = make_dataset(design, n, d, 1.0, gen)
+        svd = thin_svd(data)
+        rows = np.sort(gen.choice(n, size=k, replace=False))
+        spec, closed = kernel_error(data, svd, rows)
+        if spec >= 1.0 - 1e-6:
+            return
+        direct = deficient_solve(data, RowSubset.of(rows), svd).full_error
+        assert abs(closed - direct) <= 1e-8 * (1.0 + direct)
 
     def test_never_below_optimal(self):
         gen = np.random.default_rng(20)
@@ -452,8 +460,8 @@ class TestLeaveAOutError:
         svd = thin_svd(data)
         _, opt = full_solve(data, svd)
         for _ in range(50):
-            sub = RowSubset.of(gen.choice(30, size=2, replace=False))
-            assert leave_A_out_error(data, sub, svd) >= opt - 1e-10
+            _, err = kernel_error(data, svd, np.sort(gen.choice(30, size=2, replace=False)))
+            assert err >= opt - 1e-10
 
     def test_q_form_equivalence(self):
         # (I-P)^{-1} P (I-P)^{-1} == (I-P)^{-2} - (I-P)^{-1}
@@ -490,16 +498,15 @@ class TestClosedFormProperties:
         svd = thin_svd(data)
         w_star, opt = full_solve(data, svd)
         resid = data.X @ w_star - data.y
-        _, batch = _subset_projection(svd.U, subsets, resid[subsets])
-        for rows, increase in zip(subsets, batch):
-            sub = RowSubset.of(rows)
-            spec = partial_projection_norm(svd, sub)
+        specs, batch = _subset_projection(svd.U, subsets, resid[subsets])
+        for rows, spec, increase in zip(subsets, specs, batch):
             assert 0.0 <= spec <= 1.0
             if spec >= 1.0 - 1e-6:
                 continue
-            closed = leave_A_out_error(data, sub, svd)
+            one_spec, closed = kernel_error(data, svd, rows)
             _, direct = deficient_lstsq(data.X, data.y, rows)
             np.testing.assert_allclose(closed, direct, rtol=1e-8)
+            np.testing.assert_allclose(one_spec, spec, rtol=1e-12)
             np.testing.assert_allclose(opt + increase, closed, rtol=1e-12)
 
     def test_leverage_one_row_is_singular_everywhere(self):
@@ -508,11 +515,8 @@ class TestClosedFormProperties:
         data = Dataset(X=X, y=np.array([1.0, 2.0, 3.0, 4.0, 1.0]))
         svd = thin_svd(data)
         w_star, _ = full_solve(data, svd)
-        sub = RowSubset.of([0, 2])
         with pytest.raises(SingularDeficientSystem):
-            leave_A_out_error(data, sub, svd)
-        with pytest.raises(SingularDeficientSystem):
-            deficient_solve(data, sub, svd)
+            deficient_solve(data, RowSubset.of([0, 2]), svd)
         subsets = np.array([[0, 2], [1, 3]])
         resid = data.X @ w_star - data.y
         spec, increase = _subset_projection(svd.U, subsets, resid[subsets])
@@ -552,14 +556,6 @@ class TestTypedSubsetErrors:
     def test_deficient_solve_index_out_of_range(self, data):
         with pytest.raises(InvalidInput):
             deficient_solve(data, RowSubset.of([3, 10]))
-
-    def test_leave_A_out_error_index_out_of_range(self, data):
-        with pytest.raises(InvalidInput):
-            leave_A_out_error(data, RowSubset.of([3, 10]))
-
-    def test_partial_projection_norm_index_out_of_range(self, data):
-        with pytest.raises(InvalidInput):
-            partial_projection_norm(thin_svd(data), RowSubset.of([10]))
 
     @pytest.mark.parametrize(
         "make",
