@@ -30,6 +30,7 @@ from .errors import (
 )
 from .rng import RngStream
 from .regression import (
+    INDEX_DTYPE,
     Dataset,
     DeficientFit,
     LeverageProfile,

@@ -58,7 +58,8 @@ class TrialBudgetExceeded(CullsqError):
 
 
 class TooLarge(CullsqError):
-    """Exhaustive enumeration refused: too many subsets."""
+    """A size limit is exceeded: too many subsets to enumerate, or more
+    rows than the index dtype holds."""
 
 
 class InvalidDimension(CullsqError):

@@ -20,14 +20,18 @@ k^2 / (n * mu) with mu the mean inverse leverage, provided n >= 8 d k.
 One rejection loop serves every sampler; a single draw is a round of
 proposals that stops at its first acceptance.  A round of B proposals
 costs O(B k log k) time and holds O(B k) memory plus a fixed-size block
-of gathered rows U_A, and O(n) for the cumulative proposal weights built
-once per call: no array is sized by n or by k d per proposal.
+of gathered rows U_A.  The cumulative proposal weights, the one O(n)
+array, are built once per :class:`LeverageProfile`, on first use, and
+kept on it (``proposal_cdf``); the acceptance ratio reads 1/ell only at
+the proposed rows, so no draw allocates an array sized by n.  Every
+subset index array returned (the samplers' draws, ``RowSubset.array()``
+and the oracle's rows) has the one dtype ``INDEX_DTYPE``, int32.
 
 The exact oracle, :func:`enumerate_subset_distribution`, returns every
 k-subset as one (C(n, k), k) index array and the probabilities as one
 array, from one pass of the blocked kernel.  Near its C(n, k) <= 2e6
 limit (200 x 5, k = 3, 1,313,400 subsets, one BLAS thread on a 2-core
-Xeon) it takes 2.3-2.8 s and a 61 MB tracemalloc peak; a list of one
+Xeon) it takes 2.3-2.8 s and a 46 MB tracemalloc peak; a list of one
 object per subset took 8.3-10.1 s and 341 MB.  Given the residuals of
 the optimal fit, the same pass (:func:`_enumerate`) also returns each
 subset's closed-form error increase, so every exact check reads one
@@ -55,6 +59,7 @@ from .regression import (
     RowSubset,
     ThinSvd,
     _subset_projection,
+    index_dtype,
 )
 from .rng import as_generator, inverse_cdf_draw
 
@@ -86,7 +91,7 @@ def _check_weights(f_values: np.ndarray) -> np.ndarray:
 def sample_sum_over_rows_many(f_values, k: int, count: int, rng) -> np.ndarray:
     """Draw ``count`` independent k-subsets from the sum-over-rows
     distribution, P[A] = sum_{i in A} f_i / (C(n-1, k-1) * sum_j f_j),
-    as a (count, k) array of sorted index rows.
+    as a (count, k) ``INDEX_DTYPE`` array of sorted index rows.
 
     Each row is one index drawn by inverse CDF over the weights plus a
     uniform (k-1)-subset of the other n-1 indices, which costs O(k) per
@@ -94,12 +99,13 @@ def sample_sum_over_rows_many(f_values, k: int, count: int, rng) -> np.ndarray:
     """
     f = _check_weights(f_values)
     n = f.shape[0]
+    dtype = index_dtype(n)
     if not (1 <= k <= n):
         raise InvalidK(f"k={k} out of range for n={n}")
     if count < 1:
         raise InvalidK("count must be at least 1")
     gen = as_generator(rng)
-    return _propose_batch(gen, np.cumsum(f), n, k, count)
+    return _propose_batch(gen, np.cumsum(f), n, k, count).astype(dtype)
 
 
 def _uniform_subsets(gen, m: int, size: int, batch: int) -> np.ndarray:
@@ -206,16 +212,18 @@ def _accept_reject(svd, profile, k, count, rng):
     the draws, the statistics and the stream position of the last draw kept.
     """
     n, d = svd.n, svd.d
+    dtype = index_dtype(n)
     if not (1 <= k < n):
         raise InvalidK(f"k={k} out of range for n={n}")
     if count < 1:
         raise InvalidK("count must be at least 1")
     budget = default_max_trials(profile, k) * count
     gen = as_generator(rng)
-    inv_ell = 1.0 / profile.ell
-    cumulative = np.cumsum(inv_ell)
+    cumulative = profile.proposal_cdf
     bound = estimate_acceptance(profile, k, d).lower_bound
-    out = np.empty((count, k), dtype=np.intp)
+    # proposals are drawn in intp, which fixes the random stream, and
+    # narrowed to the index dtype as they are kept
+    out = np.empty((count, k), dtype=dtype)
     got = proposals = accepted = position = 0
     while got < count:
         if proposals >= budget:
@@ -225,7 +233,7 @@ def _accept_reject(svd, profile, k, count, rng):
         b = min(DEFAULT_BATCH, budget - proposals, math.ceil(need / rate))
         subs = _propose_batch(gen, cumulative, n, k, b)
         spec = _subset_projection(svd.U, subs)
-        theta = _acceptance_ratios(spec, inv_ell[subs].sum(axis=1), d, k)
+        theta = _acceptance_ratios(spec, (1.0 / profile.ell[subs]).sum(axis=1), d, k)
         hits = np.flatnonzero(gen.random(b) < theta)
         kept = hits[:need]
         out[got : got + kept.size] = subs[kept]
@@ -264,8 +272,9 @@ def rejection_sample_many(
 
     Proposals are made in rounds of at most ``DEFAULT_BATCH`` (see
     :func:`_accept_reject`), within :func:`default_max_trials` proposals
-    per subset.  Returns a (count, k) array of sorted index rows plus
-    statistics over every proposal, including any after the last draw kept.
+    per subset.  Returns a (count, k) array of sorted index rows, of dtype
+    ``INDEX_DTYPE``, plus statistics over every proposal, including any
+    after the last draw kept.
     """
     out, stats, _ = _accept_reject(svd, profile, k, count, rng)
     return out, stats
@@ -274,9 +283,9 @@ def rejection_sample_many(
 def enumerate_subset_distribution(
     svd: ThinSvd, profile: LeverageProfile, k: int
 ) -> Tuple[np.ndarray, np.ndarray]:
-    """Every k-subset as a (C(n, k), k) array of index rows in
-    lexicographic order, and the (C(n, k),) array of its exact influence
-    probabilities.  Exponential in k; guarded at C(n, k) <= 2e6."""
+    """Every k-subset as a (C(n, k), k) ``INDEX_DTYPE`` array of index
+    rows in lexicographic order, and the (C(n, k),) array of its exact
+    influence probabilities.  Exponential in k; guarded at C(n, k) <= 2e6."""
     subsets, _, probs, _ = _enumerate(svd, k)
     return subsets, probs
 
@@ -287,12 +296,13 @@ def _enumerate(svd: ThinSvd, k: int, residuals=None):
     and, given the n ``residuals`` X w* - y of the optimal fit, each
     subset's closed-form error increase (else None)."""
     n = svd.n
+    dtype = index_dtype(n)
     if not (1 <= k <= n):
         raise InvalidK(f"k={k} out of range for n={n}")
     total = math.comb(n, k)
     if total > ENUMERATION_LIMIT:
         raise TooLarge(f"C({n},{k}) = {total} exceeds {ENUMERATION_LIMIT}")
-    subsets = np.fromiter(combinations(range(n), k), dtype=(np.intp, k), count=total)
+    subsets = np.fromiter(combinations(range(n), k), dtype=(dtype, k), count=total)
     if residuals is None:
         spec, increases = _subset_projection(svd.U, subsets), None
     else:

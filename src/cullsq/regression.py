@@ -41,15 +41,18 @@ factorization of ill-conditioned matrices", SIAM J. Sci. Comput. 2020.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Optional, Tuple
 
 import numpy as np
 
 from .errors import (
+    DimensionMismatch,
     InvalidInput,
     MissingLabels,
     RankDeficient,
     SingularDeficientSystem,
+    TooLarge,
     ZeroRow,
 )
 
@@ -67,6 +70,18 @@ GRAM_BLOCK_ELEMENTS = 2**17
 # needs at most five
 CHOLESKY_QR_MAX_PASSES = 8
 UNIT_ROUNDOFF = np.finfo(float).eps / 2
+# dtype of every subset index array the library returns: half the bytes
+# of intp, and it holds every row index of a design with n <= 2^31 - 1
+INDEX_DTYPE = np.int32
+
+
+def index_dtype(n: int):
+    """INDEX_DTYPE, after checking that it holds every row index of an
+    n-row design; raises TooLarge for n > 2^31 - 1."""
+    if n > np.iinfo(INDEX_DTYPE).max:
+        raise TooLarge(f"n = {n} rows exceed the {np.dtype(INDEX_DTYPE).name} "
+                       f"index limit of 2^31 - 1")
+    return INDEX_DTYPE
 
 
 def _frozen(a: np.ndarray) -> np.ndarray:
@@ -204,6 +219,15 @@ class LeverageProfile:
     def n(self) -> int:
         return self.ell.shape[0]
 
+    @cached_property
+    def proposal_cdf(self) -> np.ndarray:
+        """Read-only cumsum(1/ell), the cumulative weights of the
+        samplers' first proposed row: built on first use and kept, so
+        neither the constructor nor a draw pays for the O(n) pass."""
+        cdf = np.cumsum(1.0 / self.ell)
+        cdf.setflags(write=False)
+        return cdf
+
 
 @dataclass(frozen=True)
 class RowSubset:
@@ -219,6 +243,7 @@ class RowSubset:
             raise InvalidInput("indices must be strictly increasing")
         if idx[0] < 0:
             raise InvalidInput("negative index")
+        index_dtype(idx[-1] + 1)  # array() must hold the largest index
         object.__setattr__(self, "indices", idx)
 
     @classmethod
@@ -230,7 +255,7 @@ class RowSubset:
         return len(self.indices)
 
     def array(self) -> np.ndarray:
-        return np.array(self.indices, dtype=np.intp)
+        return np.array(self.indices, dtype=INDEX_DTYPE)
 
 
 @dataclass(frozen=True)
@@ -350,15 +375,30 @@ def leverage_scores(svd: ThinSvd) -> LeverageProfile:
     return LeverageProfile.from_scores(ell)
 
 
+def _svd_of(data: Dataset, svd: Optional[ThinSvd]) -> ThinSvd:
+    """The caller's ``svd`` once its U matches X in shape, else thin_svd(data)."""
+    if svd is None:
+        return thin_svd(data)
+    if svd.U.shape != data.X.shape:
+        raise DimensionMismatch(
+            f"the SVD's U has shape {svd.U.shape} but X has shape {data.X.shape}"
+        )
+    return svd
+
+
+def _optimal_weights(svd: ThinSvd, y: np.ndarray) -> np.ndarray:
+    """w* = V diag(1/sigma) U^T y."""
+    return svd.V @ ((svd.U.T @ y) / svd.sigma)
+
+
 def full_solve(data: Dataset, svd: Optional[ThinSvd] = None):
     """Optimal weights and optimal squared error via the pseudo-inverse.
 
     Returns ``(w_star, opt_error)`` with w* = V diag(1/sigma) U^T y.
     """
     y = data.require_labels()
-    if svd is None:
-        svd = thin_svd(data)
-    w_star = svd.V @ ((svd.U.T @ y) / svd.sigma)
+    svd = _svd_of(data, svd)
+    w_star = _optimal_weights(svd, y)
     resid = data.X @ w_star - y
     return w_star, float(resid @ resid)
 
@@ -405,14 +445,19 @@ def deficient_solve(
 ) -> DeficientFit:
     """Least-squares weights with the subset's rows deleted.
 
-    Implemented as a rank-k downdate of the full solution:
-    w_minus = w* + (X^T X)^{-1} A^T (I_k - P_A)^{-1} (A w* - y_A).
+    Implemented as a downdate of the full solution in d x d form (the
+    Woodbury identity pushed through U_A):
+
+        w_minus = w* + V diag(1/sigma) (I_d - G_A)^{-1} U_A^T r_A,
+
+    with G_A = U_A^T U_A and r_A = X_A w* - y_A, so no k x k matrix is
+    formed.  ``full_error`` and ``error_increase`` are direct residual
+    sums over all n rows, both from one product X [w*, w_minus] - y.
     Requires ||P_A||_2 < 1 - 1e-10, otherwise the reduced system has
     lost column rank.
     """
     y = data.require_labels()
-    if svd is None:
-        svd = thin_svd(data)
+    svd = _svd_of(data, svd)
     # O(1): the indices are sorted and nonnegative
     if subset.indices[-1] >= svd.n:
         raise InvalidInput(f"index {subset.indices[-1]} out of range for n={svd.n}")
@@ -423,18 +468,16 @@ def deficient_solve(
             f"||P_A||_2 = {spec:.15f}; deleting rows {subset.indices} "
             "destroys full rank"
         )
-    w_star, opt_error = full_solve(data, svd)
+    w_star = _optimal_weights(svd, y)
     UA = svd.U[idx]
-    P = UA @ UA.T
-    A = data.X[idx]
-    resid_A = A @ w_star - y[idx]
-    z = np.linalg.solve(np.eye(subset.k) - P, resid_A)
-    # (X^T X)^{-1} A^T z  =  V diag(1/sigma^2) V^T A^T z
-    w_minus = w_star + svd.V @ ((svd.V.T @ (A.T @ z)) / svd.sigma**2)
-    full_resid = data.X @ w_minus - y
-    full_error = float(full_resid @ full_resid)
+    resid_A = data.X[idx] @ w_star - y[idx]
+    z = np.linalg.solve(np.eye(svd.d) - UA.T @ UA, UA.T @ resid_A)
+    w_minus = w_star + svd.V @ (z / svd.sigma)
+    resid = data.X @ np.column_stack([w_star, w_minus])
+    resid -= y[:, None]
+    opt_error, full_error = np.einsum("ij,ij->j", resid, resid)
     return DeficientFit(
         w_minus=_frozen(w_minus),
-        full_error=full_error,
-        error_increase=full_error - opt_error,
+        full_error=float(full_error),
+        error_increase=float(full_error - opt_error),
     )

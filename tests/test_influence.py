@@ -9,6 +9,7 @@ import scipy.stats
 from hypothesis import given, settings, strategies as st
 
 from cullsq import (
+    INDEX_DTYPE,
     Dataset,
     DegenerateDistribution,
     InvalidK,
@@ -397,7 +398,7 @@ class TestEnumeration:
         prof = leverage_scores(svd)
         subsets, probs = enumerate_subset_distribution(svd, prof, k)
         combos = list(combinations(range(n), k))
-        assert subsets.dtype == np.intp and subsets.shape == (len(combos), k)
+        assert subsets.dtype == INDEX_DTYPE and subsets.shape == (len(combos), k)
         assert subsets.tolist() == [list(c) for c in combos]
         weights = _influence_weights(
             np.array([_subset_projection(svd.U, np.array([c]))[0] for c in combos])
@@ -634,6 +635,62 @@ def test_batch_draw_memory_far_below_batch_by_n():
     assert draws.shape == (50, k) and stats.accepted >= 50
     assert np.all(np.diff(draws, axis=1) > 0)
     assert peak < 64 * 2**20
+
+
+def test_single_draw_allocates_no_n_array():
+    # the proposal CDF is built once per profile; a draw then reads 1/ell
+    # only at its proposed rows, so it allocates nothing near the n bytes
+    # of even a boolean (n,) array (two 8 MB arrays per draw otherwise)
+    n, d = 2**20, 4
+    k = int(n / (d + math.sqrt(n)))
+    X = np.random.default_rng(65).standard_normal((n, d))
+    svd = thin_svd(Dataset(X=X))
+    prof = leverage_scores(svd)
+    assert "proposal_cdf" not in vars(prof)  # nothing built at set-up
+    rejection_sample_subset(svd, prof, k, RngStream(66))
+    cdf = prof.proposal_cdf
+    tracemalloc.start()
+    try:
+        subset, _ = rejection_sample_subset(svd, prof, k, RngStream(67))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert subset.k == k
+    assert peak < n
+    assert prof.proposal_cdf is cdf and not cdf.flags.writeable
+    assert np.array_equal(cdf, np.cumsum(1.0 / prof.ell))
+
+
+def test_every_subset_array_has_the_index_dtype():
+    gen = np.random.default_rng(68)
+    svd = thin_svd(Dataset(X=gen.standard_normal((12, 2))))
+    prof = leverage_scores(svd)
+    draws, _ = rejection_sample_many(svd, prof, 3, 20, RngStream(69))
+    subset, _ = rejection_sample_subset(svd, prof, 3, RngStream(70))
+    subsets, _ = enumerate_subset_distribution(svd, prof, 3)
+    oracle = _enumerate(svd, 3, gen.standard_normal(12))[0]
+    proposals = sample_sum_over_rows_many(1.0 / prof.ell, 3, 20, RngStream(71))
+    assert INDEX_DTYPE == np.int32
+    for array in (draws, subset.array(), RowSubset.of([5, 1]).array(), subsets, oracle,
+                  proposals):
+        assert array.dtype == INDEX_DTYPE
+
+
+class _TooTall:
+    """An SVD stand-in with more rows than the index dtype holds: the
+    samplers must refuse it before touching any array."""
+
+    n, d = 2**31, 1
+
+
+@pytest.mark.parametrize("call", [
+    lambda p: rejection_sample_many(_TooTall(), p, 1, 1, RngStream(0)),
+    lambda p: rejection_sample_subset(_TooTall(), p, 1, RngStream(0)),
+    lambda p: enumerate_subset_distribution(_TooTall(), p, 1),
+], ids=["many", "single", "enumerate"])
+def test_samplers_refuse_rows_past_the_index_dtype(call):
+    with pytest.raises(TooLarge, match="2\\^31 - 1"):
+        call(uniform_profile(4, 1))
 
 
 @pytest.mark.parametrize("k,d,block", [(7, 3, 50), (3, 7, 50), (40, 32, 1)])
