@@ -13,7 +13,6 @@ from .errors import (
     CullsqError,
     DegenerateDistribution,
     DimensionMismatch,
-    InconsistentSystem,
     InvalidConfig,
     InvalidDimension,
     InvalidInput,

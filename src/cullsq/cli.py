@@ -158,7 +158,8 @@ def _cmd_reject_sample(args) -> int:
     draws, stats = rejection_sample_many(svd, profile, args.k, args.count, rng)
     print(
         f"accepted {args.count} subsets from {stats.proposals} proposals "
-        f"(rate {stats.acceptance_rate:.4f})"
+        f"(rate {stats.acceptance_rate:.4f})",
+        file=sys.stdout if args.out else sys.stderr,
     )
     dataio.save_subsets(args.out or sys.stdout, draws)
     return 0

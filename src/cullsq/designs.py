@@ -2,9 +2,10 @@
 
 Three design families cover the leverage-profile extremes: i.i.d.
 gaussian (mildly non-uniform leverage), hadamard-uniform (exactly
-uniform leverage d/n), and coherent (the first ``SPIKE_FRACTION`` of
-the rows inflated by ``SPIKE_SCALE`` so leverage concentrates on them
-and the coherence mu blows up).
+uniform leverage d/n, n a power of two), and coherent (gaussian with
+its first round(``SPIKE_FRACTION`` n) rows, at least one, inflated by
+``SPIKE_SCALE`` so leverage concentrates on them and the coherence mu
+blows up).  :func:`make_design` builds each.
 """
 
 from __future__ import annotations
@@ -26,29 +27,6 @@ COHERENT = "coherent"
 DESIGN_KINDS = (GAUSSIAN, HADAMARD_UNIFORM, COHERENT)
 
 
-def gaussian_design(n: int, d: int, rng) -> np.ndarray:
-    gen = as_generator(rng)
-    return gen.standard_normal((n, d))
-
-
-def hadamard_uniform_design(n: int, d: int) -> np.ndarray:
-    """First d columns of the normalized Hadamard matrix; every row has
-    squared norm d/n, so leverage scores are exactly uniform."""
-    if n & (n - 1):
-        raise InvalidConfig(f"hadamard-uniform design needs n a power of two, got {n}")
-    return hadamard_columns(n, d)
-
-
-def coherent_design(n: int, d: int, rng) -> np.ndarray:
-    """Gaussian design with its first round(SPIKE_FRACTION * n) rows (at
-    least one) scaled by SPIKE_SCALE to concentrate leverage on them."""
-    gen = as_generator(rng)
-    X = gen.standard_normal((n, d))
-    m = max(1, int(round(SPIKE_FRACTION * n)))
-    X[:m] *= SPIKE_SCALE
-    return X
-
-
 def conditioned_design(n: int, d: int, kappa: float, rng) -> np.ndarray:
     """Design with prescribed condition number: random orthonormal
     factors around geometrically spaced singular values 1 .. 1/kappa."""
@@ -66,11 +44,17 @@ def make_design(kind: str, n: int, d: int, rng) -> np.ndarray:
     if not (n > d >= 1):
         raise InvalidConfig(f"need n > d >= 1, got n={n}, d={d}")
     if kind == GAUSSIAN:
-        return gaussian_design(n, d, rng)
+        return as_generator(rng).standard_normal((n, d))
     if kind == HADAMARD_UNIFORM:
-        return hadamard_uniform_design(n, d)
+        # every row of the first d normalized Hadamard columns has squared
+        # norm d/n, so the leverage scores are exactly uniform
+        if n & (n - 1):
+            raise InvalidConfig(f"hadamard-uniform design needs n a power of two, got {n}")
+        return hadamard_columns(n, d)
     if kind == COHERENT:
-        return coherent_design(n, d, rng)
+        X = as_generator(rng).standard_normal((n, d))
+        X[: max(1, int(round(SPIKE_FRACTION * n)))] *= SPIKE_SCALE
+        return X
     raise InvalidConfig(f"unknown design kind {kind!r}")
 
 

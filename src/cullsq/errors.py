@@ -74,9 +74,5 @@ class SketchRankDeficient(CullsqError):
     """The sketched matrix lost column rank, no preconditioner exists."""
 
 
-class InconsistentSystem(CullsqError):
-    """A consistency check was requested and the system failed it."""
-
-
 class InvalidConfig(CullsqError):
     """An experiment configuration violates its constraints."""

@@ -24,18 +24,19 @@ of gathered rows U_A.  The cumulative proposal weights, the one O(n)
 array, are built once per :class:`LeverageProfile`, on first use, and
 kept on it (``proposal_cdf``); the acceptance ratio reads 1/ell only at
 the proposed rows, so no draw allocates an array sized by n.  Every
-subset index array returned (the samplers' draws, ``RowSubset.array()``
-and the oracle's rows) has the one dtype ``INDEX_DTYPE``, int32.
+subset index array returned (the samplers' draws, the oracle's rows and
+the one read-only array a :class:`RowSubset` stores) has the one dtype
+``INDEX_DTYPE``, int32; a single draw is the :class:`RowSubset` of its
+sampled row.
 
 The exact oracle, :func:`enumerate_subset_distribution`, returns every
 k-subset as one (C(n, k), k) index array and the probabilities as one
 array, from one pass of the blocked kernel.  Near its C(n, k) <= 2e6
 limit (200 x 5, k = 3, 1,313,400 subsets, one BLAS thread on a 2-core
-Xeon) it takes 2.3-2.8 s and a 46 MB tracemalloc peak; a list of one
-object per subset took 8.3-10.1 s and 341 MB.  Given the residuals of
-the optimal fit, the same pass (:func:`_enumerate`) also returns each
-subset's closed-form error increase, so every exact check reads one
-pass.
+Xeon) it takes 2.3-2.8 s and a 46 MB tracemalloc peak.  Given the
+residuals of the optimal fit, the same pass (:func:`_enumerate`) also
+returns each subset's closed-form error increase, so every exact check
+reads one pass.
 """
 
 from __future__ import annotations
@@ -258,7 +259,7 @@ def rejection_sample_subset(
     :func:`default_max_trials` rejected proposals.
     """
     out, _, trials = _accept_reject(svd, profile, k, 1, rng)
-    return RowSubset.of(out[0]), trials
+    return RowSubset(out[0]), trials
 
 
 def rejection_sample_many(

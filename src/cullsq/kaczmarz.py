@@ -17,9 +17,10 @@ map from v back to w:
 * row norm: the unpreconditioned baseline, rows of X sampled by squared
   norm and w = v, at a rate governed by the squared condition number.
 
-A run touches at most one label per iteration, so the number of labels
-revealed is bounded by the iteration count (and reported exactly as the
-number of distinct sampled indices).
+A run touches at most one label per iteration.  Its :class:`KaczmarzRun`
+stores the K indices it sampled and derives the rest from them:
+``iterations`` is K and ``labels_used`` the number of distinct indices,
+so the label count reported is exactly the labels the run read.
 """
 
 from __future__ import annotations
@@ -27,11 +28,12 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import InconsistentSystem, InvalidInput, InvalidK, InvalidRng
+from .errors import InvalidInput, InvalidK, InvalidRng
 from .regression import Dataset, ThinSvd, _as_design
 from .rng import RngStream, as_generator, inverse_cdf_draw
 from .sketching import (
@@ -44,12 +46,11 @@ from .sketching import (
     next_pow2,
 )
 
-CONSISTENCY_RTOL = 1e-8
 
-
-@dataclass
+@dataclass(frozen=True)
 class KaczmarzRun:
-    """Outcome of one solver run.
+    """Outcome of one solver run: the weights ``w`` and, in order, the
+    K row indices the iterations sampled, from which the counts derive.
 
     ``error_trace`` (test mode only; needs the true weights) holds
     ||v_t - v*||^2 for t = 0..K, and ``w_error_trace`` the matching
@@ -57,11 +58,18 @@ class KaczmarzRun:
     """
 
     w: np.ndarray
-    labels_used: int
-    iterations: int
+    sampled_indices: np.ndarray
     error_trace: Optional[np.ndarray] = None
     w_error_trace: Optional[np.ndarray] = None
-    sampled_indices: Optional[np.ndarray] = None
+
+    @property
+    def iterations(self) -> int:
+        return len(self.sampled_indices)
+
+    @cached_property
+    def labels_used(self) -> int:
+        """Labels revealed: the number of distinct sampled indices."""
+        return int(np.unique(self.sampled_indices).size)
 
 
 @dataclass(frozen=True)
@@ -143,11 +151,9 @@ def _kaczmarz(
             iterates[t + 1] = v
     return KaczmarzRun(
         w=to_w(v),
-        labels_used=int(np.unique(idx).size),
-        iterations=K,
+        sampled_indices=idx,
         error_trace=None if iterates is None else _sq_dist(iterates, v_star),
         w_error_trace=None if iterates is None else _sq_dist(to_w(iterates), w_star),
-        sampled_indices=idx,
     )
 
 
@@ -157,24 +163,18 @@ def kaczmarz_exact(
     K: int,
     rng,
     w_star: Optional[np.ndarray] = None,
-    check_consistency: bool = False,
 ) -> KaczmarzRun:
     """Leverage-sampled Kaczmarz in the left singular basis.
 
     Samples K indices i.i.d. with probability ell_i/d, performs the
     projective update v <- v - u_j (u_j^T v - y_j)/||u_j||^2 from v = 0,
-    and returns w = V diag(1/sigma) v.  Consistency is an assumption;
-    pass ``check_consistency=True`` (test mode) to verify that y lies in
-    the column space first.
+    and returns w = V diag(1/sigma) v.  Consistency of y is assumed,
+    not checked.
     """
     y = np.asarray(y, dtype=float)
     U, sigma, V = svd.U, svd.sigma, svd.V
     if y.shape != (svd.n,):
         raise InvalidInput(f"y must have shape ({svd.n},)")
-    if check_consistency:
-        resid = y - U @ (U.T @ y)
-        if np.linalg.norm(resid) > CONSISTENCY_RTOL * np.linalg.norm(y):
-            raise InconsistentSystem("labels are not in the column space of X")
     v_star = None if w_star is None else sigma * (V.T @ w_star)
     return _kaczmarz(
         np.einsum("ij,ij->i", U, U), lambda idx: U[idx], y, K, as_generator(rng),
@@ -221,7 +221,6 @@ def kaczmarz_fast(
     K: int,
     rng: RngStream,
     w_star: Optional[np.ndarray] = None,
-    check_consistency: bool = False,
     setup: Optional[FastSetup] = None,
 ) -> KaczmarzRun:
     """Sketch-preconditioned Kaczmarz.
@@ -237,10 +236,6 @@ def kaczmarz_fast(
         raise InvalidRng("kaczmarz_fast needs an RngStream (it derives substreams)")
     y = data.require_labels()
     X = data.X
-    if check_consistency:
-        w_ls = np.linalg.lstsq(X, y, rcond=None)[0]
-        if np.linalg.norm(X @ w_ls - y) > CONSISTENCY_RTOL * np.linalg.norm(y):
-            raise InconsistentSystem("labels are not in the column space of X")
     if setup is None:
         setup = fast_setup(X, FastSolverConfig(), rng)
     pre = setup.precond

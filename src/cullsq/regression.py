@@ -21,6 +21,11 @@ subsets (a single subset is a batch of one); the samplers, the
 enumeration oracle, :func:`deficient_solve`'s rank check and the
 experiments all take their subset norms and increases from it.
 
+The value types store their inputs alone: :class:`LeverageProfile` the
+scores ell, from which it derives ``coherence_mu``, ``z1`` and
+``proposal_cdf`` on first use, and :class:`RowSubset` one read-only,
+strictly increasing ``INDEX_DTYPE`` array, which ``array()`` returns.
+
 The thin SVD is computed by Cholesky QR, in matrix products (BLAS-3)
 over X instead of the memory-bound Householder passes of LAPACK's
 ``gesdd``: Gram matrix, Cholesky factor T, Q <- Q T^{-1}, twice for a
@@ -42,7 +47,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Optional, Tuple
+from typing import Optional
 
 import numpy as np
 
@@ -191,7 +196,8 @@ class ThinSvd:
 
 @dataclass(frozen=True)
 class LeverageProfile:
-    """Per-row leverage scores with derived summary quantities.
+    """Per-row leverage scores ell in (0, 1], the one stored field; the
+    summaries are derived from it on first use and kept.
 
     ``coherence_mu`` is the mean inverse leverage; ``z1`` is the
     normalizer of the single-row influence distribution,
@@ -199,25 +205,24 @@ class LeverageProfile:
     """
 
     ell: np.ndarray
-    coherence_mu: float
-    z1: float
 
     def __post_init__(self):
         ell = np.asarray(self.ell, dtype=float)
-        if ell.ndim != 1 or np.any(ell <= 0.0) or np.any(ell > 1.0):
+        if ell.ndim != 1 or not np.all((ell > 0.0) & (ell <= 1.0)):
             raise InvalidInput("leverage scores must lie in (0, 1]")
         object.__setattr__(self, "ell", _frozen(ell))
-
-    @classmethod
-    def from_scores(cls, ell: np.ndarray) -> "LeverageProfile":
-        ell = np.clip(np.asarray(ell, dtype=float), LEVERAGE_FLOOR, 1.0)
-        mu = float(np.mean(1.0 / ell))
-        z1 = float(np.sum((1.0 - ell) ** 2 / ell))
-        return cls(ell=ell, coherence_mu=mu, z1=z1)
 
     @property
     def n(self) -> int:
         return self.ell.shape[0]
+
+    @cached_property
+    def coherence_mu(self) -> float:
+        return float(np.mean(1.0 / self.ell))
+
+    @cached_property
+    def z1(self) -> float:
+        return float(np.sum((1.0 - self.ell) ** 2 / self.ell))
 
     @cached_property
     def proposal_cdf(self) -> np.ndarray:
@@ -229,33 +234,50 @@ class LeverageProfile:
         return cdf
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RowSubset:
-    """A set of row indices, stored sorted ascending."""
+    """A nonempty set of row indices, stored as one read-only, strictly
+    increasing ``INDEX_DTYPE`` array.  Two subsets of the same rows are
+    equal and hash equal."""
 
-    indices: Tuple[int, ...]
+    indices: np.ndarray
 
     def __post_init__(self):
-        idx = tuple(int(i) for i in self.indices)
-        if len(idx) < 1:
-            raise InvalidInput("subset must be nonempty")
-        if any(b <= a for a, b in zip(idx, idx[1:])):
+        idx = np.asarray(self.indices)
+        if idx.ndim != 1 or idx.size < 1:
+            raise InvalidInput("subset must be a nonempty 1-D array of indices")
+        if idx.dtype.kind not in "iu":
+            raise InvalidInput(f"indices must be integers, got dtype {idx.dtype}")
+        if np.any(idx[1:] <= idx[:-1]):
             raise InvalidInput("indices must be strictly increasing")
         if idx[0] < 0:
             raise InvalidInput("negative index")
-        index_dtype(idx[-1] + 1)  # array() must hold the largest index
+        index_dtype(int(idx[-1]) + 1)  # INDEX_DTYPE must hold the largest index
+        idx = idx.astype(INDEX_DTYPE)
+        idx.setflags(write=False)
         object.__setattr__(self, "indices", idx)
 
     @classmethod
-    def of(cls, indices: Iterable[int]) -> "RowSubset":
-        return cls(tuple(sorted(int(i) for i in indices)))
+    def of(cls, indices) -> "RowSubset":
+        """The subset of ``indices`` given in any order."""
+        idx = np.asarray(indices)
+        return cls(np.sort(idx) if idx.ndim == 1 else idx)
+
+    def __eq__(self, other):
+        if not isinstance(other, RowSubset):
+            return NotImplemented
+        return self.indices.tobytes() == other.indices.tobytes()
+
+    def __hash__(self):
+        return hash(self.indices.tobytes())
 
     @property
     def k(self) -> int:
-        return len(self.indices)
+        return self.indices.size
 
     def array(self) -> np.ndarray:
-        return np.array(self.indices, dtype=INDEX_DTYPE)
+        """The stored read-only ``indices`` array itself."""
+        return self.indices
 
 
 @dataclass(frozen=True)
@@ -370,9 +392,12 @@ def thin_svd(data: Dataset) -> ThinSvd:
 
 
 def leverage_scores(svd: ThinSvd) -> LeverageProfile:
-    """Leverage of each row: squared norm of the corresponding row of U."""
+    """Leverage of each row: squared norm of the corresponding row of U,
+    clipped into [LEVERAGE_FLOOR, 1]."""
     ell = np.einsum("ij,ij->i", svd.U, svd.U)
-    return LeverageProfile.from_scores(ell)
+    np.clip(ell, LEVERAGE_FLOOR, 1.0, out=ell)
+    ell.setflags(write=False)  # ours: LeverageProfile keeps it without a copy
+    return LeverageProfile(ell)
 
 
 def _svd_of(data: Dataset, svd: Optional[ThinSvd]) -> ThinSvd:
@@ -461,11 +486,11 @@ def deficient_solve(
     # O(1): the indices are sorted and nonnegative
     if subset.indices[-1] >= svd.n:
         raise InvalidInput(f"index {subset.indices[-1]} out of range for n={svd.n}")
-    idx = subset.array()
+    idx = subset.indices
     spec = float(_subset_projection(svd.U, idx[None])[0])
     if spec >= 1.0 - SPEC_SINGULAR_TOL:
         raise SingularDeficientSystem(
-            f"||P_A||_2 = {spec:.15f}; deleting rows {subset.indices} "
+            f"||P_A||_2 = {spec:.15f}; deleting rows {idx.tolist()} "
             "destroys full rank"
         )
     w_star = _optimal_weights(svd, y)

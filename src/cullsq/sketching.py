@@ -37,11 +37,7 @@ full one).  X is walked in blocks of B rows, B a power of two from
 per small Sylvester factor, and added into the r outputs with a sign
 fixed by the block number (:func:`_sampled_hadamard`).  It holds
 O(B d + r d) beyond X: a tracemalloc peak of 1.4 MB at 2^20 x 10 with
-r = 2876, where transforming the padded copy in place peaked at 160 MB.
-:func:`fwht` is the all-rows case of the same kernel.  The GEMMs sum in
-another order than a butterfly does, so SRHT outputs differ from those
-of earlier versions of this module in the last bits (about 1e-15
-relative); the signs and coordinates a seed draws are unchanged.  The
+r = 2876.  :func:`fwht` is the all-rows case of the same kernel.  The
 leverage estimates take O(n + d r2) beyond X and a 1 MB row block,
 never the O(n r2) of sketching every row at once; the label-free set-up
 of the fast Kaczmarz solver thus stays O(n d) in memory.

@@ -110,6 +110,22 @@ class TestRejectSample:
         # one stats line at every count: all proposals made, the last kept included
         assert capsys.readouterr().out.startswith("accepted 1 subsets from ")
 
+    def test_rows_piped_to_stdout_read_back(self, dataset_files):
+        # with no --out the rows alone go to stdout and the summary to stderr,
+        # so `reject-sample ... > s.csv` writes a file of subsets only
+        x_path, _ = dataset_files
+        proc = subprocess.run(
+            [sys.executable, "-m", "cullsq.cli", "reject-sample", "--x", str(x_path),
+             "--k", "3", "--count", "3", "--seed", "5"],
+            capture_output=True, text=True,
+        )
+        assert proc.returncode == 0, proc.stderr
+        rows = [[int(v) for v in line.split(";")] for line in proc.stdout.splitlines()]
+        svd = thin_svd(Dataset(X=load_matrix(x_path)))
+        draws, _ = rejection_sample_many(svd, leverage_scores(svd), 3, 3, RngStream(5))
+        assert rows == draws.tolist()
+        assert proc.stderr.startswith("accepted 3 subsets from ")
+
     def test_many_draws(self, dataset_files, tmp_path):
         x_path, _ = dataset_files
         rc = run_cli(

@@ -47,7 +47,7 @@ from _helpers import random_orthonormal
 
 
 def uniform_profile(n, d):
-    return LeverageProfile.from_scores(np.full(n, d / n))
+    return LeverageProfile(np.full(n, d / n))
 
 
 class TestSingleRowInfluences:
@@ -70,18 +70,18 @@ class TestSingleRowInfluences:
         assert weights == [
             Fraction(1, 90), Fraction(4, 15), Fraction(49, 30), Fraction(16, 5)
         ]
-        prof = LeverageProfile.from_scores(np.array([0.9, 0.6, 0.3, 0.2]))
+        prof = LeverageProfile(np.array([0.9, 0.6, 0.3, 0.2]))
         p = single_row_influences(prof)
         np.testing.assert_allclose(p, [float(e) for e in expect], rtol=1e-12)
 
     def test_leverage_one_row_never_rejected(self):
-        prof = LeverageProfile.from_scores(np.array([1.0, 0.5, 0.25, 0.25]))
+        prof = LeverageProfile(np.array([1.0, 0.5, 0.25, 0.25]))
         p = single_row_influences(prof)
         assert p[0] == 0.0
         assert abs(p.sum() - 1.0) <= 1e-12
 
     def test_all_leverage_one_degenerate(self):
-        prof = LeverageProfile.from_scores(np.ones(4))
+        prof = LeverageProfile(np.ones(4))
         with pytest.raises(DegenerateDistribution):
             single_row_influences(prof)
 
@@ -285,7 +285,7 @@ class TestRejectionSampler:
         assert 1 <= trials <= default_max_trials(prof, 3)
         # same stream, same draw
         again, trials2 = rejection_sample_subset(svd, prof, 3, RngStream(13))
-        assert again.indices == subset.indices and trials2 == trials
+        assert again == subset and trials2 == trials
 
     def test_mean_trials_within_coherence_budget(self):
         # uniform-leverage design: expected trials <= n*mu/k^2, margin 2

@@ -7,10 +7,10 @@ from cullsq import (
     CullsqError,
     Dataset,
     FastSolverConfig,
-    InconsistentSystem,
     InvalidInput,
     InvalidK,
     InvalidRng,
+    KaczmarzRun,
     RngStream,
     approx_leverage,
     build_preconditioner,
@@ -160,14 +160,6 @@ class TestKaczmarzExact:
         assert run.labels_used <= min(40, 15)
         assert run.iterations == 40
 
-    def test_consistency_check(self):
-        gen = np.random.default_rng(13)
-        X = gen.standard_normal((30, 3))
-        y = X @ gen.standard_normal(3) + gen.standard_normal(30)
-        svd = thin_svd(Dataset(X=X, y=y))
-        with pytest.raises(InconsistentSystem):
-            kaczmarz_exact(svd, y, 5, RngStream(14), check_consistency=True)
-
     def test_invalid_iteration_count(self):
         data, _ = consistent_instance(10, 2, 15)
         svd = thin_svd(data)
@@ -273,13 +265,6 @@ class TestKaczmarzFast:
         np.testing.assert_allclose(run.error_trace, v_ref, rtol=1e-12)
         np.testing.assert_allclose(run.w_error_trace, w_ref, rtol=1e-12)
 
-    def test_consistency_check(self):
-        gen = np.random.default_rng(30)
-        X = gen.standard_normal((40, 3))
-        y = X @ gen.standard_normal(3) + gen.standard_normal(40)
-        with pytest.raises(InconsistentSystem):
-            kaczmarz_fast(Dataset(X=X, y=y), 5, RngStream(31), check_consistency=True)
-
 
 @pytest.mark.parametrize("solver", ["exact", "fast", "row_norm"])
 def test_zero_iterations_is_invalid_k(solver):
@@ -294,6 +279,21 @@ def test_zero_iterations_is_invalid_k(solver):
         with pytest.raises(InvalidK):
             calls[solver](K)
     assert calls[solver](np.int64(3)).iterations == 3
+
+
+@pytest.mark.parametrize("solver", ["exact", "fast", "row_norm"])
+def test_counts_are_derived_from_the_sampled_indices(solver):
+    # the label count can never disagree with the rows the solver read
+    data, _ = consistent_instance(12, 2, 39)
+    run = {
+        "exact": lambda: kaczmarz_exact(thin_svd(data), data.y, 30, RngStream(40)),
+        "fast": lambda: kaczmarz_fast(data, 30, RngStream(40)),
+        "row_norm": lambda: kaczmarz_row_norm(data.X, data.y, 30, RngStream(40)),
+    }[solver]()
+    assert run.iterations == len(run.sampled_indices) == 30
+    assert run.labels_used == np.unique(run.sampled_indices).size < 30
+    made = KaczmarzRun(w=np.zeros(2), sampled_indices=np.array([3, 1, 3]))
+    assert (made.iterations, made.labels_used) == (3, 2)
 
 
 class TestTypedErrors:

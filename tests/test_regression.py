@@ -304,6 +304,16 @@ class TestLeverageScores:
         prof = leverage_scores(thin_svd(Dataset(X=hadamard_columns(n, d))))
         assert abs(prof.z1 - (n - d) ** 2 / d) <= 1e-8
 
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.floats(min_value=1e-300, max_value=1.0), min_size=1, max_size=50))
+    def test_summaries_are_derived_from_ell_alone(self, scores):
+        # ell is the one stored field: mu and z1 are its formulas, bit for bit
+        ell = np.array(scores)
+        prof = LeverageProfile(ell)
+        assert prof.coherence_mu == float(np.mean(1.0 / ell))
+        assert prof.z1 == float(np.sum((1.0 - ell) ** 2 / ell))
+        assert not prof.ell.flags.writeable
+
 
 class TestFullSolve:
     def test_consistent_recovers_weights(self):
@@ -615,12 +625,25 @@ class TestTypedSubsetErrors:
             lambda: RowSubset((2, 2)),
             lambda: RowSubset((3, 1)),
             lambda: RowSubset.of([-1, 4]),
+            lambda: RowSubset.of([1.0, 2.7]),
+            lambda: RowSubset.of([True, False]),
+            lambda: RowSubset(np.array([[1, 2]])),
         ],
-        ids=["empty", "repeated", "decreasing", "negative"],
+        ids=["empty", "repeated", "decreasing", "negative", "float", "bool", "two-dim"],
     )
     def test_bad_row_subset(self, make):
         with pytest.raises(InvalidInput):
             make()
+
+    def test_same_rows_are_equal_and_hash_equal(self):
+        a = RowSubset.of([7, 2, 5])
+        b = RowSubset(np.array([2, 5, 7], dtype=np.uint64))
+        assert a == b and hash(a) == hash(b) and len({a, b}) == 1
+        assert a != RowSubset.of([2, 5]) and a != RowSubset.of([2, 5, 8])
+        # one stored array: sorted, INDEX_DTYPE, read-only, and array() is it
+        assert a.indices.dtype == INDEX_DTYPE and a.indices.tolist() == [2, 5, 7]
+        assert a.array() is a.indices and not a.indices.flags.writeable
+        assert a.k == 3
 
     def test_index_guard_at_the_int32_limit(self):
         # no array is sized by n: the guard reads n or the largest index only
@@ -632,7 +655,7 @@ class TestTypedSubsetErrors:
         with pytest.raises(TooLarge):
             RowSubset((0, limit))
 
-    @pytest.mark.parametrize("ell", [[0.5, 0.0], [0.5, 1.5], [[0.5]]])
+    @pytest.mark.parametrize("ell", [[0.5, 0.0], [0.5, 1.5], [[0.5]], [0.5, np.nan]])
     def test_bad_leverage_profile(self, ell):
         with pytest.raises(InvalidInput):
-            LeverageProfile(ell=np.array(ell), coherence_mu=1.0, z1=1.0)
+            LeverageProfile(np.array(ell))
