@@ -4,37 +4,21 @@ Subcommands: gen, solve, reject-sample, sketch, precond, kaczmarz,
 verify, whose flags are the :class:`ExperimentConfig` fields.  CSV goes
 through :mod:`cullsq.dataio`, reports are JSON.  Exit codes: 0 on
 success, 2 when a verification criterion fails, 1 on any other error.
+
+The parser is staged: every subcommand is registered with its help, but
+only the one being run, the first token of argv that is not an option,
+gets its arguments.  Argument builders and handlers import what they
+use, so ``--version`` and ``--help`` load no numpy and each command only
+its own modules.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import sys
-from typing import get_args, get_type_hints
 
-import numpy as np
-
-from . import dataio
 from ._version import __version__
-from .designs import DESIGN_KINDS, make_dataset
 from .errors import CullsqError
-from .experiments import (
-    EXPERIMENT_NAMES,
-    ExperimentConfig,
-    run_experiment,
-)
-from .influence import _enumerate, rejection_sample_many
-from .kaczmarz import kaczmarz_exact, kaczmarz_fast
-from .regression import Dataset, full_solve, leverage_scores, thin_svd
-from .rng import RngStream
-from .sketching import (
-    apply_sketch,
-    build_preconditioner,
-    make_dense_sign_jlt,
-    make_identity_sketch,
-    make_srht,
-)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -43,7 +27,8 @@ class _Parser(argparse.ArgumentParser):
         raise CullsqError(f"{self.prog}: {message}")
 
 
-def _build_parser():
+def _build_parser(command):
+    """Every subcommand with its help; arguments only for ``command``."""
     parser = _Parser(
         prog="cullsq",
         description="Influence-based row rejection and preconditioned Kaczmarz "
@@ -51,8 +36,16 @@ def _build_parser():
     )
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
+    for name, (help_text, add_arguments) in _COMMANDS.items():
+        p = sub.add_parser(name, help=help_text)
+        if name == command:
+            add_arguments(p)
+    return parser
 
-    p = sub.add_parser("gen", help="generate a synthetic dataset")
+
+def _gen_arguments(p):
+    from .designs import DESIGN_KINDS
+
     p.set_defaults(run=_cmd_gen)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--d", type=int, required=True)
@@ -62,13 +55,15 @@ def _build_parser():
     p.add_argument("--out-y", help="labels CSV path")
     p.add_argument("--seed", type=int, default=0, help="random seed")
 
-    p = sub.add_parser("solve", help="full least-squares solve")
+
+def _solve_arguments(p):
     p.set_defaults(run=_cmd_solve)
     p.add_argument("--x", required=True)
     p.add_argument("--y", required=True)
     p.add_argument("--out", help="write weights CSV here")
 
-    p = sub.add_parser("reject-sample", help="sample row subsets to throw out")
+
+def _reject_sample_arguments(p):
     p.set_defaults(run=_cmd_reject_sample)
     p.add_argument("--x", required=True)
     p.add_argument("--k", type=int, required=True)
@@ -78,7 +73,8 @@ def _build_parser():
     p.add_argument("--out", help="CSV output (indices semicolon-joined[, probability])")
     p.add_argument("--seed", type=int, default=0, help="random seed")
 
-    p = sub.add_parser("sketch", help="apply a sketch to a matrix")
+
+def _sketch_arguments(p):
     p.set_defaults(run=_cmd_sketch)
     p.add_argument("--kind", choices=["srht", "sign", "identity"], required=True)
     p.add_argument("--r", type=int, help="embedding dimension")
@@ -86,7 +82,8 @@ def _build_parser():
     p.add_argument("--out", required=True)
     p.add_argument("--seed", type=int, default=0, help="random seed")
 
-    p = sub.add_parser("precond", help="build the sketched QR preconditioner")
+
+def _precond_arguments(p):
     p.set_defaults(run=_cmd_precond)
     p.add_argument("--x", required=True)
     p.add_argument("--kind", choices=["srht", "sign", "identity"], default="srht")
@@ -96,7 +93,8 @@ def _build_parser():
     p.add_argument("--out-summary", help="JSON summary with singular values")
     p.add_argument("--seed", type=int, default=0, help="random seed")
 
-    p = sub.add_parser("kaczmarz", help="run a randomized Kaczmarz solve")
+
+def _kaczmarz_arguments(p):
     p.set_defaults(run=_cmd_kaczmarz)
     p.add_argument("--x", required=True)
     p.add_argument("--y", required=True)
@@ -106,7 +104,12 @@ def _build_parser():
     p.add_argument("--out", help="write weights CSV here")
     p.add_argument("--seed", type=int, default=0, help="random seed")
 
-    p = sub.add_parser("verify", help="run a theorem-verification experiment")
+
+def _verify_arguments(p):
+    from typing import get_args, get_type_hints
+
+    from .experiments import EXPERIMENT_NAMES, ExperimentConfig
+
     p.set_defaults(run=_cmd_verify)
     p.add_argument("experiment", choices=EXPERIMENT_NAMES)
     p.add_argument("--config", help="JSON config file (over the defaults; flags override it)")
@@ -114,10 +117,24 @@ def _build_parser():
     for name, hint in get_type_hints(ExperimentConfig).items():
         if name != "experiment":
             p.add_argument("--" + name.replace("_", "-"), type=(get_args(hint) or (hint,))[0])
-    return parser
+
+
+_COMMANDS = {
+    "gen": ("generate a synthetic dataset", _gen_arguments),
+    "solve": ("full least-squares solve", _solve_arguments),
+    "reject-sample": ("sample row subsets to throw out", _reject_sample_arguments),
+    "sketch": ("apply a sketch to a matrix", _sketch_arguments),
+    "precond": ("build the sketched QR preconditioner", _precond_arguments),
+    "kaczmarz": ("run a randomized Kaczmarz solve", _kaczmarz_arguments),
+    "verify": ("run a theorem-verification experiment", _verify_arguments),
+}
 
 
 def _cmd_gen(args) -> int:
+    from . import dataio
+    from .designs import make_dataset
+    from .rng import RngStream
+
     data = make_dataset(args.design, args.n, args.d, args.noise, RngStream(args.seed))
     dataio.save_matrix(args.out_x, data.X)
     if args.out_y:
@@ -127,6 +144,9 @@ def _cmd_gen(args) -> int:
 
 
 def _cmd_solve(args) -> int:
+    from . import dataio
+    from .regression import Dataset, full_solve
+
     data = Dataset(X=dataio.load_matrix(args.x), y=dataio.load_vector(args.y))
     w_star, opt_error = full_solve(data)
     if args.out:
@@ -147,6 +167,11 @@ def _emit(text: str, path) -> int:
 
 
 def _cmd_reject_sample(args) -> int:
+    from . import dataio
+    from .influence import _enumerate, rejection_sample_many
+    from .regression import Dataset, leverage_scores, thin_svd
+    from .rng import RngStream
+
     data = Dataset(X=dataio.load_matrix(args.x))
     svd = thin_svd(data)
     if args.exact:
@@ -166,6 +191,9 @@ def _cmd_reject_sample(args) -> int:
 
 
 def _make_op(kind, n_in, r, seed):
+    from .rng import RngStream
+    from .sketching import make_dense_sign_jlt, make_identity_sketch, make_srht
+
     if kind == "identity":
         return make_identity_sketch(n_in)
     if r is None:
@@ -176,6 +204,9 @@ def _make_op(kind, n_in, r, seed):
 
 
 def _cmd_sketch(args) -> int:
+    from . import dataio
+    from .sketching import apply_sketch
+
     M = dataio.load_matrix(args.input)
     op = _make_op(args.kind, M.shape[0], args.r, args.seed)
     dataio.save_matrix(args.out, apply_sketch(op, M))
@@ -184,6 +215,13 @@ def _cmd_sketch(args) -> int:
 
 
 def _cmd_precond(args) -> int:
+    import json
+
+    import numpy as np
+
+    from . import dataio
+    from .sketching import build_preconditioner
+
     X = dataio.load_matrix(args.x)
     op = _make_op(args.kind, X.shape[0], args.r, args.seed)
     precond = build_preconditioner(X, op)
@@ -203,6 +241,11 @@ def _cmd_precond(args) -> int:
 
 
 def _cmd_kaczmarz(args) -> int:
+    from . import dataio
+    from .kaczmarz import kaczmarz_exact, kaczmarz_fast
+    from .regression import Dataset, full_solve, thin_svd
+    from .rng import RngStream
+
     data = Dataset(X=dataio.load_matrix(args.x), y=dataio.load_vector(args.y))
     rng = RngStream(args.seed)
     svd = thin_svd(data) if args.mode == "exact" else None
@@ -223,6 +266,8 @@ def _cmd_kaczmarz(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    from .experiments import ExperimentConfig, run_experiment
+
     flags = {k: v for k, v in vars(args).items() if k not in ("command", "run", "config")}
     cfg = ExperimentConfig.from_file(args.config, **flags)
     report = run_experiment(cfg)
@@ -239,8 +284,12 @@ def _cmd_verify(args) -> int:
 
 
 def main(argv=None) -> int:
+    argv = sys.argv[1:] if argv is None else argv
+    # the top level takes no option with a value, so the first token
+    # that is not an option is the command argparse will run
+    command = next((a for a in argv if not a.startswith("-")), None)
     try:
-        args = _build_parser().parse_args(argv)
+        args = _build_parser(command).parse_args(argv)
         return args.run(args)
     except (CullsqError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -15,7 +15,6 @@ import numpy as np
 from .errors import InvalidConfig
 from .regression import Dataset
 from .rng import as_generator
-from .sketching import hadamard_columns
 
 SPIKE_SCALE = 1e3
 SPIKE_FRACTION = 0.1
@@ -50,6 +49,7 @@ def make_design(kind: str, n: int, d: int, rng) -> np.ndarray:
         # norm d/n, so the leverage scores are exactly uniform
         if n & (n - 1):
             raise InvalidConfig(f"hadamard-uniform design needs n a power of two, got {n}")
+        from .sketching import hadamard_columns
         return hadamard_columns(n, d)
     if kind == COHERENT:
         X = as_generator(rng).standard_normal((n, d))

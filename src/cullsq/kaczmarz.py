@@ -47,7 +47,7 @@ from .sketching import (
 )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class KaczmarzRun:
     """Outcome of one solver run: the weights ``w`` and, in order, the
     K row indices the iterations sampled, from which the counts derive.

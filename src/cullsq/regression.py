@@ -107,7 +107,7 @@ def _as_design(X) -> np.ndarray:
     return X
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Dataset:
     """Design matrix with optional labels.
 
@@ -151,7 +151,7 @@ class Dataset:
         return self.y
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ThinSvd:
     """Thin SVD X = U diag(sigma) V^T with orthonormal U columns."""
 
@@ -194,7 +194,7 @@ class ThinSvd:
         return float(self.sigma[0] / self.sigma[-1])
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LeverageProfile:
     """Per-row leverage scores ell in (0, 1], the one stored field; the
     summaries are derived from it on first use and kept.
@@ -280,7 +280,7 @@ class RowSubset:
         return self.indices
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DeficientFit:
     """Result of the regression with a row subset deleted.
 

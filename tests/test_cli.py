@@ -1,8 +1,10 @@
+import ast
 import dataclasses
 import json
 import subprocess
 import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -474,6 +476,53 @@ def test_help_and_version_exit_zero(capsys, argv):
         run_cli(*argv)
     assert info.value.code == 0
     assert capsys.readouterr().out
+
+
+# the --help text of the top level and of each command, 80 columns wide: a
+# parser that dropped, added or reordered a flag or a help string differs
+HELP_TEXT = json.loads((Path(__file__).parent / "cli_help.json").read_text())
+
+
+@pytest.mark.parametrize("argv", list(HELP_TEXT))
+def test_help_text_is_unchanged(capsys, monkeypatch, argv):
+    monkeypatch.setenv("COLUMNS", "80")  # argparse wraps help to the terminal width
+    with pytest.raises(SystemExit) as info:
+        run_cli(*argv.split())
+    assert info.value.code == 0
+    assert capsys.readouterr().out == HELP_TEXT[argv]
+
+
+def modules_loaded_by(*argvs):
+    """The numpy and cullsq modules a fresh interpreter holds after ``main``
+    runs each argv in turn; every run must exit 0."""
+    script = f"""
+import sys
+from cullsq.cli import main
+for argv in {[[str(a) for a in argv] for argv in argvs]!r}:
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    assert code == 0, argv
+print(sorted(m for m in sys.modules if m.split(".")[0] in ("numpy", "cullsq")))
+"""
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    return set(ast.literal_eval(proc.stdout.splitlines()[-1]))
+
+
+@pytest.mark.parametrize("argv", [["--version"], ["--help"]])
+def test_version_and_help_load_no_numpy(argv):
+    # _Parser.error raises CullsqError, so errors is the one module beyond cli
+    assert modules_loaded_by(argv) == {"cullsq", "cullsq._version", "cullsq.cli", "cullsq.errors"}
+
+
+def test_gen_and_solve_load_only_their_modules(tmp_path):
+    x, y = tmp_path / "x.csv", tmp_path / "y.csv"
+    loaded = modules_loaded_by(["gen", "--n", 64, "--d", 3, "--out-x", x, "--out-y", y],
+                               ["solve", "--x", x, "--y", y])
+    assert "cullsq.regression" in loaded and "numpy" in loaded
+    assert not loaded & {"cullsq.experiments", "cullsq.influence", "cullsq.kaczmarz"}
 
 
 def test_console_entry_point():

@@ -9,8 +9,10 @@ from cullsq import (
     INDEX_DTYPE,
     CullsqError,
     Dataset,
+    DeficientFit,
     DimensionMismatch,
     InvalidInput,
+    KaczmarzRun,
     LeverageProfile,
     MissingLabels,
     RankDeficient,
@@ -644,6 +646,22 @@ class TestTypedSubsetErrors:
         assert a.indices.dtype == INDEX_DTYPE and a.indices.tolist() == [2, 5, 7]
         assert a.array() is a.indices and not a.indices.flags.writeable
         assert a.k == 3
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: Dataset(X=np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]]), y=np.ones(3)),
+            lambda: ThinSvd(U=np.eye(3)[:, :2], sigma=np.array([2.0, 1.0]), V=np.eye(2)),
+            lambda: LeverageProfile(np.array([0.5, 0.25])),
+            lambda: DeficientFit(w_minus=np.array([1.0, 2.0]), full_error=1.0, error_increase=0.5),
+            lambda: KaczmarzRun(w=np.array([1.0, 2.0]), sampled_indices=np.array([0, 1])),
+        ],
+        ids=["Dataset", "ThinSvd", "LeverageProfile", "DeficientFit", "KaczmarzRun"],
+    )
+    def test_array_holders_compare_and_hash_by_identity(self, make):
+        # a field-wise == would raise numpy's ambiguous-truth error on the arrays
+        a, b = make(), make()
+        assert a == a and a != b and hash(a) == hash(a) and len({a, b, a}) == 2
 
     def test_index_guard_at_the_int32_limit(self):
         # no array is sized by n: the guard reads n or the largest index only
