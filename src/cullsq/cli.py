@@ -1,9 +1,9 @@
 """Command-line harness.
 
 Subcommands: gen, solve, reject-sample, sketch, precond, kaczmarz,
-verify, whose flags are the :class:`ExperimentConfig` fields.  CSV goes
-through :mod:`cullsq.dataio`, reports are JSON.  Exit codes: 0 on
-success, 2 when a verification criterion fails, 1 on any other error.
+verify, whose flags are the :class:`ExperimentConfig` fields.  Files go
+through :mod:`cullsq.dataio` (CSV, or ``.npy`` by extension); reports are
+JSON.  Exit codes: 0 on success, 2 on a failed criterion, 1 otherwise.
 
 The parser is staged: every subcommand is registered with its help, but
 only the one being run, the first token of argv that is not an option,
@@ -51,8 +51,8 @@ def _gen_arguments(p):
     p.add_argument("--d", type=int, required=True)
     p.add_argument("--design", choices=DESIGN_KINDS, default="gaussian")
     p.add_argument("--noise", type=float, default=1.0)
-    p.add_argument("--out-x", required=True, help="design matrix CSV path")
-    p.add_argument("--out-y", help="labels CSV path")
+    p.add_argument("--out-x", required=True, help="design matrix path, CSV or .npy")
+    p.add_argument("--out-y", help="labels path, CSV or .npy")
     p.add_argument("--seed", type=int, default=0, help="random seed")
 
 
@@ -60,7 +60,7 @@ def _solve_arguments(p):
     p.set_defaults(run=_cmd_solve)
     p.add_argument("--x", required=True)
     p.add_argument("--y", required=True)
-    p.add_argument("--out", help="write weights CSV here")
+    p.add_argument("--out", help="write weights here, CSV or .npy")
 
 
 def _reject_sample_arguments(p):
@@ -88,8 +88,8 @@ def _precond_arguments(p):
     p.add_argument("--x", required=True)
     p.add_argument("--kind", choices=["srht", "sign", "identity"], default="srht")
     p.add_argument("--r", type=int, help="embedding dimension")
-    p.add_argument("--out-t", help="triangular factor CSV")
-    p.add_argument("--out-p", help="permutation matrix CSV")
+    p.add_argument("--out-t", help="triangular factor path, CSV or .npy")
+    p.add_argument("--out-p", help="permutation matrix path, CSV or .npy")
     p.add_argument("--out-summary", help="JSON summary with singular values")
     p.add_argument("--seed", type=int, default=0, help="random seed")
 
@@ -101,7 +101,7 @@ def _kaczmarz_arguments(p):
     p.add_argument("--mode", choices=["exact", "fast"], default="exact")
     p.add_argument("--iters", type=int, required=True)
     p.add_argument("--trace", help="CSV error trace (t, squared_error); test mode")
-    p.add_argument("--out", help="write weights CSV here")
+    p.add_argument("--out", help="write weights here, CSV or .npy")
     p.add_argument("--seed", type=int, default=0, help="random seed")
 
 
@@ -225,11 +225,11 @@ def _cmd_precond(args) -> int:
     X = dataio.load_matrix(args.x)
     op = _make_op(args.kind, X.shape[0], args.r, args.seed)
     precond = build_preconditioner(X, op)
+    svals = np.linalg.svd(precond.x_times_inverse(X), compute_uv=False)  # reads X before any save
     if args.out_t:
         dataio.save_matrix(args.out_t, precond.T)
     if args.out_p:
         dataio.save_matrix(args.out_p, precond.permutation_matrix())
-    svals = np.linalg.svd(precond.x_times_inverse(X), compute_uv=False)
     summary = {
         "kind": args.kind,
         "r": int(op.r),

@@ -1,4 +1,10 @@
-"""Plain-text matrix I/O.
+"""Matrix and vector I/O: CSV, or ``.npy`` for a path ending in ``.npy``.
+
+A ``.npy`` matrix is a 2-D and a vector a 1-D float64 array, written by
+``np.save`` and mapped read-only by ``np.load(mmap_mode="r")``, so its file
+must not be rewritten while the array is in use; any other ``.npy`` raises
+:class:`DimensionMismatch`.  Every loaded array is read-only, so
+``Dataset`` adopts it.  Subset, distribution and trace files are CSV.
 
 Matrix CSV format: ASCII text, one row per line, comma-separated
 literals, no header, row-major.  Vectors are single-column files.
@@ -82,7 +88,27 @@ def _locate_error(path, exc) -> DimensionMismatch:
     return DimensionMismatch(f"{path}: {exc}")
 
 
+def _is_npy(path) -> bool:
+    return os.fspath(path).endswith(".npy")
+
+
+def _load_npy(path, ndim: int, what: str) -> np.ndarray:
+    """The float64 array of a .npy file as a plain view of its read-only map."""
+    try:
+        arr = np.load(path, mmap_mode="r")
+    except (ValueError, EOFError) as exc:
+        raise DimensionMismatch(f"{path}: not a .npy array file ({exc})") from None
+    if not isinstance(arr, np.ndarray):
+        raise DimensionMismatch(f"{path}: not a .npy array file")
+    if arr.dtype != np.float64 or arr.ndim != ndim or arr.size == 0:
+        raise DimensionMismatch(f"{path}: expected a nonempty {ndim}-D float64 {what}, "
+                                f"got {arr.dtype} of shape {arr.shape}")
+    return arr.view(np.ndarray)
+
+
 def load_matrix(path) -> np.ndarray:
+    if _is_npy(path):
+        return _load_npy(path, 2, "matrix")
     # the parser pulls lines from the file a chunk at a time, so the whole
     # text is never held beside the array
     with _open_text(path) as fh:
@@ -91,9 +117,11 @@ def load_matrix(path) -> np.ndarray:
         if first is None:
             raise DimensionMismatch(f"{path}: empty matrix file")
         try:
-            return _parse(itertools.chain([first], rows))
+            mat = _parse(itertools.chain([first], rows))
         except ValueError as exc:
             raise _locate_error(path, exc) from None
+    mat.setflags(write=False)
+    return mat
 
 
 def _save_rows(dest, header, row_format, *columns) -> None:
@@ -112,6 +140,8 @@ def _save_rows(dest, header, row_format, *columns) -> None:
 
 def save_matrix(path, matrix) -> None:
     matrix = np.atleast_2d(np.asarray(matrix, dtype=float))
+    if _is_npy(path):
+        return np.save(path, matrix)
     _save_rows(path, "", ",".join(["%.17g"] * matrix.shape[1]) + "\n", matrix)
 
 
@@ -128,6 +158,8 @@ def save_trace(path, errors) -> None:
 
 
 def load_vector(path) -> np.ndarray:
+    if _is_npy(path):
+        return _load_npy(path, 1, "vector")
     mat = load_matrix(path)
     if mat.shape[1] != 1:
         raise DimensionMismatch(
@@ -137,4 +169,7 @@ def load_vector(path) -> np.ndarray:
 
 
 def save_vector(path, vector) -> None:
-    save_matrix(path, np.asarray(vector, dtype=float).reshape(-1, 1))
+    vector = np.asarray(vector, dtype=float).reshape(-1)
+    if _is_npy(path):
+        return np.save(path, vector)
+    save_matrix(path, vector[:, None])

@@ -5,7 +5,7 @@ gaussian (mildly non-uniform leverage), hadamard-uniform (exactly
 uniform leverage d/n, n a power of two), and coherent (gaussian with
 its first round(``SPIKE_FRACTION`` n) rows, at least one, inflated by
 ``SPIKE_SCALE`` so leverage concentrates on them and the coherence mu
-blows up).  :func:`make_design` builds each.
+blows up).  :func:`make_design` builds each, read-only.
 """
 
 from __future__ import annotations
@@ -26,6 +26,11 @@ COHERENT = "coherent"
 DESIGN_KINDS = (GAUSSIAN, HADAMARD_UNIFORM, COHERENT)
 
 
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.setflags(write=False)
+    return a
+
+
 def conditioned_design(n: int, d: int, kappa: float, rng) -> np.ndarray:
     """Design with prescribed condition number: random orthonormal
     factors around geometrically spaced singular values 1 .. 1/kappa."""
@@ -35,7 +40,7 @@ def conditioned_design(n: int, d: int, kappa: float, rng) -> np.ndarray:
     U, _ = np.linalg.qr(gen.standard_normal((n, d)))
     V, _ = np.linalg.qr(gen.standard_normal((d, d)))
     sigma = np.geomspace(1.0, 1.0 / kappa, d)
-    return (U * sigma) @ V.T
+    return _read_only((U * sigma) @ V.T)
 
 
 def make_design(kind: str, n: int, d: int, rng) -> np.ndarray:
@@ -43,18 +48,18 @@ def make_design(kind: str, n: int, d: int, rng) -> np.ndarray:
     if not (n > d >= 1):
         raise InvalidConfig(f"need n > d >= 1, got n={n}, d={d}")
     if kind == GAUSSIAN:
-        return as_generator(rng).standard_normal((n, d))
+        return _read_only(as_generator(rng).standard_normal((n, d)))
     if kind == HADAMARD_UNIFORM:
         # every row of the first d normalized Hadamard columns has squared
         # norm d/n, so the leverage scores are exactly uniform
         if n & (n - 1):
             raise InvalidConfig(f"hadamard-uniform design needs n a power of two, got {n}")
         from .sketching import hadamard_columns
-        return hadamard_columns(n, d)
+        return _read_only(hadamard_columns(n, d))
     if kind == COHERENT:
         X = as_generator(rng).standard_normal((n, d))
         X[: max(1, int(round(SPIKE_FRACTION * n)))] *= SPIKE_SCALE
-        return X
+        return _read_only(X)
     raise InvalidConfig(f"unknown design kind {kind!r}")
 
 
@@ -70,4 +75,4 @@ def make_dataset(kind: str, n: int, d: int, noise: float, rng) -> Dataset:
     y = X @ w0
     if noise != 0.0:
         y = y + noise * gen.standard_normal(n)
-    return Dataset(X=X, y=y)
+    return Dataset(X=X, y=_read_only(y))

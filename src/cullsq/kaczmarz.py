@@ -18,7 +18,7 @@ map from v back to w:
   norm and w = v, at a rate governed by the squared condition number.
 
 A run touches at most one label per iteration.  Its :class:`KaczmarzRun`
-stores the K indices it sampled and derives the rest from them:
+stores the K indices it sampled (``INDEX_DTYPE``) and derives the rest:
 ``iterations`` is K and ``labels_used`` the number of distinct indices,
 so the label count reported is exactly the labels the run read.
 """
@@ -34,7 +34,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import InvalidInput, InvalidK, InvalidRng
-from .regression import Dataset, ThinSvd, _as_design
+from .regression import Dataset, ThinSvd, _as_design, index_dtype
 from .rng import RngStream, as_generator, inverse_cdf_draw
 from .sketching import (
     Preconditioner,
@@ -135,6 +135,7 @@ def _kaczmarz(
     """
     if not isinstance(K, numbers.Integral) or K < 1:
         raise InvalidK(f"need an integer count of at least one iteration, got {K!r}")
+    dtype = index_dtype(len(weights))  # draws stay intp; the run keeps this dtype
     idx = inverse_cdf_draw(gen, np.cumsum(weights), K)
     Q = rows_of(idx)
     norms_sq = np.einsum("ij,ij->i", Q, Q)
@@ -151,7 +152,7 @@ def _kaczmarz(
             iterates[t + 1] = v
     return KaczmarzRun(
         w=to_w(v),
-        sampled_indices=idx,
+        sampled_indices=idx.astype(dtype),
         error_trace=None if iterates is None else _sq_dist(iterates, v_star),
         w_error_trace=None if iterates is None else _sq_dist(to_w(iterates), w_star),
     )
@@ -182,7 +183,7 @@ def kaczmarz_exact(
     )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FastSetup:
     """Label-free preprocessing output for the fast solver.
 

@@ -89,10 +89,21 @@ def index_dtype(n: int):
     return INDEX_DTYPE
 
 
+def _nothing_writes(a: np.ndarray) -> bool:
+    """True unless a writable ndarray or buffer is in a's base chain."""
+    base = a.base
+    while isinstance(base, np.ndarray) and not base.flags.writeable:
+        base = base.base
+    try:
+        return base is None or (not isinstance(base, np.ndarray) and memoryview(base).readonly)
+    except (TypeError, ValueError):
+        return False
+
+
 def _frozen(a: np.ndarray) -> np.ndarray:
-    """a itself if it is a read-only float array owning its memory (never
-    a caller's writable array or a view of one), else a frozen copy."""
-    if a.dtype == float and a.flags.owndata and not a.flags.writeable:
+    """a itself if it is read-only float64 and ``_nothing_writes(a)`` (a
+    memmap "r" is adopted, still tied to its file), else a frozen copy."""
+    if a.dtype == float and not a.flags.writeable and _nothing_writes(a):
         return a
     out = np.array(a, dtype=float)
     out.setflags(write=False)
@@ -111,8 +122,12 @@ def _as_design(X) -> np.ndarray:
 class Dataset:
     """Design matrix with optional labels.
 
-    Requires n > d >= 1, no zero rows, finite entries.  Full column rank
-    is enforced when the SVD is taken (see :func:`thin_svd`).
+    Requires n > d >= 1, no zero rows and finite entries (one pass over row
+    blocks); :func:`thin_svd` enforces full column rank.  X and y are held
+    read-only; arrays that nothing can write to (from :mod:`cullsq.designs`,
+    :mod:`cullsq.dataio`, or after ``X.setflags(write=False)``) are adopted,
+    others copied.  An adopted ``.npy`` map reads its file, which must not
+    be rewritten while the dataset, or a ``ThinSvd`` of it, is in use.
     """
 
     X: np.ndarray
@@ -123,11 +138,15 @@ class Dataset:
         n, d = X.shape
         if not (n > d >= 1):
             raise InvalidInput(f"need n > d >= 1, got n={n}, d={d}")
-        if not np.all(np.isfinite(X)):
-            raise InvalidInput("X contains non-finite entries")
-        row_norms = np.einsum("ij,ij->i", X, X)
-        if np.any(row_norms == 0.0):
-            raise ZeroRow(f"zero rows at indices {np.flatnonzero(row_norms == 0.0)}")
+        rows = max(1, GRAM_BLOCK_ELEMENTS // d)
+        zero = []
+        for start in range(0, n, rows):
+            block = X[start:start + rows]
+            if not np.isfinite(block).all():
+                raise InvalidInput("X contains non-finite entries")
+            zero.extend(np.flatnonzero(np.einsum("ij,ij->i", block, block) == 0.0) + start)
+        if zero:
+            raise ZeroRow(f"zero rows at indices {np.array(zero)}")
         object.__setattr__(self, "X", _frozen(X))
         if self.y is not None:
             y = np.asarray(self.y, dtype=float)

@@ -103,7 +103,7 @@ def fwht(M: np.ndarray) -> np.ndarray:
         raise InvalidDimension(f"leading dimension {n} is not a power of two")
     out = _sampled_hadamard(a.reshape(n, -1), n, np.arange(n))
     out /= math.sqrt(n)
-    return out.reshape(a.shape)
+    return out if a.ndim == 2 else out.reshape(a.shape)
 
 
 def _sylvester(bits: int) -> np.ndarray:
@@ -191,7 +191,7 @@ def hadamard_columns(n: int, d: int) -> np.ndarray:
     return fwht(basis)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SketchOperator:
     """A linear sketch acting from the left on matrices with n_in rows."""
 
@@ -345,7 +345,7 @@ def pinv_factorization_residual(
     return float(np.linalg.norm(lhs - rhs, ord=2))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Preconditioner:
     """Triangular-times-permutation factor R = T P from pivoted QR.
 
@@ -357,7 +357,7 @@ class Preconditioner:
 
     T: np.ndarray
     piv: np.ndarray
-    Rinv: np.ndarray = field(init=False, repr=False, compare=False)
+    Rinv: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         T = np.array(self.T, dtype=float)

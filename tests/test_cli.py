@@ -98,6 +98,31 @@ class TestSolve:
         assert err.startswith("error: ") and err.count("\n") == 1
 
 
+    def test_npy_files_give_the_csv_bits(self, tmp_path, capsys):
+        # the format follows the extension; both paths read the same doubles
+        outs = []
+        for ext in ("csv", "npy"):
+            assert run_cli("gen", "--n", 300, "--d", 4, "--noise", 0.5, "--seed", 11,
+                           "--out-x", tmp_path / f"x.{ext}", "--out-y", tmp_path / f"y.{ext}") == 0
+            capsys.readouterr()
+            assert run_cli("solve", "--x", tmp_path / f"x.{ext}", "--y", tmp_path / f"y.{ext}",
+                           "--out", tmp_path / f"w{ext}.csv") == 0
+            outs.append(capsys.readouterr().out)
+        assert outs[0] == outs[1]
+        assert (tmp_path / "x.npy").read_bytes().startswith(b"\x93NUMPY")
+        assert (tmp_path / "wcsv.csv").read_bytes() == (tmp_path / "wnpy.csv").read_bytes()
+        assert np.array_equal(load_matrix(tmp_path / "x.csv"), load_matrix(tmp_path / "x.npy"))
+
+    def test_bad_npy_exits_one_with_one_line(self, tmp_path, capsys):
+        np.save(tmp_path / "x.npy", np.ones((5, 2), dtype=np.int64))
+        dataio.save_vector(tmp_path / "y.npy", np.ones(5))
+        rc = run_cli("solve", "--x", tmp_path / "x.npy", "--y", tmp_path / "y.npy")
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err == (f"error: {tmp_path / 'x.npy'}: expected a nonempty 2-D float64 matrix, "
+                       f"got int64 of shape (5, 2)\n")
+
+
 class TestRejectSample:
     def test_single_draw(self, dataset_files, tmp_path, capsys):
         x_path, _ = dataset_files
@@ -247,6 +272,24 @@ class TestSketchAndPrecond:
             np.linalg.svd(X @ np.linalg.inv(R), compute_uv=False),
             np.ones(3), atol=1e-10,
         )
+
+    def test_precond_may_write_over_its_mapped_input(self, tmp_path):
+        # x.npy is mapped, not copied: saving T over it must come after the
+        # last read of X, or the read finds the truncated file (SIGBUS past
+        # its end), so the command runs in a child
+        assert run_cli("gen", "--n", 4096, "--d", 4, "--out-x", tmp_path / "ref.npy") == 0
+        (tmp_path / "x.npy").write_bytes((tmp_path / "ref.npy").read_bytes())
+        assert run_cli("precond", "--x", tmp_path / "ref.npy", "--kind", "identity",
+                       "--out-t", tmp_path / "t.npy", "--out-summary", tmp_path / "ref.json") == 0
+        proc = subprocess.run(
+            [sys.executable, "-m", "cullsq.cli", "precond", "--x", str(tmp_path / "x.npy"),
+             "--kind", "identity", "--out-t", str(tmp_path / "x.npy"),
+             "--out-summary", str(tmp_path / "x.json")],
+            capture_output=True, text=True,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert (tmp_path / "x.json").read_bytes() == (tmp_path / "ref.json").read_bytes()
+        assert (tmp_path / "x.npy").read_bytes() == (tmp_path / "t.npy").read_bytes()
 
 
 class TestKaczmarzCommand:

@@ -130,3 +130,54 @@ def test_round_trip_is_exact(tmp_path_factory, M):
     np.testing.assert_array_equal(loaded, M)  # nan-aware
     signed = ~np.isnan(M)
     np.testing.assert_array_equal(np.signbit(loaded[signed]), np.signbit(M[signed]))
+
+
+def test_npy_round_trip_is_bit_exact(tmp_path):
+    M = np.random.default_rng(2).standard_normal((11, 3))
+    M[:3] = np.array(SPECIAL_VALUES).reshape(3, 3)
+    v = np.asarray(SPECIAL_VALUES)
+    save_matrix(tmp_path / "m.npy", M)
+    save_vector(tmp_path / "v.npy", v)
+    for loaded, saved in ((load_matrix(tmp_path / "m.npy"), M), (load_vector(tmp_path / "v.npy"), v)):
+        assert loaded.shape == saved.shape and loaded.dtype == np.float64
+        assert np.array_equal(loaded.view(np.uint64), saved.view(np.uint64))
+        # mapped read-only, not read into memory
+        assert not loaded.flags.writeable and isinstance(loaded.base, np.memmap)
+        assert type(loaded) is np.ndarray
+
+
+@pytest.mark.parametrize(
+    "name, array, match",
+    [
+        ("m.npy", np.ones((4, 2), dtype=np.float32), "2-D float64 matrix, got float32 of"),
+        ("m.npy", np.ones(4), "2-D float64 matrix, got float64 of shape \\(4,\\)"),
+        ("m.npy", np.ones((0, 2)), "nonempty 2-D float64 matrix, got float64 of shape \\(0, 2\\)"),
+        ("v.npy", np.ones((4, 1)), "1-D float64 vector, got float64 of shape \\(4, 1\\)"),
+        ("v.npy", np.ones(4, dtype=np.int64), "1-D float64 vector, got int64 of shape"),
+        ("m.npy", None, "not a .npy array file"),
+    ],
+    ids=["float32", "one-dim-matrix", "empty", "two-dim-vector", "int-vector", "text"],
+)
+def test_bad_npy_is_dimension_mismatch(tmp_path, name, array, match):
+    path = tmp_path / name
+    if array is None:
+        path.write_text("1,2\n3,4\n")
+    else:
+        np.save(path, array)
+    load = load_vector if name.startswith("v") else load_matrix
+    with pytest.raises(DimensionMismatch, match=match):
+        load(path)
+
+
+def test_non_finite_npy_fails_as_the_csv_does(tmp_path):
+    from cullsq import Dataset, InvalidInput
+
+    X = np.ones((4, 2))
+    X[2, 1] = np.nan
+    messages = []
+    for name in ("x.csv", "x.npy"):
+        save_matrix(tmp_path / name, X)
+        with pytest.raises(InvalidInput) as info:
+            Dataset(X=load_matrix(tmp_path / name))
+        messages.append(str(info.value))
+    assert messages[0] == messages[1] == "X contains non-finite entries"

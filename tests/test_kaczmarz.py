@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from cullsq import (
+    INDEX_DTYPE,
     CullsqError,
     Dataset,
     FastSolverConfig,
@@ -157,6 +158,7 @@ class TestKaczmarzExact:
         svd = thin_svd(data)
         run = kaczmarz_exact(svd, data.y, 40, RngStream(12))
         assert run.labels_used == len(np.unique(run.sampled_indices))
+        assert run.sampled_indices.dtype == INDEX_DTYPE
         assert run.labels_used <= min(40, 15)
         assert run.iterations == 40
 
@@ -292,6 +294,7 @@ def test_counts_are_derived_from_the_sampled_indices(solver):
     }[solver]()
     assert run.iterations == len(run.sampled_indices) == 30
     assert run.labels_used == np.unique(run.sampled_indices).size < 30
+    assert run.sampled_indices.dtype == INDEX_DTYPE
     made = KaczmarzRun(w=np.zeros(2), sampled_indices=np.array([3, 1, 3]))
     assert (made.iterations, made.labels_used) == (3, 2)
 

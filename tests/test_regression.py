@@ -11,6 +11,7 @@ from cullsq import (
     Dataset,
     DeficientFit,
     DimensionMismatch,
+    FastSolverConfig,
     InvalidInput,
     KaczmarzRun,
     LeverageProfile,
@@ -21,9 +22,12 @@ from cullsq import (
     ThinSvd,
     TooLarge,
     ZeroRow,
+    build_preconditioner,
     deficient_solve,
+    fast_setup,
     full_solve,
     leverage_scores,
+    make_srht,
     thin_svd,
 )
 from cullsq import regression
@@ -93,6 +97,87 @@ class TestDataset:
         data = Dataset(X=np.ones((3, 1)), y=np.ones(3))
         with pytest.raises(ValueError):
             data.X[0, 0] = 2.0
+
+    def test_validation_holds_no_n_by_d_temporary(self):
+        # finiteness and zero rows are checked per row block: an n x d
+        # bool alone would be X / 8
+        X = np.random.default_rng(5).standard_normal((2**16, 20))
+        X.setflags(write=False)
+        tracemalloc.start()
+        try:
+            data = Dataset(X=X)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert data.X is X
+        assert peak < X.nbytes / 16
+
+    @pytest.mark.parametrize("bad_row", [0, 6553, 2**16 - 1])
+    def test_blocked_checks_find_every_row(self, bad_row):
+        X = np.ones((2**16, 20))
+        X[[1, bad_row]] = 0.0
+        with pytest.raises(ZeroRow) as info:
+            Dataset(X=X)
+        assert str(info.value) == f"zero rows at indices {np.flatnonzero(X[:, 0] == 0.0)}"
+        X[bad_row, 3] = np.nan
+        with pytest.raises(InvalidInput, match="X contains non-finite entries"):
+            Dataset(X=X)
+
+
+def _adoption_cases(tmp_path):
+    """name -> (source array, the X given to Dataset, adopted?)."""
+    owned = np.random.default_rng(6).standard_normal((40, 3))
+    frozen = owned.copy()
+    frozen.setflags(write=False)
+    view_of_writable = owned[::2]
+    view_of_writable.setflags(write=False)
+    buffer = np.frombuffer(bytearray(owned.tobytes()), dtype=float).reshape(40, 3)
+    buffer.setflags(write=False)
+    np.save(tmp_path / "x.npy", owned)
+    r = np.load(tmp_path / "x.npy", mmap_mode="r")
+    r_plus = np.load(tmp_path / "x.npy", mmap_mode="r+")
+    r_plus.setflags(write=False)
+    return {
+        "caller-writable": (owned, owned, False),
+        "read-only-view-of-writable": (owned, view_of_writable, False),
+        "frombuffer-bytearray": (buffer, buffer, False),
+        "memmap-r+": (r_plus, r_plus, False),
+        "owned-read-only": (frozen, frozen, True),
+        "view-of-owned-read-only": (frozen, frozen[::2], True),
+        "memmap-r": (r, r, True),
+    }
+
+
+@pytest.mark.parametrize("name", ["caller-writable", "read-only-view-of-writable",
+                                  "frombuffer-bytearray", "memmap-r+", "owned-read-only",
+                                  "view-of-owned-read-only", "memmap-r"])
+def test_dataset_adopts_exactly_what_nothing_can_write(tmp_path, name):
+    source, X, adopted = _adoption_cases(tmp_path)[name]
+    data = Dataset(X=X)
+    assert not data.X.flags.writeable
+    assert np.array_equal(data.X, X)
+    assert np.shares_memory(data.X, source) is adopted
+
+
+def test_dataset_adopts_loaded_and_generated_designs(tmp_path, monkeypatch):
+    from cullsq import dataio, designs
+
+    X = np.random.default_rng(7).standard_normal((30, 4))
+    for name in ("x.csv", "x.npy"):
+        dataio.save_matrix(tmp_path / name, X)
+        loaded = dataio.load_matrix(tmp_path / name)
+        assert Dataset(X=loaded).X is loaded
+        dataio.save_vector(tmp_path / f"y{name[1:]}", X[:, 0])
+        y = dataio.load_vector(tmp_path / f"y{name[1:]}")
+        assert Dataset(X=loaded, y=y).y is y
+    made = []
+    monkeypatch.setattr(designs, "make_design",
+                        lambda *a, make=designs.make_design: made.append(make(*a)) or made[-1])
+    for kind in designs.DESIGN_KINDS:
+        data = designs.make_dataset(kind, 16, 2, 1.0, RngStream(8))
+        assert data.X is made[-1]
+    X = conditioned_design(30, 4, 10.0, np.random.default_rng(9))
+    assert Dataset(X=X).X is X
 
 
 class TestThinSvd:
@@ -655,8 +740,14 @@ class TestTypedSubsetErrors:
             lambda: LeverageProfile(np.array([0.5, 0.25])),
             lambda: DeficientFit(w_minus=np.array([1.0, 2.0]), full_error=1.0, error_increase=0.5),
             lambda: KaczmarzRun(w=np.array([1.0, 2.0]), sampled_indices=np.array([0, 1])),
+            lambda: make_srht(64, 16, RngStream(1)),
+            lambda: build_preconditioner(conditioned_design(64, 4, 10.0, np.random.default_rng(2)),
+                                         make_srht(64, 16, RngStream(1))),
+            lambda: fast_setup(conditioned_design(64, 4, 10.0, np.random.default_rng(2)),
+                               FastSolverConfig(), RngStream(1)),
         ],
-        ids=["Dataset", "ThinSvd", "LeverageProfile", "DeficientFit", "KaczmarzRun"],
+        ids=["Dataset", "ThinSvd", "LeverageProfile", "DeficientFit", "KaczmarzRun",
+             "SketchOperator", "Preconditioner", "FastSetup"],
     )
     def test_array_holders_compare_and_hash_by_identity(self, make):
         # a field-wise == would raise numpy's ambiguous-truth error on the arrays
