@@ -41,7 +41,7 @@ _EXPORTS = {
     ),
     "kaczmarz": (
         "FastSetup", "FastSolverConfig", "KaczmarzRun", "fast_setup", "kaczmarz_exact",
-        "kaczmarz_fast", "kaczmarz_row_norm", "labels_for_target",
+        "kaczmarz_fast", "labels_for_target",
     ),
     "experiments": ("ExperimentConfig", "ExperimentReport", "generate_dataset", "run_experiment"),
 }

@@ -1,9 +1,10 @@
 """Command-line harness.
 
 Subcommands: gen, solve, reject-sample, sketch, precond, kaczmarz,
-verify, whose flags are the :class:`ExperimentConfig` fields.  Files go
-through :mod:`cullsq.dataio` (CSV, or ``.npy`` by extension); reports are
-JSON.  Exit codes: 0 on success, 2 on a failed criterion, 1 otherwise.
+verify, whose flags are the :class:`ExperimentConfig` fields its
+experiment reads.  Files go through :mod:`cullsq.dataio` (CSV, or
+``.npy`` by extension); reports are JSON.  Exit codes: 0 on success, 2
+on a failed criterion, 1 otherwise.
 
 The parser is staged: every subcommand is registered with its help, but
 only the one being run, the first token of argv that is not an option,
@@ -113,7 +114,8 @@ def _verify_arguments(p):
     p.set_defaults(run=_cmd_verify)
     p.add_argument("experiment", choices=EXPERIMENT_NAMES)
     p.add_argument("--config", help="JSON config file (over the defaults; flags override it)")
-    # a flag per config field, typed by its annotation; validate() judges values
+    # a flag per config field, typed by its annotation; from_file refuses one
+    # the experiment does not read, and validate() judges values
     for name, hint in get_type_hints(ExperimentConfig).items():
         if name != "experiment":
             p.add_argument("--" + name.replace("_", "-"), type=(get_args(hint) or (hint,))[0])
@@ -195,6 +197,8 @@ def _make_op(kind, n_in, r, seed):
     from .sketching import make_dense_sign_jlt, make_identity_sketch, make_srht
 
     if kind == "identity":
+        if r is not None:
+            raise CullsqError("--r applies only to srht/sign sketches")
         return make_identity_sketch(n_in)
     if r is None:
         raise CullsqError("--r is required for srht/sign sketches")

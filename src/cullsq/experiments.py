@@ -1,15 +1,15 @@
 """Verification experiments: generate a design, measure, compare to bounds.
 
 ``EXPERIMENTS`` is the one table of experiments: it maps each name to
-its body and to the defaults the command line starts from (dataclass
-defaults, then these, then a ``--config`` file, then flags).  A body
-takes a validated config and returns ``(criteria, measurements)``;
-``run_experiment`` validates, times, stamps the seed on every criterion
-and assembles the ``ExperimentReport``.  Every precondition on a config
-lives in ``ExperimentConfig.validate``, except the one that needs the
-enumerated distribution: ``sampler`` rejects a draw count whose TV bound
-reaches 1.  ``run_experiment(cfg)`` is the one way in: ``cfg.experiment``
-names the experiment.
+its body and to the config fields the body reads, with the defaults the
+command line starts from (then a ``--config`` file, then flags).  Every
+experiment also reads ``seed``, and the command line ``out``; a key or
+flag for any other field is refused.  ``ExperimentConfig.validate``
+checks each field's type and range; a body checks its own experiment's
+preconditions before it draws, then returns ``(criteria, measurements)``.
+``run_experiment(cfg)`` is the one way in: it validates, runs the body
+``cfg.experiment`` names, times it, stamps the seed on every criterion
+and assembles the ``ExperimentReport``.
 
 Every experiment is a pure function of its configuration (the seed
 included), reports each measured quantity next to the bound it is
@@ -92,10 +92,11 @@ _FIELD_CHECKS = {int: numbers.Integral, float: numbers.Real}
 
 @dataclass
 class ExperimentConfig:
-    """Configuration shared by all verification experiments.
+    """The fields of every verification experiment.
 
-    Fields not used by a given experiment are ignored; ``mode``,
-    ``kappa`` and ``iters`` only matter for the Kaczmarz experiment.
+    An experiment reads ``seed`` and the fields of its ``EXPERIMENTS``
+    entry; ``from_file`` refuses any other, and a direct construction
+    leaves them at these defaults.
     """
 
     experiment: str
@@ -112,6 +113,8 @@ class ExperimentConfig:
     out: Optional[str] = None
 
     def validate(self) -> "ExperimentConfig":
+        """Check each field's type and range; each body checks the
+        preconditions of its own experiment."""
         self._check_types()
         if self.experiment not in EXPERIMENTS:
             raise InvalidConfig(f"unknown experiment {self.experiment!r}")
@@ -121,22 +124,6 @@ class ExperimentConfig:
             raise InvalidConfig(f"need n > d >= 1, got n={self.n}, d={self.d}")
         if self.k is not None and not (1 <= self.k < self.n):
             raise InvalidConfig(f"need 1 <= k < n, got k={self.k}")
-        why_d2 = {"kaczmarz": "one projection solves a d = 1 system, leaving no rate to check",
-                  "jlt": "the SRHT size's ln d factor is 0 at d = 1"}.get(self.experiment)
-        if why_d2 and self.d < 2:
-            raise InvalidConfig(f"{self.experiment} experiment needs d >= 2: {why_d2}")
-        if self.experiment in ("k-points", "sampler") and self.k is None:
-            raise InvalidConfig(f"{self.experiment} experiment needs k")
-        if self.experiment == "k-points" and self.k >= self.n / self.d:
-            raise InvalidConfig(
-                f"k-points theorem needs k < n/d, got k={self.k}, n/d={self.n / self.d:.3g}"
-            )
-        if self.experiment == "sampler" and math.comb(self.n, self.k) > SAMPLER_ENUMERATION_LIMIT:
-            raise InvalidConfig("sampler verification needs C(n, k) <= 2e5 to enumerate")
-        # these take a standard error over the trials, which needs two
-        min_trials = 2 if self.experiment in ("k-points", "kaczmarz", "jlt") else 1
-        if self.trials < min_trials:
-            raise InvalidConfig(f"{self.experiment} experiment needs trials >= {min_trials}")
         if self.mode not in ("exact", "fast", "both"):
             raise InvalidConfig(f"unknown kaczmarz mode {self.mode!r}")
         if not (math.isfinite(self.kappa) and self.kappa >= 1.0):
@@ -163,7 +150,8 @@ class ExperimentConfig:
         """Config from the experiment's table defaults, then the JSON
         object at ``path`` (if any), then the non-None ``overrides``.
 
-        The experiment is the override's, else the file's.
+        The experiment is the override's, else the file's; a key it
+        does not read raises ``InvalidConfig``.
         """
         raw = {}
         if path is not None:
@@ -175,13 +163,14 @@ class ExperimentConfig:
             if not isinstance(raw, dict):
                 raise InvalidConfig(f"{path}: config must be a JSON object")
         raw.update({k: v for k, v in overrides.items() if v is not None})
-        unknown = set(raw) - set(cls.__dataclass_fields__)
-        if unknown:
-            raise InvalidConfig(f"unknown config keys: {sorted(unknown)}")
         name = raw.get("experiment")
         if not isinstance(name, str) or name not in EXPERIMENTS:
             raise InvalidConfig(f"unknown experiment {name!r}")
-        return cls(**{**EXPERIMENTS[name].defaults, **raw})
+        fields = EXPERIMENTS[name].fields
+        unread = set(raw) - set(fields) - set(EVERY_EXPERIMENT_READS)
+        if unread:
+            raise InvalidConfig(f"{name} experiment does not read {', '.join(sorted(unread))}")
+        return cls(**{**fields, **raw})
 
 
 def _jsonable(obj):
@@ -240,23 +229,28 @@ def _criterion(name, measured, bound, cmp="<=", slack=0.0, tol=None):
     return entry
 
 
-def generate_dataset(cfg: ExperimentConfig, rng: Optional[RngStream] = None) -> Dataset:
-    """Dataset for a config: design kind, size, labels with noise."""
+def generate_dataset(cfg: ExperimentConfig) -> Dataset:
+    """Dataset for a config: design kind, size, labels with noise, on
+    substream 0 of its seed."""
     cfg.validate()
-    if rng is None:
-        rng = RngStream(cfg.seed).substream(0)
-    return make_dataset(cfg.design, cfg.n, cfg.d, cfg.noise, rng)
+    return make_dataset(cfg.design, cfg.n, cfg.d, cfg.noise, RngStream(cfg.seed).substream(0))
 
 
 def _prepare(cfg: ExperimentConfig):
     """The seeded stream, the dataset on its substream 0, its thin SVD,
     leverage profile, the residuals X w* - y of the optimal fit and the
     optimal error."""
-    rng = RngStream(cfg.seed)
-    data = generate_dataset(cfg, rng.substream(0))
+    data = generate_dataset(cfg)
     svd = thin_svd(data)
     w_star, opt_error = full_solve(data, svd)
+    rng = RngStream(cfg.seed)
     return rng, data, svd, leverage_scores(svd), data.X @ w_star - data.y, opt_error
+
+
+def _require(ok: bool, message: str) -> None:
+    """A body's precondition on its config: ``InvalidConfig(message)`` unless ``ok``."""
+    if not ok:
+        raise InvalidConfig(message)
 
 
 def _mean_sem(values: np.ndarray):
@@ -329,6 +323,10 @@ def _k_points(cfg: ExperimentConfig):
     probabilities and the increases, otherwise Monte Carlo over the
     rejection sampler with mean + 3 SE reported against the bound.
     """
+    _require(cfg.k is not None, "k-points experiment needs k")
+    _require(cfg.k < cfg.n / cfg.d,
+             f"k-points theorem needs k < n/d, got k={cfg.k}, n/d={cfg.n / cfg.d:.3g}")
+    _require(cfg.trials >= 2, "k-points experiment needs trials >= 2")  # for a standard error
     rng, data, svd, profile, residuals, opt_error = _prepare(cfg)
     k = cfg.k
     theorem_bound = 1.0 + cfg.d * k**2 / (cfg.n - cfg.d * k) ** 2
@@ -434,15 +432,19 @@ def _sampler(cfg: ExperimentConfig):
     rank (:func:`_enumerated_row`).  A draw that matches no row (a
     repeated or out-of-range index) counts in no bin and as norm 1.
     """
-    rng, _, svd, profile, _, _ = _prepare(cfg)
+    _require(cfg.k is not None, "sampler experiment needs k")
+    _require(math.comb(cfg.n, cfg.k) <= SAMPLER_ENUMERATION_LIMIT,
+             "sampler verification needs C(n, k) <= 2e5 to enumerate")
+    _require(cfg.trials >= 1, "sampler experiment needs trials >= 1")
+    rng = RngStream(cfg.seed)
+    # the X make_dataset draws first on the same stream; no labels are read
+    svd = thin_svd(Dataset(X=make_design(cfg.design, cfg.n, cfg.d, rng.substream(0))))
+    profile = leverage_scores(svd)
     k = cfg.k
     subsets_enum, spec, probs, _ = _enumerate(svd, k)
     tv_bound = _null_tv_bound(probs, cfg.trials, SAMPLER_TV_DELTA)
-    if tv_bound >= 1.0:
-        raise InvalidConfig(
-            f"the sampler's TV bound is {tv_bound:.4f} at {cfg.trials} draws "
-            f"over {len(probs)} subsets, so no sampler can fail it; raise --trials"
-        )
+    _require(tv_bound < 1.0, f"the sampler's TV bound is {tv_bound:.4f} at {cfg.trials} draws "
+             f"over {len(probs)} subsets, so no sampler can fail it; raise --trials")
 
     q_weights = (1.0 / profile.ell)[subsets_enum].sum(axis=1)
     max_theta = float(_acceptance_ratios(spec, q_weights, svd.d, k).max())
@@ -493,12 +495,11 @@ def _preconditioner(cfg: ExperimentConfig):
     must be the reversed inverses of those of (Pi U), and the condition
     numbers must agree, both to 1e-8 relative.
     """
+    _require(cfg.trials >= 1, "precond experiment needs trials >= 1")
     rng = RngStream(cfg.seed)
     seeds = cfg.trials
     r = min(max(8 * cfg.d, 32), next_pow2(cfg.n))
-    worst_inv = 0.0
-    worst_kappa = 0.0
-    worst_identity = 0.0
+    worst_inv = worst_kappa = worst_identity = 0.0
     for i in range(seeds):
         sub = rng.substream(i)
         X = make_design(cfg.design, cfg.n, cfg.d, sub.substream(0))
@@ -514,9 +515,7 @@ def _preconditioner(cfg: ExperimentConfig):
             precond = build_preconditioner(X, op)
             s_z = np.linalg.svd(precond.x_times_inverse(X), compute_uv=False)
             inv_resid = float(np.max(np.abs(s_z * s_pu[::-1] - 1.0)))
-            kappa_resid = abs(
-                (s_z[0] / s_z[-1]) / (s_pu[0] / s_pu[-1]) - 1.0
-            )
+            kappa_resid = abs((s_z[0] / s_z[-1]) / (s_pu[0] / s_pu[-1]) - 1.0)
             worst_inv = max(worst_inv, inv_resid)
             worst_kappa = max(worst_kappa, kappa_resid)
             if kind == "identity":
@@ -575,6 +574,9 @@ def _kaczmarz(cfg: ExperimentConfig):
     preprocessing reads no labels, and the label count is bounded by the
     iteration count.
     """
+    _require(cfg.d >= 2, "kaczmarz experiment needs d >= 2: one projection solves a d = 1 "
+             "system, leaving no rate to check")
+    _require(cfg.trials >= 2, "kaczmarz experiment needs trials >= 2")  # for standard errors
     rng = RngStream(cfg.seed)
     criteria = []
     measurements = {}
@@ -618,16 +620,10 @@ def _kaczmarz(cfg: ExperimentConfig):
             profile_gap = max(profile_gap, mean_t - bound_t - 3 * sem_t)
         criteria.append(_criterion("kaczmarz-exact-rate-profile", profile_gap, 0.0))
         measurements.update(
-            {
-                "exact_K": K,
-                "exact_kappa": kappa,
-                "exact_mean_final_error": mean_final,
-                "exact_final_bound": final_bound,
-                "exact_mean_contraction": mean_factor,
-                "exact_contraction_bound": rate,
-                "exact_max_labels": max(r.labels_used for r in runs),
-                "exact_trials": trials,
-            }
+            exact_K=K, exact_kappa=kappa, exact_mean_final_error=mean_final,
+            exact_final_bound=final_bound, exact_mean_contraction=mean_factor,
+            exact_contraction_bound=rate, exact_max_labels=max(r.labels_used for r in runs),
+            exact_trials=trials,
         )
 
     if cfg.mode in ("fast", "both"):
@@ -665,16 +661,9 @@ def _kaczmarz(cfg: ExperimentConfig):
         w_gap = float(np.max(w_means / (decay[checked] * kappa_r_sq * w_norm_sq)))
         criteria.append(_criterion("kaczmarz-fast-w-space-bound", w_gap, 1.0, slack=1e-6))
         measurements.update(
-            {
-                "fast_K": K,
-                "fast_trials": trials,
-                "fast_slope": slope,
-                "fast_slope_bound": slope_bound,
-                "fast_kappa_R_sq": kappa_r_sq,
-                "fast_max_labels": max_labels,
-                "fast_r1": setup.column_op.r,
-                "fast_design_kappa": cfg.kappa,
-            }
+            fast_K=K, fast_trials=trials, fast_slope=slope, fast_slope_bound=slope_bound,
+            fast_kappa_R_sq=kappa_r_sq, fast_max_labels=max_labels, fast_r1=setup.column_op.r,
+            fast_design_kappa=cfg.kappa,
         )
     return criteria, measurements
 
@@ -693,6 +682,8 @@ def _jlt(cfg: ExperimentConfig):
     true preconditioned row norms in at least 19 of 20 seeds; identity
     sketches must reproduce the leverage scores exactly.
     """
+    _require(cfg.d >= 2, "jlt experiment needs d >= 2: the SRHT size's ln d factor is 0 at d = 1")
+    _require(cfg.trials >= 2, "jlt experiment needs trials >= 2")  # a seed count may miss one
     rng = RngStream(cfg.seed)
     seeds = cfg.trials
     n, d = cfg.n, cfg.d
@@ -765,20 +756,26 @@ def _jlt(cfg: ExperimentConfig):
 # ----------------------------------------------------------------------
 
 class Experiment(NamedTuple):
-    """A verification body and the config fields the command line
-    starts it from."""
+    """A verification body and the config fields it reads, each with
+    the default the command line starts it from."""
 
     body: Callable[[ExperimentConfig], Tuple[List[Dict], Dict]]
-    defaults: Dict
+    fields: Dict
 
+
+# the fields besides its table entry's that every experiment takes; the
+# command line reads ``out``
+EVERY_EXPERIMENT_READS = ("experiment", "seed", "out")
 
 EXPERIMENTS: Dict[str, Experiment] = {
-    "one-point": Experiment(_one_point, dict(n=100, d=5, trials=1)),
-    "k-points": Experiment(_k_points, dict(n=12, d=2, k=2)),
-    "sampler": Experiment(_sampler, dict(n=10, d=2, k=2, trials=100_000)),
-    "precond": Experiment(_preconditioner, dict(n=256, d=8, trials=20)),
-    "kaczmarz": Experiment(_kaczmarz, dict(n=400, d=5, trials=200)),
-    "jlt": Experiment(_jlt, dict(n=512, d=8, trials=20)),
+    "one-point": Experiment(_one_point, dict(n=100, d=5, design=GAUSSIAN, noise=1.0)),
+    "k-points": Experiment(_k_points, dict(n=12, d=2, k=2, design=GAUSSIAN, noise=1.0,
+                                           trials=2000)),
+    "sampler": Experiment(_sampler, dict(n=10, d=2, k=2, design=GAUSSIAN, trials=100_000)),
+    "precond": Experiment(_preconditioner, dict(n=256, d=8, design=GAUSSIAN, trials=20)),
+    "kaczmarz": Experiment(_kaczmarz, dict(n=400, d=5, trials=200, mode="both", kappa=1e6,
+                                           iters=None)),
+    "jlt": Experiment(_jlt, dict(n=512, d=8, design=GAUSSIAN, trials=20)),
 }
 EXPERIMENT_NAMES = tuple(EXPERIMENTS)
 
@@ -786,13 +783,15 @@ EXPERIMENT_NAMES = tuple(EXPERIMENTS)
 def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
     """Validate ``cfg``, run its experiment's body and report."""
     cfg.validate()
+    experiment = EXPERIMENTS[cfg.experiment]
     t0 = time.perf_counter()
-    criteria, measurements = EXPERIMENTS[cfg.experiment].body(cfg)
+    criteria, measurements = experiment.body(cfg)
     for crit in criteria:
         crit["seed"] = int(cfg.seed)
     return ExperimentReport(
         experiment=cfg.experiment,
-        config=asdict(cfg),
+        config={name: getattr(cfg, name)
+                for name in (*EVERY_EXPERIMENT_READS, *experiment.fields)},
         library_version=__version__,
         criteria=criteria,
         measurements=measurements,

@@ -1,7 +1,7 @@
 """Randomized Kaczmarz solvers for consistent systems.
 
 One projective-update loop, :func:`_kaczmarz`, with per-run label
-accounting, behind three adapters that differ only in the rows q_j the
+accounting, behind two adapters that differ only in the rows q_j the
 iterate v is projected onto, the weights they are sampled by, and the
 map from v back to w:
 
@@ -14,8 +14,6 @@ map from v back to w:
   Preprocessing reads only the design matrix, never the labels.  The
   contraction weakens to (1 - 1/(9 d)) per step but stays independent
   of the input conditioning.
-* row norm: the unpreconditioned baseline, rows of X sampled by squared
-  norm and w = v, at a rate governed by the squared condition number.
 
 A run touches at most one label per iteration.  Its :class:`KaczmarzRun`
 stores the K indices it sampled (``INDEX_DTYPE``) and derives the rest:
@@ -247,26 +245,4 @@ def kaczmarz_fast(
         setup.leverage, lambda idx: pre.x_times_inverse(X[idx]), y, K,
         rng.substream(3).generator(), lambda vs: pre.apply_inverse(vs.T).T,
         v_star, w_star,
-    )
-
-
-def kaczmarz_row_norm(
-    X: np.ndarray,
-    y: np.ndarray,
-    K: int,
-    rng,
-    w_star: Optional[np.ndarray] = None,
-) -> KaczmarzRun:
-    """Plain row-norm-sampled Kaczmarz baseline (no preconditioning).
-
-    Converges at a rate governed by the squared condition number; the
-    preconditioned variants are measured against it.
-    """
-    X = _as_design(X)
-    y = np.asarray(y, dtype=float)
-    if y.shape != (X.shape[0],):
-        raise InvalidInput(f"y must have shape ({X.shape[0]},)")
-    return _kaczmarz(
-        np.einsum("ij,ij->i", X, X), lambda idx: X[idx], y, K, as_generator(rng),
-        lambda vs: vs, w_star, w_star,
     )

@@ -144,7 +144,7 @@ class Dataset:
             block = X[start:start + rows]
             if not np.isfinite(block).all():
                 raise InvalidInput("X contains non-finite entries")
-            zero.extend(np.flatnonzero(np.einsum("ij,ij->i", block, block) == 0.0) + start)
+            zero.extend(np.flatnonzero(~block.any(axis=1)) + start)
         if zero:
             raise ZeroRow(f"zero rows at indices {np.array(zero)}")
         object.__setattr__(self, "X", _frozen(X))

@@ -251,6 +251,16 @@ class TestSketchAndPrecond:
         )
         assert rc == 1
 
+    def test_identity_refuses_r(self, dataset_files, tmp_path, capsys):
+        # the identity sketch has no embedding dimension to set
+        x_path, _ = dataset_files
+        out = tmp_path / "s.csv"
+        for argv in (["sketch", "--in", x_path, "--out", out],
+                     ["precond", "--x", x_path, "--out-t", out]):
+            assert run_cli(*argv, "--kind", "identity", "--r", 5) == 1
+            assert capsys.readouterr().err == "error: --r applies only to srht/sign sketches\n"
+            assert not out.exists()
+
     def test_precond_outputs(self, dataset_files, tmp_path):
         x_path, _ = dataset_files
         rc = run_cli(
@@ -455,22 +465,27 @@ class TestVerifyCommand:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
 
-    # a valid one-point value for each field but the experiment
-    FLAG_VALUES = dict(n=64, d=3, k=2, design="coherent", noise=0.5, trials=3, seed=9,
-                       mode="exact", kappa=10.0, iters=7, out="rep.json")
+    # for each field but the experiment, one that reads it and a valid value
+    FLAG_CASES = dict(n=("one-point", 64), d=("one-point", 3), k=("k-points", 3),
+                      design=("one-point", "coherent"), noise=("one-point", 0.5),
+                      trials=("precond", 3), seed=("one-point", 9), mode=("kaczmarz", "exact"),
+                      kappa=("kaczmarz", 10.0), iters=("kaczmarz", 7),
+                      out=("one-point", "rep.json"))
 
     @pytest.mark.parametrize(
         "field", [f.name for f in dataclasses.fields(ExperimentConfig) if f.name != "experiment"])
     def test_every_config_field_is_a_flag(self, tmp_path, monkeypatch, field):
         monkeypatch.chdir(tmp_path)
-        value = self.FLAG_VALUES[field]
+        experiment, value = self.FLAG_CASES[field]
         flag = "--" + field.replace("_", "-")
-        assert run_cli("verify", "one-point", flag, value, "--out", "rep.json") == 0
+        assert run_cli("verify", experiment, flag, value, "--out", "rep.json") == 0
         assert json.loads((tmp_path / "rep.json").read_text())["config"][field] == value
 
-    @pytest.mark.parametrize("flag, value", [("--design", "nope"), ("--mode", "slow")])
-    def test_bad_choice_reaches_validate(self, capsys, flag, value):
-        assert run_cli("verify", "kaczmarz", flag, value) == 1
+    @pytest.mark.parametrize("experiment, flag, value",
+                             [("one-point", "--design", "nope"), ("kaczmarz", "--mode", "slow")],
+                             ids=["--design-nope", "--mode-slow"])
+    def test_bad_choice_reaches_validate(self, capsys, experiment, flag, value):
+        assert run_cli("verify", experiment, flag, value) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: unknown") and err.count("\n") == 1 and value in err
 
@@ -500,10 +515,18 @@ class TestVerifyCommand:
         (["gen", "--n", "10", "--d", "-2", "--out-x", "a.csv"], "error: need n > d >= 1"),
         (["verify", "kaczmarz", "--d", "1"], "error: kaczmarz experiment needs d >= 2"),
         (["verify", "jlt", "--d", "1"], "error: jlt experiment needs d >= 2"),
+        (["verify", "sampler", "--noise", "7"], "error: sampler experiment does not read noise"),
+        (["verify", "one-point", "--kappa", "5"], "error: one-point experiment does not read"),
+        (["verify", "one-point", "--mode", "fast"], "error: one-point experiment does not read"),
+        (["verify", "one-point", "--iters", "3"], "error: one-point experiment does not read"),
+        (["verify", "one-point", "--k", "4"], "error: one-point experiment does not read k"),
+        (["verify", "kaczmarz", "--design", "coherent"],
+         "error: kaczmarz experiment does not read design"),
     ],
     ids=["bad-int", "missing-flag", "unknown-experiment", "deleted-max-trials",
          "deleted-spike-fraction", "no-command", "gen-negative-n", "gen-negative-d",
-         "kaczmarz-d1", "jlt-d1"],
+         "kaczmarz-d1", "jlt-d1", "sampler-noise", "one-point-kappa", "one-point-mode",
+         "one-point-iters", "one-point-k", "kaczmarz-design"],
 )
 def test_usage_error_exits_one_with_one_line(capsys, argv, prefix):
     # exit 2 from verify means a failed criterion and nothing else

@@ -22,7 +22,13 @@ from cullsq import (
 )
 from cullsq import experiments, influence, regression
 from cullsq.designs import make_dataset
-from cullsq.experiments import EXPERIMENT_NAMES, EXPERIMENTS, _enumerated_row, _jsonable
+from cullsq.experiments import (
+    EVERY_EXPERIMENT_READS,
+    EXPERIMENT_NAMES,
+    EXPERIMENTS,
+    _enumerated_row,
+    _jsonable,
+)
 from cullsq.influence import _enumerate
 
 
@@ -64,28 +70,33 @@ class TestConfigValidation:
         with pytest.raises(InvalidConfig):
             ExperimentConfig(experiment="nope").validate()
 
+    # an experiment's own preconditions are checked by its body, so
+    # run_experiment raises them, before any draw
+
     def test_k_points_needs_small_k(self):
-        with pytest.raises(InvalidConfig):
-            ExperimentConfig(experiment="k-points", n=12, d=2, k=6).validate()
+        with pytest.raises(InvalidConfig, match="k < n/d"):
+            run_experiment(ExperimentConfig(experiment="k-points", n=12, d=2, k=6))
 
     def test_k_points_needs_k(self):
-        with pytest.raises(InvalidConfig):
-            ExperimentConfig(experiment="k-points", n=12, d=2).validate()
+        with pytest.raises(InvalidConfig, match="needs k"):
+            run_experiment(ExperimentConfig(experiment="k-points", n=12, d=2))
 
     def test_sampler_needs_k(self):
         with pytest.raises(InvalidConfig, match="needs k"):
-            ExperimentConfig(experiment="sampler", n=10, d=2).validate()
+            run_experiment(ExperimentConfig(experiment="sampler", n=10, d=2))
 
     def test_sampler_needs_enumerable_subsets(self):
         # C(40, 5) = 658008 > 2e5
         with pytest.raises(InvalidConfig, match="C\\(n, k\\)"):
-            ExperimentConfig(experiment="sampler", n=40, d=2, k=5).validate()
+            run_experiment(ExperimentConfig(experiment="sampler", n=40, d=2, k=5))
 
     @pytest.mark.parametrize("experiment, k", [("k-points", 2), ("kaczmarz", None), ("jlt", None)])
     def test_standard_error_needs_two_trials(self, experiment, k):
-        with pytest.raises(InvalidConfig, match="trials"):
-            ExperimentConfig(experiment=experiment, n=12, d=2, k=k, trials=1).validate()
-        ExperimentConfig(experiment=experiment, n=12, d=2, k=k, trials=2).validate()
+        cfg = ExperimentConfig(experiment=experiment, n=12, d=2, k=k, trials=1)
+        with pytest.raises(InvalidConfig, match="needs trials >= 2"):
+            run_experiment(cfg)
+        cfg.trials = 2
+        run_experiment(cfg)
 
     @pytest.mark.parametrize(
         "field, value",
@@ -100,12 +111,12 @@ class TestConfigValidation:
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps({"experiment": "sampler", "n": 12, "seed": 3}))
         cfg = ExperimentConfig.from_file(path, seed=4, trials=None)
-        defaults = EXPERIMENTS["sampler"].defaults
+        defaults = EXPERIMENTS["sampler"].fields
         assert (cfg.n, cfg.d, cfg.k, cfg.trials) == (12, defaults["d"], defaults["k"],
                                                       defaults["trials"])
         assert cfg.seed == 4
         assert ExperimentConfig.from_file(experiment="jlt") == ExperimentConfig(
-            experiment="jlt", **EXPERIMENTS["jlt"].defaults
+            experiment="jlt", **EXPERIMENTS["jlt"].fields
         )
 
     def test_unknown_config_key_rejected(self, tmp_path):
@@ -113,6 +124,23 @@ class TestConfigValidation:
         path.write_text(json.dumps({"experiment": "sampler", "bogus": 1}))
         with pytest.raises(InvalidConfig):
             ExperimentConfig.from_file(path)
+
+    @pytest.mark.parametrize("experiment", EXPERIMENT_NAMES)
+    def test_a_field_the_experiment_does_not_read_is_refused(self, tmp_path, experiment):
+        # even at its dataclass default, in a file or as an override
+        unread = ({f.name for f in dataclasses.fields(ExperimentConfig)}
+                  - set(EXPERIMENTS[experiment].fields) - set(EVERY_EXPERIMENT_READS))
+        assert unread
+        path = tmp_path / "cfg.json"
+        for field in sorted(unread):
+            value = getattr(ExperimentConfig(experiment=experiment), field)
+            path.write_text(json.dumps({"experiment": experiment, field: value}))
+            message = f"^{experiment} experiment does not read {field}$"
+            with pytest.raises(InvalidConfig, match=message):
+                ExperimentConfig.from_file(path)
+            if value is not None:  # a None override means the flag was not given
+                with pytest.raises(InvalidConfig, match=message):
+                    ExperimentConfig.from_file(experiment=experiment, **{field: value})
 
     @pytest.mark.parametrize(
         "field, value",
@@ -199,7 +227,7 @@ class TestVerifiers:
     def test_report_carries_version_and_seeds(self, experiment):
         report = run_experiment(
             ExperimentConfig(experiment=experiment, seed=10,
-                             **EXPERIMENTS[experiment].defaults)
+                             **EXPERIMENTS[experiment].fields)
         )
         assert report.library_version
         assert report.criteria
@@ -216,9 +244,50 @@ class TestVerifiers:
         assert crit["sampler-acceptance-ge-bound"]["passed"]
 
 
+# a size at which each experiment runs in well under a second
+SMALL = {
+    "one-point": dict(n=16, d=2),
+    "k-points": dict(n=12, d=2, k=2, trials=2),
+    "sampler": dict(n=10, d=2, k=2, trials=2000),
+    "precond": dict(n=64, d=4, trials=2),
+    "kaczmarz": dict(n=40, d=2, trials=2, iters=20),
+    "jlt": dict(n=64, d=4, trials=2),
+}
+
+
+@pytest.mark.parametrize("experiment", EXPERIMENT_NAMES)
+def test_each_experiment_reads_exactly_its_table_fields(experiment):
+    # pins each EXPERIMENTS entry to its body both ways: a field the body
+    # reads but the entry omits could not be set, and one the entry
+    # lists but the body never reads would be accepted and ignored
+    names = {f.name for f in dataclasses.fields(ExperimentConfig)}
+    read = set()
+
+    class Recording(ExperimentConfig):
+        def __getattribute__(self, name):
+            if name in names:
+                read.add(name)
+            return super().__getattribute__(name)
+
+        def validate(self):
+            # checks every field's type, wherever it is called from
+            before = set(read)
+            super().validate()
+            read.intersection_update(before)
+            return self
+
+    fields = EXPERIMENTS[experiment].fields
+    cfg = Recording(experiment=experiment, **SMALL[experiment]).validate()
+    EXPERIMENTS[experiment].body(cfg)
+    assert read | set(EVERY_EXPERIMENT_READS) == set(fields) | set(EVERY_EXPERIMENT_READS)
+    assert "seed" in read
+    report = run_experiment(ExperimentConfig(experiment=experiment, **SMALL[experiment]))
+    assert set(report.config) == set(fields) | set(EVERY_EXPERIMENT_READS)
+
+
 def defaults(experiment, **fields):
     return ExperimentConfig(experiment=experiment,
-                            **{**EXPERIMENTS[experiment].defaults, **fields})
+                            **{**EXPERIMENTS[experiment].fields, **fields})
 
 
 class TestOneOraclePass:

@@ -19,13 +19,26 @@ from cullsq import (
     full_solve,
     kaczmarz_exact,
     kaczmarz_fast,
-    kaczmarz_row_norm,
     labels_for_target,
     make_identity_sketch,
     thin_svd,
 )
 from cullsq.designs import conditioned_design
+from cullsq.kaczmarz import _kaczmarz
+from cullsq.regression import _as_design
 from cullsq.rng import as_generator
+
+
+def kaczmarz_row_norm(X, y, K, rng, w_star=None):
+    """The unpreconditioned baseline on the library's update loop: rows of
+    X sampled by squared norm and w = v, at a rate governed by the squared
+    condition number."""
+    X = _as_design(X)
+    y = np.asarray(y, dtype=float)
+    if y.shape != (X.shape[0],):
+        raise InvalidInput(f"y must have shape ({X.shape[0]},)")
+    return _kaczmarz(np.einsum("ij,ij->i", X, X), lambda idx: X[idx], y, K, as_generator(rng),
+                     lambda vs: vs, w_star, w_star)
 
 
 def consistent_instance(n, d, seed):

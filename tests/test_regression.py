@@ -68,6 +68,13 @@ class TestDataset:
         with pytest.raises(ZeroRow):
             Dataset(X=np.array([[3.0, 0.0], [0.0, 2.0], [0.0, 0.0]]))
 
+    def test_rows_too_small_to_square_are_not_zero(self):
+        # each entry squared underflows to 0 below about 1e-162; thin_svd
+        # scales by powers of two, so the scaled X gives the same U
+        X = np.random.default_rng(7).standard_normal((50, 3))
+        tiny = Dataset(X=X * 1e-170)
+        np.testing.assert_allclose(thin_svd(tiny).U, thin_svd(Dataset(X=X)).U, atol=1e-12)
+
     def test_needs_more_rows_than_columns(self):
         with pytest.raises(ValueError):
             Dataset(X=np.eye(3))
