@@ -28,15 +28,17 @@ strictly increasing ``INDEX_DTYPE`` array, which ``array()`` returns.
 
 The thin SVD is computed by Cholesky QR, in matrix products (BLAS-3)
 over X instead of the memory-bound Householder passes of LAPACK's
-``gesdd``: Gram matrix, Cholesky factor T, Q <- Q T^{-1}, twice for a
-well-conditioned X (CholeskyQR2, as accurate as Householder QR for
-kappa up to about 1e8), after which the d x d product of the factors is
-decomposed by a small SVD; every pass writes its product into one
-n x d array, so the method holds one n x d array besides X.  A worse X
-takes a pass or two more, and a pass whose plain Cholesky fails adds a
-shift of 11 (n d + d (d + 1)) u ||X||_F^2 to the Gram (shifted
-CholeskyQR3), which carries the method to the kappa <= 1 / RANK_TOL =
-1e12 the rank tolerance admits.  Beyond that, :class:`RankDeficient`.
+``gesdd``: Gram matrix, Cholesky factor T, Q <- Q T^{-1}, until a
+factor has kappa_2(T) <= 3, after which the d x d product of the
+factors is decomposed by a small SVD.  A well-conditioned X, kappa <= 3
+at any column scale, takes one pass; CholeskyQR2, as accurate as
+Householder QR for kappa up to about 1e8, applies once kappa > 3.
+Every pass writes its product into one n x d array, so the method holds
+one n x d array besides X.  A worse X takes a pass or two more, and a
+pass whose plain Cholesky fails adds a shift of
+11 (n d + d (d + 1)) u ||X||_F^2 to the Gram (shifted CholeskyQR3),
+which carries the method to the kappa <= 1 / RANK_TOL = 1e12 the rank
+tolerance admits.  Beyond that, :class:`RankDeficient`.
 References: Fukaya et al., "CholeskyQR2: a simple and
 communication-avoiding algorithm", ScalA 2014; Fukaya, Kannan,
 Nakatsukasa et al., "Shifted Cholesky QR for computing the QR
@@ -314,7 +316,8 @@ class DeficientFit:
 
 def _cholesky_qr_svd(X: np.ndarray):
     """Unsigned thin SVD ``(U, sigma, Vt)`` of a full-column-rank X by
-    Cholesky QR (see the module docstring).
+    Cholesky QR (see the module docstring), with the column maxima and
+    minima ``(hi, lo)`` of U.
 
     A pass factors the Gram matrix of Q (X at first), Q^T Q = T^T T, and
     sets Q <- Q T^{-1} through one d x d inverse and one matrix product.
@@ -324,24 +327,29 @@ def _cholesky_qr_svd(X: np.ndarray):
     Cholesky fails, the pass adds the shift 11 (n d + d (d + 1)) u
     ||s Q||_F^2 to the diagonal, more than the Gram's rounding error, and
     cuts kappa by about the square root of that relative shift.  Passes
-    repeat until a factor lies within 1/2 of I in the 2-norm: Q then has
-    kappa <= 3, and that last pass, which makes it orthonormal to
-    rounding, is folded into U = Q (T^{-1} U_R), with U_R Sigma V^T the
-    SVD of the d x d product of every factor.  Each pass writes its
-    product Q M (M = T^{-1}, or T^{-1} U_R at the last), row block by
-    row block, into U, which the next pass overwrites in place; X is
-    never written, and besides U the method holds one row block.
+    repeat until a factor has kappa_2(T) <= 3: Q, whose Gram is T^T T,
+    then has kappa <= 3 whatever the scale of its columns, and that last
+    pass, which makes it orthonormal to rounding, is folded into
+    U = Q (T^{-1} U_R), with U_R Sigma V^T the SVD of the d x d product
+    of every factor.  So an X with kappa <= 3 takes one pass, and
+    CholeskyQR2 applies once kappa > 3.  Each pass writes its product
+    Q M (M = T^{-1}, or T^{-1} U_R at the last), row block by row block,
+    into U, which the next pass overwrites in place; X is never written,
+    and besides U the method holds one row block.  The column extremes
+    of each block, taken while ``buf`` holds it, give the next pass its
+    s and the last pass ``(hi, lo)``, so only the first pass sweeps its
+    Q, which is X, for s.
     """
     n, d = X.shape
-    eye = np.eye(d)
     rows = min(n, max(1, GRAM_BLOCK_ELEMENTS // d))
     blocks = [slice(start, min(start + rows, n)) for start in range(0, n, rows)]
     # buf holds the row block of s Q or of Q M in every pass: with a new
     # temporary per block, glibc trimmed the heap after each call and the
     # next call faulted ~3 MB back in (32768 x 10, 1 BLAS thread)
-    Q, R, U, buf = X, eye, np.empty((n, d)), np.empty((rows, d))
+    Q, R, U, buf = X, np.eye(d), np.empty((n, d)), np.empty((rows, d))
+    top = max(X.max(), -X.min())
     for _ in range(CHOLESKY_QR_MAX_PASSES):
-        s = np.ldexp(1.0, -int(np.frexp(max(Q.max(), -Q.min()))[1]))
+        s = np.ldexp(1.0, -int(np.frexp(top)[1]))
         G = np.zeros((d, d))
         for b in blocks:
             B = np.multiply(Q[b], s, out=buf[:b.stop - b.start])
@@ -353,18 +361,24 @@ def _cholesky_qr_svd(X: np.ndarray):
             G[np.diag_indices(d)] += shift
             L = np.linalg.cholesky(G)
         T = L.T / s
-        last = np.linalg.norm(T - eye, 2) <= 0.5
+        last = np.linalg.cond(T) <= 3.0
         if last:
             Ur, sigma, Vt = np.linalg.svd(T @ R)
             M = np.linalg.inv(T) @ Ur
         else:
             M = np.linalg.inv(T)
             R = T @ R
+        hi, lo = np.full(d, -np.inf), np.full(d, np.inf)
         for b in blocks:
-            U[b] = np.matmul(Q[b], M, out=buf[:b.stop - b.start])
+            B = np.matmul(Q[b], M, out=buf[:b.stop - b.start])
+            U[b] = B
+            block_hi, block_lo = _column_extremes(B)
+            np.maximum(hi, block_hi, out=hi)
+            np.minimum(lo, block_lo, out=lo)
         Q = U
         if last:
-            return U, sigma, Vt
+            return U, sigma, Vt, hi, lo
+        top = max(hi.max(), -lo.min())
     raise RankDeficient(
         f"Cholesky QR found no orthonormal basis in {CHOLESKY_QR_MAX_PASSES} passes"
     )
@@ -385,18 +399,18 @@ def _column_extremes(U: np.ndarray):
 def thin_svd(data: Dataset) -> ThinSvd:
     """Thin SVD of the design matrix with a deterministic sign convention.
 
-    Computed by Cholesky QR (:func:`_cholesky_qr_svd`): a few passes
-    over X of matrix products, with an SVD only of a d x d factor.
+    Computed by Cholesky QR (:func:`_cholesky_qr_svd`): one pass over X
+    of matrix products at kappa <= 3, a few more above, with an SVD only
+    of a d x d factor; the column extremes of U come from the last pass.
     Each column of U is flipped so that its largest-magnitude entry is
     positive (ties broken by lowest row index); V columns flip in step so
     the product is unchanged.
     """
-    U, s, Vt = _cholesky_qr_svd(data.X)
+    U, s, Vt, hi, lo = _cholesky_qr_svd(data.X)
     if s[-1] < RANK_TOL * s[0]:
         raise RankDeficient(
             f"sigma_d/sigma_1 = {s[-1] / s[0]:.3e} below tolerance {RANK_TOL:.1e}"
         )
-    hi, lo = _column_extremes(U)
     lo = -lo
     signs = np.where(hi >= lo, 1.0, -1.0)
     for j in np.flatnonzero(hi == lo):

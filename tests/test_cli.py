@@ -583,6 +583,32 @@ def test_version_and_help_load_no_numpy(argv):
     assert modules_loaded_by(argv) == {"cullsq", "cullsq._version", "cullsq.cli", "cullsq.errors"}
 
 
+def modules_imported(argv, cwd=None):
+    """Every module the import-time log of ``python -X importtime argv``
+    names; the module ``-m`` runs as __main__ is not among them."""
+    proc = subprocess.run([sys.executable, "-X", "importtime", *argv],
+                          capture_output=True, text=True, cwd=cwd)
+    assert proc.returncode == 0, proc.stderr
+    return {line.rsplit("|", 1)[1].strip() for line in proc.stderr.splitlines()
+            if line.startswith("import time:") and "imported package" not in line}
+
+
+def test_version_imports_nothing_beyond_argparse(tmp_path):
+    # against a stub that runs argparse's version action under python -m,
+    # a new standard-library import on the start-up path shows; __future__
+    # is the annotations import cullsq's modules open with
+    (tmp_path / "version_stub.py").write_text(
+        "import argparse\n"
+        "parser = argparse.ArgumentParser()\n"
+        "parser.add_argument('--version', action='version', version='0')\n"
+        "parser.parse_args(['--version'])\n"
+    )
+    stub = modules_imported(["-m", "version_stub"], cwd=tmp_path)
+    cli = modules_imported(["-m", "cullsq.cli", "--version"]) | {"cullsq.cli"}
+    assert cli - stub == {"__future__", "cullsq", "cullsq._version", "cullsq.cli",
+                          "cullsq.errors"}
+
+
 def test_gen_and_solve_load_only_their_modules(tmp_path):
     x, y = tmp_path / "x.csv", tmp_path / "y.csv"
     loaded = modules_loaded_by(["gen", "--n", 64, "--d", 3, "--out-x", x, "--out-y", y],

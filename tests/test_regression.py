@@ -289,6 +289,28 @@ class TestThinSvd:
         assert np.max(np.abs(svd.sigma - s0)) <= 1e-12 * s0[0]
         assert np.max(np.abs(svd.U.T @ svd.U - np.eye(20))) <= 1e-13
 
+    @pytest.mark.parametrize(
+        "make, passes",
+        [
+            (lambda: make_dataset("gaussian", 4096, 10, 0.0, RngStream(1)).X, 1),
+            (lambda: make_dataset("hadamard-uniform", 1024, 5, 0.0, RngStream(2)).X, 1),
+            (lambda: make_dataset("coherent", 4096, 10, 0.0, RngStream(3)).X, 1),
+            (lambda: conditioned_design(4096, 10, 2.9, np.random.default_rng(4)), 1),
+            (lambda: conditioned_design(4096, 10, 1e4, np.random.default_rng(5)), 2),
+        ],
+        ids=["gaussian", "hadamard-uniform", "coherent", "kappa-2.9", "kappa-1e4"],
+    )
+    def test_passes_follow_kappa_not_scale(self, monkeypatch, make, passes):
+        # a pass factors one Gram: kappa <= 3 takes one, whatever the scale
+        # of the columns (gaussian 4096 x 10 has T near 64 I), and
+        # kappa = 1e4 takes CholeskyQR2's two
+        X = make()
+        factored = []
+        cholesky = np.linalg.cholesky
+        monkeypatch.setattr(np.linalg, "cholesky", lambda G: factored.append(G) or cholesky(G))
+        thin_svd(Dataset(X=X))
+        assert len(factored) == passes
+
     def test_memory_is_one_copy_of_u(self):
         # every Cholesky QR pass writes its product into the one n x d
         # buffer that becomes U; neither a second product, a temporary
@@ -322,22 +344,34 @@ class TestThinSvd:
 
 
 @st.composite
-def conditioned_problems(draw):
-    """X with kappa up to just under 1e12 (sigma_d / sigma_1 at RANK_TOL
-    is a tie with the tolerance), n from d + 1, entries scaled by 2^e."""
+def conditioned_problems(draw, kappas, max_n):
+    """X with kappa drawn from ``kappas``, n from d + 1 to ``max_n``,
+    entries scaled by 2^e."""
     d = draw(st.integers(1, 8))
-    n = draw(st.integers(d + 1, 300))
-    kappa = 10.0 ** draw(st.floats(0.0, 11.99))
+    n = draw(st.integers(d + 1, max_n))
+    kappa = draw(kappas)
     e = draw(st.integers(-500, 500))
     X = conditioned_design(n, d, kappa, np.random.default_rng(draw(st.integers(0, 2**32 - 1))))
     return X * 2.0**e, kappa, e
 
 
 class TestThinSvdProperties:
+    # kappa up to just under 1e12: sigma_d / sigma_1 at RANK_TOL is a tie
+    # with the tolerance
     @settings(max_examples=400, deadline=None)
-    @given(conditioned_problems())
+    @given(conditioned_problems(st.floats(0.0, 11.99).map(lambda x: 10.0**x), 300))
     def test_matches_numpy_svd(self, problem):
-        X, kappa, e = problem
+        self.check_against_numpy(*problem)
+
+    # kappa either side of 3, where one Cholesky QR pass gives way to two
+    @settings(max_examples=400, deadline=None)
+    @given(conditioned_problems(st.floats(1.0, 4.0), 2048))
+    @example((conditioned_design(2048, 8, 3.0, np.random.default_rng(11)) * 2.0**500, 3.0, 500))
+    def test_matches_numpy_svd_about_the_one_pass_limit(self, problem):
+        self.check_against_numpy(*problem)
+
+    @staticmethod
+    def check_against_numpy(X, kappa, e):
         d = X.shape[1]
         svd = thin_svd(Dataset(X=X))
         # compare at unit scale: multiplying by 2^-e is exact
