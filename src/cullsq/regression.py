@@ -38,7 +38,12 @@ one n x d array besides X.  A worse X takes a pass or two more, and a
 pass whose plain Cholesky fails adds a shift of
 11 (n d + d (d + 1)) u ||X||_F^2 to the Gram (shifted CholeskyQR3),
 which carries the method to the kappa <= 1 / RANK_TOL = 1e12 the rank
-tolerance admits.  Beyond that, :class:`RankDeficient`.
+tolerance admits.  Beyond that, :class:`RankDeficient`.  No check
+reads U once the last pass has written it: a rounding-error bound on
+||U^T U - I||_2, made in O(d^3) from that pass's Gram and factor, proves
+U orthonormal to ORTHONORMAL_TOL = 1e-10, and only when the bound is
+larger does the ``ThinSvd`` constructor form U^T U.  The sign flip is
+the one sweep of U after the passes.
 References: Fukaya et al., "CholeskyQR2: a simple and
 communication-avoiding algorithm", ScalA 2014; Fukaya, Kannan,
 Nakatsukasa et al., "Shifted Cholesky QR for computing the QR
@@ -66,6 +71,7 @@ from .errors import (
 # Numeric policy.  The model assumes exact full rank; these are the
 # float64 stand-ins; RANK_TOL is also the kappa limit of thin_svd's QR.
 RANK_TOL = 1e-12            # relative sigma_d / sigma_1 cutoff
+ORTHONORMAL_TOL = 1e-10     # max |A^T A - I| allowed of U and V in a ThinSvd
 SPEC_SINGULAR_TOL = 1e-10   # ||P_A||_2 above 1 - tol counts as rank loss
 LEVERAGE_FLOOR = 1e-14      # clamp for leverage scores
 # doubles of gathered rows U_A held at once by the partial-projection kernel (2 MB)
@@ -77,6 +83,9 @@ GRAM_BLOCK_ELEMENTS = 2**17
 # needs at most five
 CHOLESKY_QR_MAX_PASSES = 8
 UNIT_ROUNDOFF = np.finfo(float).eps / 2
+# rows numpy's column reductions and the sign flip view as one wide row:
+# a tall, narrow array is reduced along its rows slowly
+WIDE_ROWS = 64
 # dtype of every subset index array the library returns: half the bytes
 # of intp, and it holds every row index of a design with n <= 2^31 - 1
 INDEX_DTYPE = np.int32
@@ -172,32 +181,61 @@ class Dataset:
         return self.y
 
 
+def _gram_error(A: np.ndarray) -> float:
+    """max |A^T A - I|: NaN, which fails every tolerance, when A holds a
+    NaN or an infinity."""
+    with np.errstate(invalid="ignore", over="ignore"):
+        return float(np.max(np.abs(A.T @ A - np.eye(A.shape[1]))))
+
+
 @dataclass(frozen=True, eq=False)
 class ThinSvd:
-    """Thin SVD X = U diag(sigma) V^T with orthonormal U columns."""
+    """Thin SVD X = U diag(sigma) V^T with orthonormal U columns.
+
+    The constructor checks a caller's factors in full: consistent
+    shapes, a finite sigma, positive and nonincreasing, and
+    max |U^T U - I| and max |V^T V - I| at most ORTHONORMAL_TOL, a
+    comparison that a NaN or an infinity in U or V fails.
+    :func:`thin_svd` builds its own by ``_certified``, which runs every
+    check but the n x d product U^T U: a rounding-error bound on
+    ||U^T U - I||_2, proved from d x d factors of its last Cholesky QR
+    pass (:func:`_orthonormality_bound`), takes its place.
+    """
 
     U: np.ndarray       # (n, d)
     sigma: np.ndarray   # (d,) positive, nonincreasing
     V: np.ndarray       # (d, d) orthogonal
 
     def __post_init__(self):
-        U = np.asarray(self.U, dtype=float)
-        sigma = np.asarray(self.sigma, dtype=float)
-        V = np.asarray(self.V, dtype=float)
+        self._hold(self.U, self.sigma, self.V, check_u=True)
+
+    @classmethod
+    def _certified(cls, U, sigma, V) -> "ThinSvd":
+        """A ThinSvd of factors whose U is proved orthonormal to
+        ORTHONORMAL_TOL, held without the n x d check."""
+        svd = cls.__new__(cls)
+        svd._hold(U, sigma, V, check_u=False)
+        return svd
+
+    def _hold(self, U, sigma, V, check_u: bool):
+        U = np.asarray(U, dtype=float)
+        sigma = np.asarray(sigma, dtype=float)
+        V = np.asarray(V, dtype=float)
         if U.ndim != 2:
             raise InvalidInput("U must be a 2-D array")
         d = U.shape[1]
         if sigma.shape != (d,) or V.shape != (d, d):
             raise InvalidInput("inconsistent factor shapes")
+        if not np.isfinite(sigma).all():
+            raise InvalidInput("singular values must be finite")
         if not np.all(sigma > 0.0):
             raise RankDeficient("nonpositive singular value")
-        if np.any(np.diff(sigma) > 0.0):
+        if not np.all(np.diff(sigma) <= 0.0):
             raise InvalidInput("singular values must be nonincreasing")
-        eye = np.eye(d)
-        if np.max(np.abs(U.T @ U - eye)) > 1e-10:
-            raise InvalidInput("U columns are not orthonormal to 1e-10")
-        if np.max(np.abs(V.T @ V - eye)) > 1e-10:
-            raise InvalidInput("V is not orthogonal to 1e-10")
+        if check_u and not _gram_error(U) <= ORTHONORMAL_TOL:
+            raise InvalidInput(f"U columns are not orthonormal to {ORTHONORMAL_TOL:.0e}")
+        if not _gram_error(V) <= ORTHONORMAL_TOL:
+            raise InvalidInput(f"V is not orthogonal to {ORTHONORMAL_TOL:.0e}")
         object.__setattr__(self, "U", _frozen(U))
         object.__setattr__(self, "sigma", _frozen(sigma))
         object.__setattr__(self, "V", _frozen(V))
@@ -317,7 +355,8 @@ class DeficientFit:
 def _cholesky_qr_svd(X: np.ndarray):
     """Unsigned thin SVD ``(U, sigma, Vt)`` of a full-column-rank X by
     Cholesky QR (see the module docstring), with the column maxima and
-    minima ``(hi, lo)`` of U.
+    minima ``(hi, lo)`` of U and ``beta``, a bound on ||U^T U - I||_2
+    (:func:`_orthonormality_bound`).
 
     A pass factors the Gram matrix of Q (X at first), Q^T Q = T^T T, and
     sets Q <- Q T^{-1} through one d x d inverse and one matrix product.
@@ -325,27 +364,29 @@ def _cholesky_qr_svd(X: np.ndarray):
     max |s Q| in [1/2, 1): it cannot overflow, no product large enough to
     matter underflows, and dividing T by s is exact.  When the plain
     Cholesky fails, the pass adds the shift 11 (n d + d (d + 1)) u
-    ||s Q||_F^2 to the diagonal, more than the Gram's rounding error, and
-    cuts kappa by about the square root of that relative shift.  Passes
-    repeat until a factor has kappa_2(T) <= 3: Q, whose Gram is T^T T,
-    then has kappa <= 3 whatever the scale of its columns, and that last
-    pass, which makes it orthonormal to rounding, is folded into
-    U = Q (T^{-1} U_R), with U_R Sigma V^T the SVD of the d x d product
-    of every factor.  So an X with kappa <= 3 takes one pass, and
+    ||s Q||_F^2 to the diagonal of a copy, more than the Gram's rounding
+    error, and cuts kappa by about the square root of that relative
+    shift.  Passes repeat until a factor has kappa_2(T) <= 3: Q, whose
+    Gram is T^T T, then has kappa <= 3 whatever the scale of its columns,
+    and that last pass, which makes it orthonormal to rounding, is folded
+    into U = Q (T^{-1} U_R), with U_R Sigma V^T the SVD of the d x d
+    product of every factor.  So an X with kappa <= 3 takes one pass, and
     CholeskyQR2 applies once kappa > 3.  Each pass writes its product
     Q M (M = T^{-1}, or T^{-1} U_R at the last), row block by row block,
-    into U, which the next pass overwrites in place; X is never written,
-    and besides U the method holds one row block.  The column extremes
-    of each block, taken while ``buf`` holds it, give the next pass its
-    s and the last pass ``(hi, lo)``, so only the first pass sweeps its
-    Q, which is X, for s.
+    into U: a pass whose Q is X multiplies straight into U's rows, and a
+    later pass, whose product is in place, goes through ``buf``.  X is
+    never written, and besides U the method holds one row block.  The
+    column extremes of each block, taken as it is written, give the next
+    pass its s and the last pass ``(hi, lo)``, so only the first pass
+    sweeps its Q, which is X, for s.  ``beta`` comes from the last pass's
+    unshifted Gram and its M, d x d data, so nothing reads U to check it.
     """
     n, d = X.shape
     rows = min(n, max(1, GRAM_BLOCK_ELEMENTS // d))
     blocks = [slice(start, min(start + rows, n)) for start in range(0, n, rows)]
-    # buf holds the row block of s Q or of Q M in every pass: with a new
-    # temporary per block, glibc trimmed the heap after each call and the
-    # next call faulted ~3 MB back in (32768 x 10, 1 BLAS thread)
+    # buf holds the row block of s Q, or of Q M in a pass after the first:
+    # with a new temporary per block, glibc trimmed the heap after each
+    # call and the next call faulted ~3 MB back in (32768 x 10, 1 BLAS thread)
     Q, R, U, buf = X, np.eye(d), np.empty((n, d)), np.empty((rows, d))
     top = max(X.max(), -X.min())
     for _ in range(CHOLESKY_QR_MAX_PASSES):
@@ -357,9 +398,10 @@ def _cholesky_qr_svd(X: np.ndarray):
         try:
             L = np.linalg.cholesky(G)
         except np.linalg.LinAlgError:
-            shift = 11.0 * (n * d + d * (d + 1)) * UNIT_ROUNDOFF * np.trace(G)
-            G[np.diag_indices(d)] += shift
-            L = np.linalg.cholesky(G)
+            shifted = G.copy()  # the bound reads the unshifted G
+            shifted[np.diag_indices(d)] += (
+                11.0 * (n * d + d * (d + 1)) * UNIT_ROUNDOFF * np.trace(G))
+            L = np.linalg.cholesky(shifted)
         T = L.T / s
         last = np.linalg.cond(T) <= 3.0
         if last:
@@ -370,29 +412,82 @@ def _cholesky_qr_svd(X: np.ndarray):
             R = T @ R
         hi, lo = np.full(d, -np.inf), np.full(d, np.inf)
         for b in blocks:
-            B = np.matmul(Q[b], M, out=buf[:b.stop - b.start])
-            U[b] = B
+            if Q is X:
+                B = np.matmul(X[b], M, out=U[b])
+            else:
+                B = np.matmul(U[b], M, out=buf[:b.stop - b.start])
+                U[b] = B
             block_hi, block_lo = _column_extremes(B)
             np.maximum(hi, block_hi, out=hi)
             np.minimum(lo, block_lo, out=lo)
         Q = U
         if last:
-            return U, sigma, Vt, hi, lo
+            return U, sigma, Vt, hi, lo, _orthonormality_bound(G, M / s, n, rows + len(blocks))
         top = max(hi.max(), -lo.min())
     raise RankDeficient(
         f"Cholesky QR found no orthonormal basis in {CHOLESKY_QR_MAX_PASSES} passes"
     )
 
 
+def _orthonormality_bound(G: np.ndarray, M: np.ndarray, n: int, m: int) -> float:
+    """A bound beta >= ||U^T U - I||_2 for the computed U = fl(Q' M),
+    from d x d data alone.
+
+    Q' is the n x d matrix whose Gram the last Cholesky QR pass formed,
+    G its computed Gram before any shift, each entry a sum of at most m
+    products (a block's rows, then the blocks), and M the pass's factor
+    divided by s.  Q' = s Q and M / s are exact, and fl(Q' M) holds the
+    bits of fl(Q M), so the bound is made in this scaled frame, where
+    nothing is divided by s^2 (which overflows when X is tiny).  With
+    gamma_k = k u / (1 - k u), the standard rounding model (Higham,
+    "Accuracy and Stability of Numerical Algorithms", sec. 3) gives
+    |G - Q'^T Q'| <= gamma_m |Q'|^T |Q'|, so ||Q'||_F^2 <= t =
+    tr(G) / (1 - gamma_m), and |U - Q' M| <= gamma_d |Q'| |M|.  Expanding
+    U^T U - I about M^T G M - I:
+
+        beta = ||fl(M^T G M) - I||_F + (2 gamma_d + gamma_d^2) ||M||_F^2 ||G||_F
+             + gamma_m t ||M||_2^2 + 2 gamma_d t ||M||_2 ||M||_F
+             + (gamma_d ||M||_F)^2 t + n d 2^-1074 ||M||_F^2,
+
+    the last term for underflow.  ||M||_2 comes from a d x d SVD, rounded
+    up by a relative 1e-8, and beta by 1 + gamma_{4 d^2 + 16}, more than
+    the rounding of its own d x d arithmetic.  O(d^3) work, against the
+    O(n d^2) of forming U^T U.
+    """
+    d = M.shape[0]
+
+    def gamma(k):
+        return k * UNIT_ROUNDOFF / (1.0 - k * UNIT_ROUNDOFF)
+
+    g_d, g_m = gamma(d), gamma(m)
+    fro = np.linalg.norm(M)
+    two = np.linalg.svd(M, compute_uv=False)[0] * (1.0 + 1e-8)
+    t = np.trace(G) / (1.0 - g_m)
+    beta = (np.linalg.norm(M.T @ G @ M - np.eye(d))
+            + (2.0 * g_d + g_d**2) * fro**2 * np.linalg.norm(G)
+            + g_m * t * two**2
+            + 2.0 * g_d * t * two * fro
+            + (g_d * fro) ** 2 * t
+            + n * d * 2.0**-1074 * fro**2)
+    return float(beta * (1.0 + gamma(4 * d * d + 16)))
+
+
+def _wide_rows(A: np.ndarray):
+    """``(wide, rest)``: the first n - n % WIDE_ROWS rows of a C-contiguous
+    A viewed WIDE_ROWS rows to a row, and the rows after them."""
+    n, d = A.shape
+    bulk = n - n % WIDE_ROWS
+    return A[:bulk].reshape(-1, WIDE_ROWS * d), A[bulk:]
+
+
 def _column_extremes(U: np.ndarray):
     """Column maxima and minima of a C-contiguous U.  numpy reduces a
-    tall, narrow array along its rows slowly; viewed 16 rows to a row,
-    the reduction runs along contiguous memory, about 4x faster."""
-    n, d = U.shape
-    bulk = n - n % 16
-    wide, rest = U[:bulk].reshape(-1, 16 * d), U[bulk:]
-    hi = np.vstack([wide.max(axis=0, initial=-np.inf).reshape(16, d), rest])
-    lo = np.vstack([wide.min(axis=0, initial=np.inf).reshape(16, d), rest])
+    tall, narrow array along its rows slowly; viewed 64 rows to a row
+    (``_wide_rows``), the reduction runs along contiguous memory."""
+    d = U.shape[1]
+    wide, rest = _wide_rows(U)
+    hi = np.vstack([wide.max(axis=0, initial=-np.inf).reshape(WIDE_ROWS, d), rest])
+    lo = np.vstack([wide.min(axis=0, initial=np.inf).reshape(WIDE_ROWS, d), rest])
     return hi.max(axis=0), lo.min(axis=0)
 
 
@@ -404,9 +499,11 @@ def thin_svd(data: Dataset) -> ThinSvd:
     of a d x d factor; the column extremes of U come from the last pass.
     Each column of U is flipped so that its largest-magnitude entry is
     positive (ties broken by lowest row index); V columns flip in step so
-    the product is unchanged.
+    the product is unchanged.  U's orthonormality is proved from the last
+    pass's d x d factors; only when that bound exceeds ORTHONORMAL_TOL does
+    the ``ThinSvd`` constructor check U^T U itself.
     """
-    U, s, Vt, hi, lo = _cholesky_qr_svd(data.X)
+    U, s, Vt, hi, lo, beta = _cholesky_qr_svd(data.X)
     if s[-1] < RANK_TOL * s[0]:
         raise RankDeficient(
             f"sigma_d/sigma_1 = {s[-1] / s[0]:.3e} below tolerance {RANK_TOL:.1e}"
@@ -418,9 +515,14 @@ def thin_svd(data: Dataset) -> ThinSvd:
         col = U[:, j]
         if np.argmax(col == -lo[j]) < np.argmax(col == hi[j]):
             signs[j] = -1.0
-    U *= signs
+    wide, rest = _wide_rows(U)
+    wide *= np.broadcast_to(signs, (WIDE_ROWS, len(signs))).reshape(-1)
+    rest *= signs
     U.setflags(write=False)  # U is ours: ThinSvd keeps it without a copy
     Vt *= signs[:, None]
+    # D = diag(signs) leaves ||D U^T U D - I||_2 as it was: beta bounds the flipped U
+    if beta <= ORTHONORMAL_TOL:
+        return ThinSvd._certified(U, s, Vt.T)
     return ThinSvd(U=U, sigma=s, V=Vt.T)
 
 

@@ -195,8 +195,18 @@ class TestThinSvd:
             (np.eye(3)[:, :2], np.array([1.0, 2.0]), np.eye(2)),
             (np.ones((3, 2)), np.array([2.0, 1.0]), np.eye(2)),
             (np.eye(3)[:, :2], np.array([2.0, 1.0]), np.ones((2, 2))),
+            # a NaN compares false with every tolerance: each check must fail on it
+            (np.array([[np.nan, 0.0], [0.0, 1.0], [0.0, 0.0]]), np.array([2.0, 1.0]), np.eye(2)),
+            (np.array([[np.inf, 0.0], [0.0, 1.0], [0.0, 0.0]]), np.array([2.0, 1.0]), np.eye(2)),
+            (np.eye(3)[:, :2], np.array([np.inf, 1.0]), np.eye(2)),
+            (np.eye(3)[:, :2], np.array([np.nan, 1.0]), np.eye(2)),
+            (np.eye(3)[:, :2], np.array([2.0, np.nan]), np.eye(2)),
+            (np.eye(3)[:, :2], np.array([2.0, 1.0]), np.array([[np.nan, 0.0], [0.0, 1.0]])),
+            (np.eye(3)[:, :2], np.array([2.0, 1.0]), np.array([[1.0, 0.0], [0.0, -np.inf]])),
         ],
-        ids=["shapes", "increasing", "u-not-orthonormal", "v-not-orthogonal"],
+        ids=["shapes", "increasing", "u-not-orthonormal", "v-not-orthogonal", "nan-in-u",
+             "inf-in-u", "inf-sigma", "nan-first-sigma", "nan-last-sigma", "nan-in-v",
+             "inf-in-v"],
     )
     def test_bad_factors_are_typed(self, U, sigma, V):
         with pytest.raises(InvalidInput) as info:
@@ -311,6 +321,55 @@ class TestThinSvd:
         thin_svd(Dataset(X=X))
         assert len(factored) == passes
 
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: make_dataset("gaussian", 4096, 10, 0.0, RngStream(1)).X,
+            lambda: conditioned_design(4096, 10, 1e4, np.random.default_rng(5)),
+        ],
+        ids=["gaussian", "kappa-1e4"],
+    )
+    def test_certified_u_is_not_swept(self, monkeypatch, make):
+        # the last pass's d x d factors prove U orthonormal, so thin_svd
+        # checks V^T V alone; a caller's factors are still checked in full
+        checked = []
+        gram_error = regression._gram_error
+        monkeypatch.setattr(regression, "_gram_error",
+                            lambda A: checked.append(A.shape) or gram_error(A))
+        svd = thin_svd(Dataset(X=make()))
+        assert checked == [(10, 10)]
+        ThinSvd(svd.U, svd.sigma, svd.V)
+        assert checked == [(10, 10), (4096, 10), (10, 10)]
+
+    def test_failed_certificate_falls_back_to_the_full_check(self, monkeypatch):
+        # a last-pass factor off by a relative 1e-8 leaves U^T U about
+        # 2e-8 from I: the bound must see it, and the constructor refuse U
+        inv = np.linalg.inv
+        monkeypatch.setattr(np.linalg, "inv", lambda A: inv(A) * (1.0 + 1e-8))
+        X = make_dataset("gaussian", 4096, 10, 0.0, RngStream(1)).X
+        assert regression._cholesky_qr_svd(X)[-1] > regression.ORTHONORMAL_TOL
+        with pytest.raises(InvalidInput, match="U columns are not orthonormal"):
+            thin_svd(Dataset(X=X))
+
+    @pytest.mark.parametrize("n", [5, 63, 65, 66, 135, 255])
+    def test_sign_rule_in_the_rows_past_the_wide_view(self, n):
+        # U's extremes and sign flip view 64 rows as one: put column a's
+        # largest magnitude, negative, in the last row and a -m, +m tie in
+        # column b's last rows, past n - n % 64 (all rows when n < 64).
+        # The columns have disjoint rows, so U's columns are X's, scaled.
+        X = np.zeros((n, 2))
+        rows = np.arange(n)
+        X[rows, rows % 2] = np.where(rows // 2 % 2, -1.0, 1.0)
+        a, b = (n - 1) % 2, (n - 2) % 2
+        X[n - 1, a] = -3.0
+        X[n - 4, b], X[n - 2, b] = -3.0, 3.0
+        svd = thin_svd(Dataset(X=X))
+        ja = int(np.argmax(np.abs(svd.U[n - 1])))
+        jb = int(np.argmax(np.abs(svd.U[n - 2])))
+        assert svd.U[n - 1, ja] > 0.0
+        assert svd.U[n - 4, jb] == -svd.U[n - 2, jb] > 0.0
+        np.testing.assert_allclose((svd.U * svd.sigma) @ svd.V.T, X, atol=1e-14)
+
     def test_memory_is_one_copy_of_u(self):
         # every Cholesky QR pass writes its product into the one n x d
         # buffer that becomes U; neither a second product, a temporary
@@ -369,6 +428,21 @@ class TestThinSvdProperties:
     @example((conditioned_design(2048, 8, 3.0, np.random.default_rng(11)) * 2.0**500, 3.0, 500))
     def test_matches_numpy_svd_about_the_one_pass_limit(self, problem):
         self.check_against_numpy(*problem)
+
+    # the bound in place of the n x d check: never below the measured
+    # error, and under the tolerance wherever CholeskyQR2 is accurate
+    @settings(max_examples=300, deadline=None)
+    @given(st.one_of(conditioned_problems(st.floats(0.0, 11.99).map(lambda x: 10.0**x), 300),
+                     conditioned_problems(st.floats(1.0, 4.0), 2048)))
+    @example((conditioned_design(2048, 8, 3.0, np.random.default_rng(11)) * 2.0**500, 3.0, 500))
+    @example((conditioned_design(300, 8, 10.0**11.99, np.random.default_rng(12)) * 2.0**-500,
+              10.0**11.99, -500))
+    def test_orthonormality_bound_holds(self, problem):
+        X, kappa, _ = problem
+        U, _, _, _, _, beta = regression._cholesky_qr_svd(X)
+        assert beta >= np.max(np.abs(U.T @ U - np.eye(X.shape[1])))
+        if kappa <= 1e8:
+            assert beta <= regression.ORTHONORMAL_TOL
 
     @staticmethod
     def check_against_numpy(X, kappa, e):

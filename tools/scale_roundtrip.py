@@ -1,17 +1,22 @@
 """Command-line round trip at the scale target, through .npy files.
 
-Runs three cullsq commands, one child process each, in a scratch
+Runs four cullsq commands, one child process each, in a scratch
 directory:
 
     cullsq gen --n N --d D --noise 1 --seed 0 --out-x x.npy --out-y y.npy
     cullsq reject-sample --x x.npy --k K --count COUNT --seed 0 --out subsets.csv
     cullsq solve --x x.npy --y y.npy --out w.csv
+    cullsq kaczmarz --x x.npy --y y.npy --mode exact --iters ITERS --seed 0
 
 It prints each child's peak resident set, read with ``os.wait4``, and its
 wall time, then deletes the files.  It exits 1 if a command fails or a
 child's peak exceeds X + U + 150 MiB, X and U being n x d float64 arrays.
 The size is the scale target, n = 10^6 and d = 50, with the paper's
-k = n / (d + sqrt n) and 200 subsets.
+k = n / (d + sqrt n) and 200 subsets.  The exact Kaczmarz solve reads
+thin_svd's U for its leverage weights and sampled rows; its 1000
+iterations are about twice the d ln(n / d) it needs on this well
+conditioned X (the labels carry noise, so the run measures time and
+memory, not convergence).
 
     python tools/scale_roundtrip.py [--dir DIR]
 
@@ -32,7 +37,7 @@ import time
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src"
-N, D, COUNT = 10**6, 50, 200
+N, D, COUNT, ITERS = 10**6, 50, 200, 1000
 K = int(N / (D + math.sqrt(N)))
 SLACK_MIB = 150
 
@@ -65,8 +70,10 @@ def main(argv=None) -> int:
         ("reject-sample", ["reject-sample", "--x", x, "--k", str(K), "--count", str(COUNT),
                            "--seed", "0", "--out", str(work / "subsets.csv")]),
         ("solve", ["solve", "--x", x, "--y", y, "--out", str(work / "w.csv")]),
+        ("kaczmarz", ["kaczmarz", "--x", x, "--y", y, "--mode", "exact",
+                      "--iters", str(ITERS), "--seed", "0"]),
     ]
-    print(f"{N}x{D}, k = {K}, count = {COUNT}; "
+    print(f"{N}x{D}, k = {K}, count = {COUNT}, Kaczmarz iterations = {ITERS}; "
           f"limit X + U + {SLACK_MIB} MiB = {limit:.0f} MiB")
     ok = True
     try:
