@@ -300,7 +300,7 @@ def _one_point(cfg: ExperimentConfig):
         "z1": profile.z1,
         "z1_lower_bound": (cfg.n - cfg.d) ** 2 / cfg.d,
     }
-    _, increases = _subset_projection(svd.U, np.arange(cfg.n)[:, None], residuals[:, None])
+    _, increases = _subset_projection(svd, np.arange(cfg.n)[:, None], residuals[:, None])
     criteria = _exact_expectation(
         data, opt_error, single_row_influences(profile), increases, measurements,
         "one-point", "one-point-ratio-le-bound", bound,
@@ -348,7 +348,7 @@ def _k_points(cfg: ExperimentConfig):
         return criteria, measurements
 
     subsets, stats = rejection_sample_many(svd, profile, k, cfg.trials, rng.substream(1))
-    _, increases = _subset_projection(svd.U, subsets, residuals[subsets])
+    _, increases = _subset_projection(svd, subsets, residuals[subsets])
     measurements["proposals"] = stats.proposals
     measurements["accepted"] = stats.accepted
     measurements["acceptance_rate"] = stats.acceptance_rate
@@ -510,7 +510,7 @@ def _preconditioner(cfg: ExperimentConfig):
             "srht": make_srht(cfg.n, r, sub.substream(2)),
         }
         for kind, op in ops.items():
-            PU = apply_sketch(op, svd.U)
+            PU = svd.apply_factor(apply_sketch(op, svd.basis))
             s_pu = np.linalg.svd(PU, compute_uv=False)
             precond = build_preconditioner(X, op)
             s_z = np.linalg.svd(precond.x_times_inverse(X), compute_uv=False)
@@ -698,12 +698,13 @@ def _jlt(cfg: ExperimentConfig):
     defects = []
     for i in range(seeds):
         op = make_srht(n, r_embed, rng.substream(100 + i))
-        PU = apply_sketch(op, svd.U)
+        SX = apply_sketch(op, X)
+        # S U = (S basis) factor; the basis is X unless X took a second pass
+        PU = svd.apply_factor(SX if svd.basis is X else apply_sketch(op, svd.basis))
         report = check_embedding_properties(PU)
         defects.append(report["defect"])
         if report["defect"] <= 0.5:
             defect_hits += 1
-        SX = apply_sketch(op, X)
         part4 = pinv_factorization_residual(SX, PU, svd.sigma, svd.V)
         scale = 1.0 + float(np.linalg.norm(np.linalg.pinv(SX), ord=2))
         part4_worst = max(part4_worst, part4 / scale)

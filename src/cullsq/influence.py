@@ -233,7 +233,7 @@ def _accept_reject(svd, profile, k, count, rng):
         rate = max((accepted + 1) / (proposals + 1), bound)
         b = min(DEFAULT_BATCH, budget - proposals, math.ceil(need / rate))
         subs = _propose_batch(gen, cumulative, n, k, b)
-        spec = _subset_projection(svd.U, subs)
+        spec = _subset_projection(svd, subs)
         theta = _acceptance_ratios(spec, (1.0 / profile.ell[subs]).sum(axis=1), d, k)
         hits = np.flatnonzero(gen.random(b) < theta)
         kept = hits[:need]
@@ -305,9 +305,9 @@ def _enumerate(svd: ThinSvd, k: int, residuals=None):
         raise TooLarge(f"C({n},{k}) = {total} exceeds {ENUMERATION_LIMIT}")
     subsets = np.fromiter(combinations(range(n), k), dtype=(dtype, k), count=total)
     if residuals is None:
-        spec, increases = _subset_projection(svd.U, subsets), None
+        spec, increases = _subset_projection(svd, subsets), None
     else:
-        spec, increases = _subset_projection(svd.U, subsets, residuals[subsets])
+        spec, increases = _subset_projection(svd, subsets, residuals[subsets])
     weights = _influence_weights(spec)
     normalizer = weights.sum()
     if normalizer <= 0.0:

@@ -167,16 +167,18 @@ def kaczmarz_exact(
 
     Samples K indices i.i.d. with probability ell_i/d, performs the
     projective update v <- v - u_j (u_j^T v - y_j)/||u_j||^2 from v = 0,
-    and returns w = V diag(1/sigma) v.  Consistency of y is assumed,
+    and returns w = V diag(1/sigma) v.  The weights are U's squared row
+    norms, from one sweep of its row blocks, and the K sampled rows are
+    formed at once (:meth:`ThinSvd.rows`).  Consistency of y is assumed,
     not checked.
     """
     y = np.asarray(y, dtype=float)
-    U, sigma, V = svd.U, svd.sigma, svd.V
+    sigma, V = svd.sigma, svd.V
     if y.shape != (svd.n,):
         raise InvalidInput(f"y must have shape ({svd.n},)")
     v_star = None if w_star is None else sigma * (V.T @ w_star)
     return _kaczmarz(
-        np.einsum("ij,ij->i", U, U), lambda idx: U[idx], y, K, as_generator(rng),
+        svd._squared_row_norms(), svd.rows, y, K, as_generator(rng),
         lambda vs: (vs / sigma) @ V.T, v_star, w_star,
     )
 

@@ -65,7 +65,7 @@ class TestCriterion01LeaveAOutIdentity:
             idx = sub.array()
             w_star, opt = full_solve(data, svd)
             r = data.X @ w_star - data.y
-            spec, increase = _subset_projection(svd.U, idx[None], r[idx][None])
+            spec, increase = _subset_projection(svd, idx[None], r[idx][None])
             if spec[0] >= 1.0 - 1e-6:
                 continue
             closed = opt + float(increase[0])
@@ -164,7 +164,7 @@ class TestCriterion05SamplerExactness:
             svd = thin_svd(Dataset(X=X))
             prof = leverage_scores(svd)
             subsets = np.array(list(combinations(range(n), k)))
-            spec = _subset_projection(svd.U, subsets)
+            spec = _subset_projection(svd, subsets)
             theta = _acceptance_ratios(spec, (1.0 / prof.ell)[subsets].sum(axis=1), d, k)
             worst = max(worst, float(theta.max()))
         ok &= worst <= 1.0 + 1e-10

@@ -16,6 +16,7 @@ from cullsq import (
     LeverageProfile,
     NonpositiveWeight,
     RowSubset,
+    ThinSvd,
     TooLarge,
     TrialBudgetExceeded,
     RngStream,
@@ -170,7 +171,7 @@ class TestSampleSumOverRows:
 def weight_and_theta(svd, prof, rows):
     """Influence weight and acceptance ratio of one subset, from the
     norm of its partial projection."""
-    spec = _subset_projection(svd.U, np.array([rows]))[0]
+    spec = _subset_projection(svd, np.array([rows]))[0]
     q_weight = np.sum(1.0 / prof.ell[rows])
     return (float(_influence_weights(spec)),
             float(_acceptance_ratios(spec, q_weight, svd.d, len(rows))))
@@ -372,7 +373,7 @@ class TestEnumeration:
         svd = thin_svd(Dataset(X=X))
         prof = leverage_scores(svd)
         subsets = np.array(list(combinations(range(10), 2)))
-        specs = _subset_projection(svd.U, subsets)
+        specs = _subset_projection(svd, subsets)
         weights = (1.0 - specs) ** 2 / specs
         qbar = specs.mean()
         assert weights.sum() >= len(subsets) * (1 - qbar) ** 2 / qbar - 1e-8
@@ -401,7 +402,7 @@ class TestEnumeration:
         assert subsets.dtype == INDEX_DTYPE and subsets.shape == (len(combos), k)
         assert subsets.tolist() == [list(c) for c in combos]
         weights = _influence_weights(
-            np.array([_subset_projection(svd.U, np.array([c]))[0] for c in combos])
+            np.array([_subset_projection(svd, np.array([c]))[0] for c in combos])
         )
         np.testing.assert_allclose(probs, weights / weights.sum(), rtol=0, atol=1e-12)
 
@@ -513,7 +514,7 @@ class TestCrossValidation:
         w_star, opt = full_solve(data, svd)
         p = single_row_influences(prof)
         resid = data.X @ w_star - y
-        _, increases = _subset_projection(svd.U, np.arange(60)[:, None], resid[:, None])
+        _, increases = _subset_projection(svd, np.arange(60)[:, None], resid[:, None])
         errs = opt + increases
         ratio = float(p @ errs) / opt
         assert abs(ratio - (1.0 + 1.0 / prof.z1)) <= 1e-12
@@ -528,9 +529,9 @@ class TestCrossValidation:
         w_star, opt = full_solve(data, svd)
         resid = data.X @ w_star - y
         subsets, probs = enumerate_subset_distribution(svd, prof, 2)
-        exact = opt + float(probs @ _subset_projection(svd.U, subsets, resid[subsets])[1])
+        exact = opt + float(probs @ _subset_projection(svd, subsets, resid[subsets])[1])
         draws, _ = rejection_sample_many(svd, prof, 2, 5000, RngStream(54))
-        errs = opt + _subset_projection(svd.U, draws, resid[draws])[1]
+        errs = opt + _subset_projection(svd, draws, resid[draws])[1]
         sem = errs.std(ddof=1) / math.sqrt(len(errs))
         assert abs(errs.mean() - exact) <= 4.0 * sem
 
@@ -542,7 +543,7 @@ class TestSpectralNormAverages:
         gen = np.random.default_rng(1000 + n + d + k)
         U = random_orthonormal(n, d, gen)
         svd = thin_svd(Dataset(X=U))
-        specs = _subset_projection(svd.U, np.array(list(combinations(range(n), k))))
+        specs = _subset_projection(svd, np.array(list(combinations(range(n), k))))
         qbar = float(np.mean(specs))
         assert k / n - 1e-10 <= qbar <= d * k / n + 1e-10
 
@@ -588,7 +589,7 @@ class TestProposalProperties:
         svd = thin_svd(Dataset(X=gen.standard_normal((n, d))))
         prof = leverage_scores(svd)
         subs = _propose_batch(gen, np.cumsum(1.0 / prof.ell), n, k, 64)
-        spec = _subset_projection(svd.U, subs)
+        spec = _subset_projection(svd, subs)
         theta = _acceptance_ratios(spec, (1.0 / prof.ell)[subs].sum(axis=1), d, k)
         assert np.all(theta >= 0.0)
         assert theta.max() <= 1.0 + 1e-10
@@ -704,7 +705,7 @@ def test_spec_norms_in_blocks_equal_one_gather(monkeypatch, k, d, block):
     gram = UA @ np.swapaxes(UA, 1, 2) if k <= d else np.swapaxes(UA, 1, 2) @ UA
     whole = np.clip(np.linalg.eigvalsh(gram)[..., -1], 0.0, 1.0)
     monkeypatch.setattr(regression, "SPEC_BLOCK_ELEMENTS", block * k * d)
-    assert np.array_equal(_subset_projection(U, subs), whole)
+    assert np.array_equal(_subset_projection(ThinSvd(U, np.ones(d), np.eye(d)), subs), whole)
 
 
 def test_full_round_memory_order_batch_times_k():

@@ -26,8 +26,12 @@ from cullsq import (
     deficient_solve,
     fast_setup,
     full_solve,
+    kaczmarz_exact,
+    labels_for_target,
     leverage_scores,
     make_srht,
+    rejection_sample_many,
+    rejection_sample_subset,
     thin_svd,
 )
 from cullsq import regression
@@ -46,7 +50,7 @@ from _helpers import (
 
 def kernel_norm(svd, rows):
     """||P_A||_2 of one subset, from the batch kernel."""
-    return float(_subset_projection(svd.U, np.asarray(rows)[None])[0])
+    return float(_subset_projection(svd, np.asarray(rows)[None])[0])
 
 
 def kernel_error(data, svd, rows):
@@ -55,7 +59,7 @@ def kernel_error(data, svd, rows):
     w_star, opt = full_solve(data, svd)
     idx = np.asarray(rows)
     r = data.X @ w_star - data.y
-    spec, increase = _subset_projection(svd.U, idx[None], r[idx][None])
+    spec, increase = _subset_projection(svd, idx[None], r[idx][None])
     return float(spec[0]), opt + float(increase[0])
 
 
@@ -235,13 +239,14 @@ class TestThinSvd:
         assert np.max(np.abs(svd.V.T @ svd.V - np.eye(4))) <= 1e-10
 
     def test_sign_convention_deterministic(self):
+        # U's signs follow no rule, but they are a function of X: the same
+        # X gives the same bits
         gen = np.random.default_rng(2)
         X = gen.standard_normal((20, 3))
         a = thin_svd(Dataset(X=X))
         b = thin_svd(Dataset(X=X.copy()))
-        np.testing.assert_array_equal(a.U, b.U)
-        cols = np.argmax(np.abs(a.U), axis=0)
-        assert np.all(a.U[cols, np.arange(3)] > 0.0)
+        for mine, theirs in [(a.U, b.U), (a.sigma, b.sigma), (a.V, b.V)]:
+            np.testing.assert_array_equal(mine, theirs)
 
     def test_rank_deficient_rejected(self):
         col = np.linspace(1.0, 2.0, 10)
@@ -261,23 +266,6 @@ class TestThinSvd:
     def test_rank_deficient_past_the_shifted_passes(self, make):
         with pytest.raises(RankDeficient):
             thin_svd(Dataset(X=make(np.random.default_rng(3))))
-
-    @pytest.mark.parametrize("n, d", [(16, 1), (16, 3), (64, 4), (256, 8), (1024, 5)])
-    def test_sign_convention_on_equal_singular_values(self, n, d):
-        # every sigma is 1 and every |U| entry can tie: the first row
-        # holding a column's largest magnitude must hold it positive
-        svd = thin_svd(make_dataset("hadamard-uniform", n, d, 0.0, RngStream(n + d)))
-        np.testing.assert_allclose(svd.sigma, 1.0, rtol=1e-14)
-        cols = np.argmax(np.abs(svd.U), axis=0)
-        assert np.all(svd.U[cols, np.arange(d)] > 0.0)
-
-    def test_sign_tie_goes_to_the_lowest_row(self):
-        # column 0 is (-1, 1, 0, 0) / sqrt 2 up to sign: a tie that row 0 breaks
-        X = np.array([[-1.0, 0.0], [1.0, 0.0], [0.0, 1.0], [0.0, 2.0]])
-        svd = thin_svd(Dataset(X=X))
-        j = int(np.argmin(svd.sigma))
-        assert svd.U[0, j] == -svd.U[1, j] > 0.0
-        np.testing.assert_allclose((svd.U * svd.sigma) @ svd.V.T, X, atol=1e-15)
 
     def test_failed_cholesky_takes_a_shifted_pass(self, monkeypatch):
         # kappa^2 = 1e22 is far past 1/u: a plain Cholesky of X^T X fails
@@ -330,16 +318,15 @@ class TestThinSvd:
         ids=["gaussian", "kappa-1e4"],
     )
     def test_certified_u_is_not_swept(self, monkeypatch, make):
-        # the last pass's d x d factors prove U orthonormal, so thin_svd
-        # checks V^T V alone; a caller's factors are still checked in full
+        # d x d data of the last pass prove U orthonormal, so thin_svd
+        # forms no U^T U; a caller's factors are still checked in full
         checked = []
-        gram_error = regression._gram_error
-        monkeypatch.setattr(regression, "_gram_error",
-                            lambda A: checked.append(A.shape) or gram_error(A))
+        gram = ThinSvd._gram
+        monkeypatch.setattr(ThinSvd, "_gram", lambda self: checked.append(self.n) or gram(self))
         svd = thin_svd(Dataset(X=make()))
-        assert checked == [(10, 10)]
+        assert checked == []
         ThinSvd(svd.U, svd.sigma, svd.V)
-        assert checked == [(10, 10), (4096, 10), (10, 10)]
+        assert checked == [4096]
 
     def test_failed_certificate_falls_back_to_the_full_check(self, monkeypatch):
         # a last-pass factor off by a relative 1e-8 leaves U^T U about
@@ -351,42 +338,48 @@ class TestThinSvd:
         with pytest.raises(InvalidInput, match="U columns are not orthonormal"):
             thin_svd(Dataset(X=X))
 
-    @pytest.mark.parametrize("n", [5, 63, 65, 66, 135, 255])
-    def test_sign_rule_in_the_rows_past_the_wide_view(self, n):
-        # U's extremes and sign flip view 64 rows as one: put column a's
-        # largest magnitude, negative, in the last row and a -m, +m tie in
-        # column b's last rows, past n - n % 64 (all rows when n < 64).
-        # The columns have disjoint rows, so U's columns are X's, scaled.
-        X = np.zeros((n, 2))
-        rows = np.arange(n)
-        X[rows, rows % 2] = np.where(rows // 2 % 2, -1.0, 1.0)
-        a, b = (n - 1) % 2, (n - 2) % 2
-        X[n - 1, a] = -3.0
-        X[n - 4, b], X[n - 2, b] = -3.0, 3.0
-        svd = thin_svd(Dataset(X=X))
-        ja = int(np.argmax(np.abs(svd.U[n - 1])))
-        jb = int(np.argmax(np.abs(svd.U[n - 2])))
-        assert svd.U[n - 1, ja] > 0.0
-        assert svd.U[n - 4, jb] == -svd.U[n - 2, jb] > 0.0
-        np.testing.assert_allclose((svd.U * svd.sigma) @ svd.V.T, X, atol=1e-14)
-
-    def test_memory_is_one_copy_of_u(self):
-        # every Cholesky QR pass writes its product into the one n x d
-        # buffer that becomes U; neither a second product, a temporary
-        # of |U|, a sign-flipped copy of U nor a frozen copy
-        n, d = 2**20, 10
-        data = Dataset(X=np.random.default_rng(31).standard_normal((n, d)))
+    def test_memory_beside_x_is_order_n(self):
+        # a gaussian X takes one pass, so the basis is X itself and the
+        # factor d x d: thin_svd + leverage_scores hold a row block, the
+        # squared row norms and ell beside X, and
+        # kaczmarz_exact adds the CDF of its weights and its K x d rows
+        n, d = 2**16, 20
+        X = np.random.default_rng(31).standard_normal((n, d))
+        data = Dataset(X=X, y=X @ np.ones(d))
         tracemalloc.start()
         try:
+            profile = leverage_scores(thin_svd(data))
+            setup_peak = tracemalloc.get_traced_memory()[1]
+            tracemalloc.reset_peak()
             svd = thin_svd(data)
-            peak = tracemalloc.get_traced_memory()[1]
+            K = labels_for_target(n, d, svd.condition_number, "exact")
+            run = kaczmarz_exact(svd, data.y, K, RngStream(32))
+            solve_peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert svd.U.shape == (n, d)
-        assert peak <= data.X.nbytes + 8 * 2**20
+        assert profile.n == n and run.iterations == K
+        assert setup_peak < data.X.nbytes / 4
+        assert solve_peak < data.X.nbytes / 4 + K * d * 8
+
+    def test_rows_are_the_basis_times_the_factor(self):
+        # rows(idx) takes any index shape; at kappa = 1e4 the basis is the
+        # first pass's product, held read-only, and a caller's U is its
+        # own basis with no factor
+        X = conditioned_design(500, 4, 1e4, np.random.default_rng(33))
+        svd = thin_svd(Dataset(X=X))
+        assert svd.basis is not X and svd.basis.shape == X.shape
+        assert not svd.basis.flags.writeable
+        idx = np.array([[3, 0, 499], [7, 7, 1]])
+        expected = svd.basis[idx.reshape(-1)] @ svd.factor
+        np.testing.assert_array_equal(svd.rows(idx), expected.reshape(2, 3, 4))
+        held = ThinSvd(svd.U, svd.sigma, svd.V)
+        assert held.factor is None
+        np.testing.assert_array_equal(held.rows(idx), svd.U[idx])
 
     def test_keeps_its_own_u_and_copies_a_callers(self):
-        svd = thin_svd(random_dataset(40, 5, np.random.default_rng(29)))
+        data = random_dataset(40, 5, np.random.default_rng(29))
+        svd = thin_svd(data)
+        assert svd.basis is data.X
         assert not svd.U.flags.writeable
         U, sigma, V = svd.U.copy(), svd.sigma.copy(), svd.V.copy()
         held = ThinSvd(U, sigma, V)
@@ -438,9 +431,16 @@ class TestThinSvdProperties:
     @example((conditioned_design(300, 8, 10.0**11.99, np.random.default_rng(12)) * 2.0**-500,
               10.0**11.99, -500))
     def test_orthonormality_bound_holds(self, problem):
+        # beta covers U's rows formed by the blocked sweep, by a gather in
+        # any order and one row at a time, whose products may round
+        # differently
         X, kappa, _ = problem
-        U, _, _, _, _, beta = regression._cholesky_qr_svd(X)
-        assert beta >= np.max(np.abs(U.T @ U - np.eye(X.shape[1])))
+        n, d = X.shape
+        Q, M, sigma, Vt, beta = regression._cholesky_qr_svd(X)
+        svd = ThinSvd._factored(Q, M, sigma, Vt.T, check_u=False)
+        perm = np.random.default_rng(n * d).permutation(n)
+        for U in (svd.U, svd.rows(perm), np.stack([svd.rows(i) for i in perm])):
+            assert beta >= np.max(np.abs(U.T @ U - np.eye(d)))
         if kappa <= 1e8:
             assert beta <= regression.ORTHONORMAL_TOL
 
@@ -459,6 +459,65 @@ class TestThinSvdProperties:
         # leverage moves by O(u kappa) under a backward-stable perturbation
         ell, ell0 = leverage_scores(svd).ell, np.einsum("ij,ij->i", U0, U0)
         assert np.max(np.abs(ell - np.maximum(ell0, LEVERAGE_FLOOR))) <= 1e-13 + 2e-15 * kappa
+
+class TestSignEquivariance:
+    # negating a column of U and of V is exact, and every step after it
+    # (gemv, gesv's pivots, eigvalsh, the Kaczmarz update, w = V S^-1 v)
+    # carries the sign through, so no output may move by a bit
+    @settings(max_examples=40, deadline=None)
+    @given(d=st.integers(1, 5), extra=st.integers(3, 40), seed=st.integers(0, 2**16),
+           flips=st.lists(st.booleans(), min_size=5, max_size=5))
+    def test_flipped_columns_give_the_same_bits(self, d, extra, seed, flips):
+        n = 2 * d + extra
+        k = max(1, n // (4 * d))
+        data = make_dataset("gaussian", n, d, 1.0, RngStream(seed))
+        base = thin_svd(data)
+        D = np.where(flips[:d], -1.0, 1.0)
+        plain = ThinSvd(base.U, base.sigma, base.V)
+        flipped = ThinSvd(base.U * D, base.sigma, base.V * D)
+        subset = RowSubset(np.arange(0, n, max(1, n // k))[:k])
+        subsets = np.sort(np.random.default_rng(seed).random((9, n)).argsort(axis=1)[:, :k], axis=1)
+        y = data.require_labels()
+        runs = []
+        for svd in (plain, flipped):
+            w_star, _ = full_solve(data, svd)
+            resid = data.X @ w_star - y
+            profile = leverage_scores(svd)
+            draws, stats = rejection_sample_many(svd, profile, k, 3, RngStream(seed, 1))
+            run = kaczmarz_exact(svd, y, 25, RngStream(seed, 2))
+            runs.append([
+                w_star, deficient_solve(data, subset, svd).w_minus, profile.ell,
+                *_subset_projection(svd, subsets, resid[subsets]), draws,
+                np.array([stats.proposals]), run.w, run.sampled_indices,
+            ])
+        for mine, theirs in zip(*runs):
+            np.testing.assert_array_equal(mine, theirs)
+
+
+def test_no_library_path_forms_all_of_u(monkeypatch, capsys):
+    # every reader forms the rows it needs from the basis and factor;
+    # verify kaczmarz at kappa = 1e10 takes thin_svd's shifted passes
+    from cullsq.cli import main
+    from cullsq.experiments import EXPERIMENT_NAMES
+
+    def refuse(self):
+        raise AssertionError("a library path formed all of U")
+
+    monkeypatch.setattr(ThinSvd, "U", property(refuse))
+    n, d, k = 600, 4, 6
+    data = make_dataset("gaussian", n, d, 1.0, RngStream(40))
+    svd = thin_svd(data)
+    profile = leverage_scores(svd)
+    draws, _ = rejection_sample_many(svd, profile, k, 5, RngStream(41))
+    subset, _ = rejection_sample_subset(svd, profile, k, RngStream(42))
+    deficient_solve(data, subset, svd)
+    full_solve(data, svd)
+    kaczmarz_exact(svd, data.y, 50, RngStream(43))
+    for argv in [["verify", name] for name in EXPERIMENT_NAMES] + [
+            ["verify", "kaczmarz", "--kappa", "1e10"]]:
+        assert main(argv) == 0, argv
+    capsys.readouterr()
+
 
 class TestLeverageScores:
     def test_symmetric_orthonormal_column(self):
@@ -761,7 +820,7 @@ class TestClosedFormProperties:
         svd = thin_svd(data)
         w_star, opt = full_solve(data, svd)
         resid = data.X @ w_star - data.y
-        specs, batch = _subset_projection(svd.U, subsets, resid[subsets])
+        specs, batch = _subset_projection(svd, subsets, resid[subsets])
         for rows, spec, increase in zip(subsets, specs, batch):
             assert 0.0 <= spec <= 1.0
             if spec >= 1.0 - 1e-6:
@@ -782,7 +841,7 @@ class TestClosedFormProperties:
             deficient_solve(data, RowSubset.of([0, 2]), svd)
         subsets = np.array([[0, 2], [1, 3]])
         resid = data.X @ w_star - data.y
-        spec, increase = _subset_projection(svd.U, subsets, resid[subsets])
+        spec, increase = _subset_projection(svd, subsets, resid[subsets])
         assert spec[0] >= 1.0 - 1e-10 and increase[0] == 0.0
         assert spec[1] < 1.0 and increase[1] > 0.0
 
@@ -803,10 +862,10 @@ class TestClosedFormProperties:
         )
         subsets[::4, 0] = 0
         resid = (data.X @ w_star - data.y)[subsets]
-        spec, whole = _subset_projection(svd.U, subsets, resid)
+        spec, whole = _subset_projection(svd, subsets, resid)
         assert np.any(whole == 0.0) and np.any(whole > 0.0)
         monkeypatch.setattr(regression, "SPEC_BLOCK_ELEMENTS", block * k * d)
-        spec_b, blocked = _subset_projection(svd.U, subsets, resid)
+        spec_b, blocked = _subset_projection(svd, subsets, resid)
         assert np.array_equal(spec_b, spec)
         assert np.array_equal(blocked, whole)
 

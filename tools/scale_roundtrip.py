@@ -10,15 +10,18 @@ directory:
 
 It prints each child's peak resident set, read with ``os.wait4``, and its
 wall time, then deletes the files.  It exits 1 if a command fails or a
-child's peak exceeds X + U + 150 MiB, X and U being n x d float64 arrays.
-The size is the scale target, n = 10^6 and d = 50, with the paper's
-k = n / (d + sqrt n) and 200 subsets.  The exact Kaczmarz solve reads
-thin_svd's U for its leverage weights and sampled rows; its 1000
-iterations are about twice the d ln(n / d) it needs on this well
-conditioned X (the labels carry noise, so the run measures time and
-memory, not convergence).
+child's peak exceeds X + 150 MiB, X being the n x d float64 design: a
+gaussian X takes one Cholesky QR pass, so the thin SVD holds X itself
+as its basis and a d x d factor, and forms the rows of U that a command
+reads from them; no n x d array besides X is allowed.  The
+default size is the scale target, n = 10^6 and d = 50, with the paper's
+k = n / (d + sqrt n) and 200 subsets.  The exact Kaczmarz solve takes
+its leverage weights from one sweep of U's rows formed block by block,
+and forms its sampled rows; its 1000 iterations are about twice the
+d ln(n / d) it needs on this well conditioned X (the labels carry noise,
+so the run measures time and memory, not convergence).
 
-    python tools/scale_roundtrip.py [--dir DIR]
+    python tools/scale_roundtrip.py [--n N] [--dir DIR]
 
 The script imports no numpy, so its own small resident set, which a
 child started by vfork is charged for, stays far below the limit.
@@ -37,8 +40,7 @@ import time
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src"
-N, D, COUNT, ITERS = 10**6, 50, 200, 1000
-K = int(N / (D + math.sqrt(N)))
+D, COUNT, ITERS = 50, 200, 1000
 SLACK_MIB = 150
 
 
@@ -54,13 +56,18 @@ def run_child(argv, env):
 
 def main(argv=None) -> int:
     p = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    p.add_argument("--n", type=int, default=10**6, help="rows of X (default 10^6)")
     p.add_argument("--dir", help="parent of the scratch directory (default: the system temp)")
     args = p.parse_args(argv)
+    N = args.n
+    if N <= D:
+        p.error(f"--n must exceed d = {D}")
+    K = int(N / (D + math.sqrt(N)))
 
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
     env.setdefault("OPENBLAS_NUM_THREADS", "1")
-    limit = 2 * N * D * 8 / 2**20 + SLACK_MIB
+    limit = N * D * 8 / 2**20 + SLACK_MIB
 
     work = Path(tempfile.mkdtemp(prefix="cullsq-scale-", dir=args.dir))
     x, y = str(work / "x.npy"), str(work / "y.npy")
@@ -74,7 +81,7 @@ def main(argv=None) -> int:
                       "--iters", str(ITERS), "--seed", "0"]),
     ]
     print(f"{N}x{D}, k = {K}, count = {COUNT}, Kaczmarz iterations = {ITERS}; "
-          f"limit X + U + {SLACK_MIB} MiB = {limit:.0f} MiB")
+          f"limit X + {SLACK_MIB} MiB = {limit:.0f} MiB")
     ok = True
     try:
         for name, cmd in commands:
