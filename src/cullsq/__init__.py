@@ -32,7 +32,7 @@ _EXPORTS = {
     "influence": (
         "AcceptanceBound", "SamplerStats", "default_max_trials",
         "enumerate_subset_distribution", "estimate_acceptance", "rejection_sample_many",
-        "rejection_sample_subset", "sample_sum_over_rows_many", "single_row_influences",
+        "rejection_sample_subset", "sample_sum_over_rows_many",
     ),
     "sketching": (
         "Preconditioner", "SketchOperator", "apply_sketch", "approx_leverage",

@@ -48,7 +48,6 @@ from .influence import (
     _enumerate,
     estimate_acceptance,
     rejection_sample_many,
-    single_row_influences,
 )
 from .kaczmarz import (
     FastSolverConfig,
@@ -60,6 +59,7 @@ from .kaczmarz import (
 from .regression import (
     SPEC_SINGULAR_TOL,
     Dataset,
+    _squared_row_norms,
     _subset_projection,
     full_solve,
     leverage_scores,
@@ -287,10 +287,13 @@ def _exact_expectation(data, opt_error, probs, increases, measurements, prefix, 
 # ----------------------------------------------------------------------
 
 def _one_point(cfg: ExperimentConfig):
-    """Exact single-row rejection expectation against (1 + d/(n-d)^2).
+    """Exact single-row rejection expectation against (1 + d/(n-d)^2),
+    the k-points theorem bound at k = 1.
 
-    The expectation is a finite sum over rows, so no sampling is needed;
-    on the uniform-leverage design the bound is attained exactly.
+    The expectation is a finite sum over rows, so no sampling is needed:
+    the probabilities and increases come from the exact oracle's one pass
+    at k = 1, as exact k-points reads them.  On the uniform-leverage
+    design the bound is attained exactly.
     """
     _, data, svd, profile, residuals, opt_error = _prepare(cfg)
     bound = 1.0 + cfg.d / (cfg.n - cfg.d) ** 2
@@ -300,9 +303,9 @@ def _one_point(cfg: ExperimentConfig):
         "z1": profile.z1,
         "z1_lower_bound": (cfg.n - cfg.d) ** 2 / cfg.d,
     }
-    _, increases = _subset_projection(svd, np.arange(cfg.n)[:, None], residuals[:, None])
+    _, _, probs, increases = _enumerate(svd, 1, residuals)
     criteria = _exact_expectation(
-        data, opt_error, single_row_influences(profile), increases, measurements,
+        data, opt_error, probs, increases, measurements,
         "one-point", "one-point-ratio-le-bound", bound,
     )
     if "ratio" in measurements and cfg.design == HADAMARD_UNIFORM:
@@ -510,7 +513,7 @@ def _preconditioner(cfg: ExperimentConfig):
             "srht": make_srht(cfg.n, r, sub.substream(2)),
         }
         for kind, op in ops.items():
-            PU = svd.apply_factor(apply_sketch(op, svd.basis))
+            PU = apply_sketch(op, svd.basis) @ svd.factor
             s_pu = np.linalg.svd(PU, compute_uv=False)
             precond = build_preconditioner(X, op)
             s_z = np.linalg.svd(precond.x_times_inverse(X), compute_uv=False)
@@ -700,7 +703,7 @@ def _jlt(cfg: ExperimentConfig):
         op = make_srht(n, r_embed, rng.substream(100 + i))
         SX = apply_sketch(op, X)
         # S U = (S basis) factor; the basis is X unless X took a second pass
-        PU = svd.apply_factor(SX if svd.basis is X else apply_sketch(op, svd.basis))
+        PU = (SX if svd.basis is X else apply_sketch(op, svd.basis)) @ svd.factor
         report = check_embedding_properties(PU)
         defects.append(report["defect"])
         if report["defect"] <= 0.5:
@@ -715,8 +718,7 @@ def _jlt(cfg: ExperimentConfig):
     cfg_fast = FastSolverConfig()
     op1 = make_srht(n, cfg_fast.resolve_r1(n, d), rng.substream(50))
     precond = build_preconditioner(X, op1)
-    Z = precond.x_times_inverse(X)
-    true_row_sq = np.einsum("ij,ij->i", Z, Z)
+    true_row_sq = _squared_row_norms(X, precond.Rinv)
     r2 = cfg_fast.resolve_r2(n)
     leverage_hits = 0
     for i in range(seeds):

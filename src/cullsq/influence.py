@@ -68,18 +68,6 @@ ENUMERATION_LIMIT = 2_000_000
 DEFAULT_BATCH = 4096
 
 
-def single_row_influences(profile: LeverageProfile) -> np.ndarray:
-    """Probability of rejecting each single row, the normalized
-    :func:`_influence_weights` of its leverage: rows with leverage within
-    1e-10 of 1 can never be rejected and get probability exactly 0.
-    """
-    weights = _influence_weights(profile.ell)
-    total = weights.sum()
-    if total <= 0.0:
-        raise DegenerateDistribution("all rows have leverage 1; nothing can be rejected")
-    return weights / total
-
-
 def _check_weights(f_values: np.ndarray) -> np.ndarray:
     f = np.asarray(f_values, dtype=float)
     if f.ndim != 1:

@@ -32,7 +32,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import InvalidInput, InvalidK, InvalidRng
-from .regression import Dataset, ThinSvd, _as_design, index_dtype
+from .regression import Dataset, ThinSvd, _as_design, _squared_row_norms, index_dtype
 from .rng import RngStream, as_generator, inverse_cdf_draw
 from .sketching import (
     Preconditioner,
@@ -116,7 +116,7 @@ def _sq_dist(points: np.ndarray, ref: np.ndarray) -> np.ndarray:
 
 
 def _kaczmarz(
-    weights: np.ndarray,
+    cdf: np.ndarray,
     rows_of: Callable[[np.ndarray], np.ndarray],
     y: np.ndarray,
     K: int,
@@ -125,7 +125,8 @@ def _kaczmarz(
     v_star: Optional[np.ndarray] = None,
     w_star: Optional[np.ndarray] = None,
 ) -> KaczmarzRun:
-    """Draw K indices i.i.d. by ``weights``, take the (K, d) rows
+    """Draw K indices i.i.d. by the weights whose cumulative sums are
+    ``cdf`` (the one n-array a run reads), take the (K, d) rows
     q_t = ``rows_of(idx)`` at once, and run v <- v - q_t (q_t^T v - y_j)
     / ||q_t||^2 from v = 0.  ``to_w`` maps one iterate, or a stack of
     them one per row, back to w.  Given ``v_star`` and ``w_star`` the
@@ -133,8 +134,8 @@ def _kaczmarz(
     """
     if not isinstance(K, numbers.Integral) or K < 1:
         raise InvalidK(f"need an integer count of at least one iteration, got {K!r}")
-    dtype = index_dtype(len(weights))  # draws stay intp; the run keeps this dtype
-    idx = inverse_cdf_draw(gen, np.cumsum(weights), K)
+    dtype = index_dtype(len(cdf))  # draws stay intp; the run keeps this dtype
+    idx = inverse_cdf_draw(gen, cdf, K)
     Q = rows_of(idx)
     norms_sq = np.einsum("ij,ij->i", Q, Q)
     rhs = y[idx]
@@ -168,17 +169,21 @@ def kaczmarz_exact(
     Samples K indices i.i.d. with probability ell_i/d, performs the
     projective update v <- v - u_j (u_j^T v - y_j)/||u_j||^2 from v = 0,
     and returns w = V diag(1/sigma) v.  The weights are U's squared row
-    norms, from one sweep of its row blocks, and the K sampled rows are
-    formed at once (:meth:`ThinSvd.rows`).  Consistency of y is assumed,
-    not checked.
+    norms, from the sweep that gives the leverage scores
+    (:func:`cullsq.regression._squared_row_norms`), summed in place into
+    their cumulative weights, so the run holds one n-array; the K sampled
+    rows are formed at once (:meth:`ThinSvd.rows`).  Consistency of y is
+    assumed, not checked.
     """
     y = np.asarray(y, dtype=float)
     sigma, V = svd.sigma, svd.V
     if y.shape != (svd.n,):
         raise InvalidInput(f"y must have shape ({svd.n},)")
     v_star = None if w_star is None else sigma * (V.T @ w_star)
+    cdf = _squared_row_norms(svd.basis, svd.factor)
+    np.cumsum(cdf, out=cdf)
     return _kaczmarz(
-        svd._squared_row_norms(), svd.rows, y, K, as_generator(rng),
+        cdf, svd.rows, y, K, as_generator(rng),
         lambda vs: (vs / sigma) @ V.T, v_star, w_star,
     )
 
@@ -244,7 +249,7 @@ def kaczmarz_fast(
     if w_star is not None:
         v_star = pre.T @ np.asarray(w_star, dtype=float)[pre.piv]  # R w*
     return _kaczmarz(
-        setup.leverage, lambda idx: pre.x_times_inverse(X[idx]), y, K,
+        np.cumsum(setup.leverage), lambda idx: pre.x_times_inverse(X[idx]), y, K,
         rng.substream(3).generator(), lambda vs: pre.apply_inverse(vs.T).T,
         v_star, w_star,
     )

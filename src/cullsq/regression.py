@@ -52,7 +52,10 @@ proves U orthonormal to ORTHONORMAL_TOL = 1e-10 for its rows however
 they are formed, and only when the bound is larger does the
 ``ThinSvd`` constructor form U^T U, in row blocks.  The one sweep of
 U's rows is the one that makes their squared norms, the leverage
-scores.
+scores and the exact Kaczmarz weights: :func:`_squared_row_norms`,
+which also gives the fast set-up's estimates, with R^{-1} Pi2^T in
+place of the factor.  Every blocked sweep over n rows takes its blocks
+from one rule, :func:`_row_blocks`.
 References: Fukaya et al., "CholeskyQR2: a simple and
 communication-avoiding algorithm", ScalA 2014; Fukaya, Kannan,
 Nakatsukasa et al., "Shifted Cholesky QR for computing the QR
@@ -85,8 +88,8 @@ SPEC_SINGULAR_TOL = 1e-10   # ||P_A||_2 above 1 - tol counts as rank loss
 LEVERAGE_FLOOR = 1e-14      # clamp for leverage scores
 # doubles of gathered rows U_A held at once by the partial-projection kernel (2 MB)
 SPEC_BLOCK_ELEMENTS = 2**18
-# doubles of scaled rows held at once while a Gram matrix is formed (1 MB)
-GRAM_BLOCK_ELEMENTS = 2**17
+# doubles of rows held at once by every blocked sweep over n rows (1 MB)
+ROW_BLOCK_ELEMENTS = 2**17
 # Cholesky QR passes before the input counts as rank deficient: each
 # shifted pass cuts kappa by a factor of 1e2 or more, so kappa <= 1e12
 # needs at most five
@@ -155,13 +158,12 @@ class Dataset:
         n, d = X.shape
         if not (n > d >= 1):
             raise InvalidInput(f"need n > d >= 1, got n={n}, d={d}")
-        rows = max(1, GRAM_BLOCK_ELEMENTS // d)
         zero = []
-        for start in range(0, n, rows):
-            block = X[start:start + rows]
+        for b in _row_blocks(n, d):
+            block = X[b]
             if not np.isfinite(block).all():
                 raise InvalidInput("X contains non-finite entries")
-            zero.extend(np.flatnonzero(~block.any(axis=1)) + start)
+            zero.extend(np.flatnonzero(~block.any(axis=1)) + b.start)
         if zero:
             raise ZeroRow(f"zero rows at indices {np.array(zero)}")
         object.__setattr__(self, "X", _frozen(X))
@@ -193,22 +195,47 @@ def _identity_error(G: np.ndarray) -> float:
     return float(np.max(np.abs(G - np.eye(G.shape[0]))))
 
 
-def _block_rows(n: int, d: int) -> int:
-    """Rows of a block in every sweep over an n x d basis (1 MB of doubles)."""
-    return min(n, max(1, GRAM_BLOCK_ELEMENTS // d))
+def _row_blocks(n: int, width: int) -> list:
+    """The row slices of every blocked sweep over n rows whose blocks
+    hold ``width`` doubles a row: at most ROW_BLOCK_ELEMENTS // width
+    rows each, the first the longest."""
+    rows = max(1, ROW_BLOCK_ELEMENTS // width)
+    return [slice(start, min(start + rows, n)) for start in range(0, n, rows)]
+
+
+def _formed_rows(A: np.ndarray, W: np.ndarray):
+    """``(slice, block)`` for each row block of A @ W (:func:`_row_blocks`
+    at W's width), formed in one reused buffer, so a block is valid only
+    until the next is yielded."""
+    blocks = _row_blocks(A.shape[0], W.shape[1])
+    buf = np.empty((blocks[0].stop if blocks else 0, W.shape[1]))
+    for b in blocks:
+        yield b, np.matmul(A[b], W, out=buf[:b.stop - b.start])
+
+
+def _squared_row_norms(A: np.ndarray, W: np.ndarray) -> np.ndarray:
+    """The squared norm of each row of A @ W, unclipped, as a new array,
+    from one sweep of its formed row blocks: the exact leverage scores
+    and Kaczmarz weights with A W = U, the fast set-up's estimates with
+    W = R^{-1} Pi2^T (:func:`cullsq.sketching.approx_leverage`)."""
+    norms = np.empty(A.shape[0])
+    for b, B in _formed_rows(A, W):
+        np.einsum("ij,ij->i", B, B, out=norms[b])
+    return norms
 
 
 @dataclass(frozen=True, eq=False, init=False)
 class ThinSvd:
     """Thin SVD X = U diag(sigma) V^T with orthonormal U columns, held as
-    an n x d basis and at most one d x d factor.
+    an n x d basis and a d x d factor.
 
     The rows of U at ``idx`` are ``basis[idx] @ factor`` (:meth:`rows`).
     :func:`thin_svd` holds as the basis the matrix whose Gram its last
     Cholesky QR pass factored, X itself when one pass suffices, and that
     pass's factor, so a well-conditioned X costs no n x d array beside
     X.  A caller's ``ThinSvd(U, sigma, V)`` holds a frozen copy of U as
-    the basis and no factor.  U's column signs follow no convention:
+    the basis and the identity as the factor, which forms U's rows
+    bit for bit.  U's column signs follow no convention:
     every quantity the library reads from U (leverage, subset norms and
     increases, w*, the Kaczmarz iterates mapped back to w) is unchanged
     when a column of U and the matching column of V are negated.
@@ -224,13 +251,16 @@ class ThinSvd:
     in row blocks.
     """
 
-    basis: np.ndarray              # (n, d): X, the earlier passes' product, or a caller's U
-    factor: Optional[np.ndarray]   # (d, d) from the last pass; None for a caller's U
-    sigma: np.ndarray              # (d,) positive, nonincreasing
-    V: np.ndarray                  # (d, d) orthogonal
+    basis: np.ndarray    # (n, d): X, the earlier passes' product, or a caller's U
+    factor: np.ndarray   # (d, d): the last pass's, or the identity for a caller's U
+    sigma: np.ndarray    # (d,) positive, nonincreasing
+    V: np.ndarray        # (d, d) orthogonal
 
     def __init__(self, U, sigma, V):
-        self._hold(U, None, sigma, V, check_u=True)
+        U = np.asarray(U, dtype=float)
+        if U.ndim != 2:
+            raise InvalidInput("U must be a 2-D array")
+        self._hold(U, np.eye(U.shape[1]), sigma, V, check_u=True)
 
     @classmethod
     def _factored(cls, basis, factor, sigma, V, check_u: bool) -> "ThinSvd":
@@ -240,12 +270,9 @@ class ThinSvd:
         return svd
 
     def _hold(self, basis, factor, sigma, V, check_u: bool):
-        basis = np.asarray(basis, dtype=float)
+        d = basis.shape[1]
         sigma = np.asarray(sigma, dtype=float)
         V = np.asarray(V, dtype=float)
-        if basis.ndim != 2:
-            raise InvalidInput("U must be a 2-D array")
-        d = basis.shape[1]
         if sigma.shape != (d,) or V.shape != (d, d):
             raise InvalidInput("inconsistent factor shapes")
         if not np.isfinite(sigma).all():
@@ -255,7 +282,7 @@ class ThinSvd:
         if not np.all(np.diff(sigma) <= 0.0):
             raise InvalidInput("singular values must be nonincreasing")
         object.__setattr__(self, "basis", _frozen(basis))
-        object.__setattr__(self, "factor", None if factor is None else _frozen(factor))
+        object.__setattr__(self, "factor", _frozen(factor))
         if check_u and not _identity_error(self._gram()) <= ORTHONORMAL_TOL:
             raise InvalidInput(f"U columns are not orthonormal to {ORTHONORMAL_TOL:.0e}")
         with np.errstate(invalid="ignore", over="ignore"):
@@ -277,41 +304,21 @@ class ThinSvd:
     def condition_number(self) -> float:
         return float(self.sigma[0] / self.sigma[-1])
 
-    def apply_factor(self, A: np.ndarray) -> np.ndarray:
-        """A times the factor (A itself without one): the rows of U from
-        the same rows of the basis, or S U from S basis under a linear
-        sketch S."""
-        return A if self.factor is None else A @ self.factor
-
     def rows(self, idx) -> np.ndarray:
         """The rows of U at an integer index array of any shape, as an
         ``idx.shape + (d,)`` array: the basis rows gathered and taken
         through the factor in one product."""
         idx = np.asarray(idx)
-        return self.apply_factor(self.basis[idx.reshape(-1)]).reshape(idx.shape + (self.d,))
-
-    def _blocks(self):
-        """``(slice, block)`` for each block of U's rows (1 MB of doubles):
-        a view of the basis without a factor, else formed in one reused
-        buffer, so a block is valid only until the next is yielded."""
-        n, d = self.basis.shape
-        rows = _block_rows(n, d)
-        buf = None if self.factor is None else np.empty((rows, d))
-        for start in range(0, n, rows):
-            b = slice(start, min(start + rows, n))
-            B = self.basis[b]
-            yield b, (B if buf is None else np.matmul(B, self.factor, out=buf[:len(B)]))
+        return (self.basis[idx.reshape(-1)] @ self.factor).reshape(idx.shape + (self.d,))
 
     @property
     def U(self) -> np.ndarray:
-        """All n rows of U as one read-only array: n x d doubles formed on
-        each call (the basis itself without a factor), for tests and
-        callers at small n.  The library reads U's rows through
-        :meth:`rows` and its row blocks through ``_blocks`` instead."""
-        if self.factor is None:
-            return self.basis
+        """All n rows of U as one new read-only array, formed block by
+        block as every sweep forms them, for tests and callers at small
+        n.  The library reads U's rows through :meth:`rows` and its row
+        blocks through :func:`_formed_rows` instead."""
         U = np.empty((self.n, self.d))
-        for b, B in self._blocks():
+        for b, B in _formed_rows(self.basis, self.factor):
             U[b] = B
         U.setflags(write=False)
         return U
@@ -320,22 +327,9 @@ class ThinSvd:
         """U^T U, summed over U's row blocks."""
         G = np.zeros((self.d, self.d))
         with np.errstate(invalid="ignore", over="ignore"):
-            for _, B in self._blocks():
+            for _, B in _formed_rows(self.basis, self.factor):
                 G += B.T @ B
         return G
-
-    def _squared_row_norms(self) -> np.ndarray:
-        """The squared norm of each row of U, unclipped, as a new array:
-        one sweep of U's row blocks."""
-        norms = np.empty(self.n)
-        for b, B in self._blocks():
-            np.einsum("ij,ij->i", B, B, out=norms[b])
-        return norms
-
-    def _transpose_times(self, y: np.ndarray) -> np.ndarray:
-        """U^T y, as factor^T (basis^T y): one product over the basis."""
-        z = self.basis.T @ y
-        return z if self.factor is None else self.factor.T @ z
 
 
 @dataclass(frozen=True, eq=False)
@@ -466,8 +460,8 @@ def _cholesky_qr_svd(X: np.ndarray):
     data, so nothing reads U to check it.
     """
     n, d = X.shape
-    rows = _block_rows(n, d)
-    blocks = [slice(start, min(start + rows, n)) for start in range(0, n, rows)]
+    blocks = _row_blocks(n, d)
+    rows = blocks[0].stop
     m = rows + len(blocks)  # terms in each Gram entry: a block's rows, then the blocks
     # buf holds the row block of s X, or of Q T^{-1} in a later pass: with
     # a new temporary per block, glibc trimmed the heap after each call and
@@ -579,7 +573,7 @@ def thin_svd(data: Dataset) -> ThinSvd:
 def leverage_scores(svd: ThinSvd) -> LeverageProfile:
     """Leverage of each row: squared norm of the corresponding row of U,
     clipped into [LEVERAGE_FLOOR, 1], from one sweep of U's row blocks."""
-    ell = svd._squared_row_norms()
+    ell = _squared_row_norms(svd.basis, svd.factor)
     np.clip(ell, LEVERAGE_FLOOR, 1.0, out=ell)
     ell.setflags(write=False)  # ours: LeverageProfile keeps it without a copy
     return LeverageProfile(ell)
@@ -597,8 +591,8 @@ def _svd_of(data: Dataset, svd: Optional[ThinSvd]) -> ThinSvd:
 
 
 def _optimal_weights(svd: ThinSvd, y: np.ndarray) -> np.ndarray:
-    """w* = V diag(1/sigma) U^T y."""
-    return svd.V @ (svd._transpose_times(y) / svd.sigma)
+    """w* = V diag(1/sigma) U^T y, with U^T y = factor^T (basis^T y)."""
+    return svd.V @ ((svd.factor.T @ (svd.basis.T @ y)) / svd.sigma)
 
 
 def full_solve(data: Dataset, svd: Optional[ThinSvd] = None):

@@ -23,11 +23,13 @@ conditioning.  The squared row norms of X R^{-1} are then constant
 relative-error approximations to the leverage scores.  A second sketch
 Pi2 acting on the d-dimensional row space may compress them further, as
 in Drineas, Magdon-Ismail, Mahoney and Woodruff (JMLR 2012):
-:func:`approx_leverage` forms R^{-1} Pi2^T once, a d x r2 array, and
-takes the squared row norms of X times it, with the identity sketch
-(Pi2 = I) giving the exact norms.  That product costs n d r2 against the
-n d^2 of the exact pass, so the sketch saves work only at r2 < d, and
-the fast Kaczmarz set-up uses exact norms.
+:func:`approx_leverage` forms W = R^{-1} Pi2^T once, a d x r2 array,
+and takes the squared row norms of X W, with the identity sketch
+(Pi2 = I) giving the exact norms.  They come from the sweep that gives
+the exact leverage scores, :func:`cullsq.regression._squared_row_norms`,
+with W in place of the thin SVD's d x d factor.  That product costs
+n d r2 against the n d^2 of the exact pass, so the sketch saves work
+only at r2 < d, and the fast Kaczmarz set-up uses exact norms.
 
 Memory: an SRHT computes only its r sampled rows and never forms the
 zero-padded (n_pad x d) copy (Woolfe, Liberty, Rokhlin and Tygert, ACHA
@@ -38,9 +40,10 @@ per small Sylvester factor, and added into the r outputs with a sign
 fixed by the block number (:func:`_sampled_hadamard`).  It holds
 O(B d + r d) beyond X: a tracemalloc peak of 1.4 MB at 2^20 x 10 with
 r = 2876.  :func:`fwht` is the all-rows case of the same kernel.  The
-leverage estimates take O(n + d r2) beyond X and a 1 MB row block,
-never the O(n r2) of sketching every row at once; the label-free set-up
-of the fast Kaczmarz solver thus stays O(n d) in memory.
+leverage estimates take O(n + d r2) beyond X and one 1 MB row block
+(regression's one row-block rule, ``_row_blocks``), never the O(n r2)
+of sketching every row at once; the label-free set-up of the fast
+Kaczmarz solver thus stays O(n d) in memory.
 """
 
 from __future__ import annotations
@@ -58,16 +61,13 @@ from .errors import (
     SketchRankDeficient,
     ZeroRow,
 )
-from .regression import _as_design
+from .regression import _as_design, _squared_row_norms
 from .rng import as_generator
 
 DENSE_SIGN = "dense_sign"
 SRHT = "srht"
 IDENTITY = "identity"
 
-# row-block size of approx_leverage, in elements of the (block x r2)
-# product X R^{-1} Pi2^T, meant to stay in cache: 2^17 doubles, 1 MB
-CACHE_BLOCK_ELEMENTS = 2**17
 # roundoff allowance on each bound check_embedding_properties compares
 EMBEDDING_CHECK_SLACK = 1e-8
 # the sampled Hadamard transform walks X in blocks of at least this many
@@ -466,23 +466,21 @@ def approx_leverage(
     both sides the exact leverage scores.  Any other ``op2`` approximates
     them in n d r2 products, fewer than the exact n d^2 only at r2 < d.
 
-    X is walked in blocks of ``CACHE_BLOCK_ELEMENTS // r2`` rows, so a
-    block of X W stays in cache; blocking changes nothing but the order
-    in which BLAS sums.  Raises ``ZeroRow`` for all-zero rows of X and
+    The norms come from the one squared-row-norm sweep,
+    :func:`cullsq.regression._squared_row_norms`, which forms X W in
+    blocks of ``ROW_BLOCK_ELEMENTS // r2`` rows in one reused buffer, so
+    a block stays in cache; blocking changes nothing but the order in
+    which BLAS sums.  Raises ``ZeroRow`` for all-zero rows of X and
     ``InvalidInput`` for any other estimate not finite and positive.
     """
     X = _as_design(X)
-    n, d = X.shape
+    d = X.shape[1]
     if op2.n_in != d:
         raise DimensionMismatch(
             f"row-space sketch expects input dimension {op2.n_in}, data has d={d}"
         )
     W = precond.Rinv @ apply_sketch(op2, np.eye(d)).T    # (d, r2)
-    block = max(1, CACHE_BLOCK_ELEMENTS // op2.r)
-    ell_hat = np.empty(n)
-    for start in range(0, n, block):
-        Z = X[start:start + block] @ W
-        ell_hat[start:start + block] = np.einsum("ij,ij->i", Z, Z)
+    ell_hat = _squared_row_norms(X, W)
     bad = np.flatnonzero(~(np.isfinite(ell_hat) & (ell_hat > 0.0)))
     zero = bad[~np.any(X[bad], axis=1)]
     if zero.size:

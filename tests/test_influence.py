@@ -29,7 +29,6 @@ from cullsq import (
     rejection_sample_many,
     rejection_sample_subset,
     sample_sum_over_rows_many,
-    single_row_influences,
     thin_svd,
 )
 from cullsq import influence, regression
@@ -51,10 +50,32 @@ def uniform_profile(n, d):
     return LeverageProfile(np.full(n, d / n))
 
 
+def k1_probs(U):
+    """The exact oracle's k = 1 probabilities for a caller's orthonormal U."""
+    d = U.shape[1]
+    return _enumerate(ThinSvd(U, np.ones(d), np.eye(d)), 1)[2]
+
+
+def closed_form_k1(ell):
+    """(1 - ell)^2 / ell normalized: the single-row influence probabilities."""
+    w = (1.0 - ell) ** 2 / ell
+    return w / w.sum()
+
+
+def two_column_basis(ell, phase):
+    """A 4 x 2 orthonormal U with row norms sqrt(ell): row i is
+    sqrt(ell_i) (cos t_i, sin t_i) with t_i = phase_i / 2, orthonormal
+    when sum_i ell_i e^{i phase_i} = 0 and sum_i ell_i = 2."""
+    ell, t = np.asarray(ell, dtype=float), np.asarray(phase) / 2.0
+    return np.sqrt(ell)[:, None] * np.column_stack([np.cos(t), np.sin(t)])
+
+
 class TestSingleRowInfluences:
+    # the single-row influence probabilities are the exact oracle's pass
+    # at k = 1, checked against (1 - ell)^2 / ell computed here
     def test_uniform_leverage_gives_uniform_probs(self):
-        p = single_row_influences(uniform_profile(10, 2))
-        np.testing.assert_allclose(p, np.full(10, 0.1), atol=1e-14)
+        p = k1_probs(hadamard_columns(16, 4))
+        np.testing.assert_allclose(p, np.full(16, 1 / 16), atol=1e-14)
         assert abs(p.sum() - 1.0) <= 1e-12
 
     def test_uniform_normalizer_value(self):
@@ -71,20 +92,20 @@ class TestSingleRowInfluences:
         assert weights == [
             Fraction(1, 90), Fraction(4, 15), Fraction(49, 30), Fraction(16, 5)
         ]
-        prof = LeverageProfile(np.array([0.9, 0.6, 0.3, 0.2]))
-        p = single_row_influences(prof)
+        # 0.9 - 0.6 + 0.3 e^{ia} + 0.2 e^{ib} = 0 with cos a = -7/9
+        a = math.acos(-7 / 9)
+        b = np.angle(-0.3 - 0.3 * np.exp(1j * a))
+        U = two_column_basis([0.9, 0.6, 0.3, 0.2], [0.0, math.pi, a, b])
+        p = k1_probs(U)
         np.testing.assert_allclose(p, [float(e) for e in expect], rtol=1e-12)
 
     def test_leverage_one_row_never_rejected(self):
-        prof = LeverageProfile(np.array([1.0, 0.5, 0.25, 0.25]))
-        p = single_row_influences(prof)
+        U = two_column_basis([1.0, 0.5, 0.25, 0.25], [0.0, math.pi, math.pi, math.pi])
+        p = k1_probs(U)
         assert p[0] == 0.0
         assert abs(p.sum() - 1.0) <= 1e-12
-
-    def test_all_leverage_one_degenerate(self):
-        prof = LeverageProfile(np.ones(4))
-        with pytest.raises(DegenerateDistribution):
-            single_row_influences(prof)
+        np.testing.assert_allclose(p[1:], closed_form_k1(np.array([0.5, 0.25, 0.25])),
+                                   rtol=1e-12)
 
 
 class TestSampleSumOverRows:
@@ -270,7 +291,7 @@ class TestRejectionSampler:
         X = gen.standard_normal((12, 2))
         svd = thin_svd(Dataset(X=X))
         prof = leverage_scores(svd)
-        p = single_row_influences(prof)
+        p = _enumerate(svd, 1)[2]
         draws, _ = rejection_sample_many(svd, prof, 1, 100_000, RngStream(11))
         freq = np.bincount(draws[:, 0], minlength=12) / 100_000
         tv = 0.5 * np.abs(freq - p).sum()
@@ -385,7 +406,7 @@ class TestEnumeration:
         prof = leverage_scores(svd)
         subsets, probs = enumerate_subset_distribution(svd, prof, 1)
         assert np.array_equal(subsets, np.arange(15)[:, None])
-        np.testing.assert_allclose(probs, single_row_influences(prof), rtol=0, atol=1e-12)
+        np.testing.assert_allclose(probs, closed_form_k1(prof.ell), rtol=0, atol=1e-12)
 
     @settings(max_examples=60, deadline=None)
     @given(st.integers(2, 9), st.integers(1, 3), st.integers(1, 4), st.integers(0, 2**32 - 1))
@@ -512,9 +533,8 @@ class TestCrossValidation:
         svd = thin_svd(data)
         prof = leverage_scores(svd)
         w_star, opt = full_solve(data, svd)
-        p = single_row_influences(prof)
-        resid = data.X @ w_star - y
-        _, increases = _subset_projection(svd, np.arange(60)[:, None], resid[:, None])
+        _, _, p, increases = _enumerate(svd, 1, data.X @ w_star - y)
+        np.testing.assert_allclose(p, closed_form_k1(prof.ell), rtol=1e-12)
         errs = opt + increases
         ratio = float(p @ errs) / opt
         assert abs(ratio - (1.0 + 1.0 / prof.z1)) <= 1e-12

@@ -37,8 +37,8 @@ def kaczmarz_row_norm(X, y, K, rng, w_star=None):
     y = np.asarray(y, dtype=float)
     if y.shape != (X.shape[0],):
         raise InvalidInput(f"y must have shape ({X.shape[0]},)")
-    return _kaczmarz(np.einsum("ij,ij->i", X, X), lambda idx: X[idx], y, K, as_generator(rng),
-                     lambda vs: vs, w_star, w_star)
+    return _kaczmarz(np.cumsum(np.einsum("ij,ij->i", X, X)), lambda idx: X[idx], y, K,
+                     as_generator(rng), lambda vs: vs, w_star, w_star)
 
 
 def consistent_instance(n, d, seed):

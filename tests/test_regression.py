@@ -34,9 +34,15 @@ from cullsq import (
     rejection_sample_subset,
     thin_svd,
 )
-from cullsq import regression
+from cullsq import kaczmarz, regression
 from cullsq.designs import conditioned_design, make_dataset
-from cullsq.regression import LEVERAGE_FLOOR, UNIT_ROUNDOFF, _subset_projection, index_dtype
+from cullsq.regression import (
+    LEVERAGE_FLOOR,
+    ROW_BLOCK_ELEMENTS,
+    UNIT_ROUNDOFF,
+    _subset_projection,
+    index_dtype,
+)
 from cullsq.rng import RngStream
 from _helpers import (
     deficient_lstsq,
@@ -364,7 +370,8 @@ class TestThinSvd:
     def test_rows_are_the_basis_times_the_factor(self):
         # rows(idx) takes any index shape; at kappa = 1e4 the basis is the
         # first pass's product, held read-only, and a caller's U is its
-        # own basis with no factor
+        # own basis with the identity as the factor, which forms its rows,
+        # U and leverage bit for bit
         X = conditioned_design(500, 4, 1e4, np.random.default_rng(33))
         svd = thin_svd(Dataset(X=X))
         assert svd.basis is not X and svd.basis.shape == X.shape
@@ -372,9 +379,13 @@ class TestThinSvd:
         idx = np.array([[3, 0, 499], [7, 7, 1]])
         expected = svd.basis[idx.reshape(-1)] @ svd.factor
         np.testing.assert_array_equal(svd.rows(idx), expected.reshape(2, 3, 4))
-        held = ThinSvd(svd.U, svd.sigma, svd.V)
-        assert held.factor is None
-        np.testing.assert_array_equal(held.rows(idx), svd.U[idx])
+        U = svd.U
+        held = ThinSvd(U, svd.sigma, svd.V)
+        assert np.array_equal(held.factor, np.eye(4)) and not held.factor.flags.writeable
+        assert np.array_equal(held.rows(idx), U[idx])
+        assert np.array_equal(held.U, U)
+        assert np.array_equal(leverage_scores(held).ell,
+                              np.clip(np.einsum("ij,ij->i", U, U), LEVERAGE_FLOOR, 1.0))
 
     def test_keeps_its_own_u_and_copies_a_callers(self):
         data = random_dataset(40, 5, np.random.default_rng(29))
@@ -517,6 +528,42 @@ def test_no_library_path_forms_all_of_u(monkeypatch, capsys):
             ["verify", "kaczmarz", "--kappa", "1e10"]]:
         assert main(argv) == 0, argv
     capsys.readouterr()
+
+
+class TestOneSweep:
+    # leverage_scores and kaczmarz_exact's weights both come from the one
+    # squared-row-norm sweep: d = 256 makes blocks of 512 rows and d = 32
+    # of 4096, so n runs below one block, exactly one, one plus a row (a
+    # one-row block goes through gemv, which sums in another order than
+    # GEMM) and several with a partial last one; kappa = 2 takes one
+    # Cholesky QR pass (the basis is X), kappa = 1e4 two
+    @pytest.mark.parametrize("kappa", [2.0, 1e4])
+    @pytest.mark.parametrize("n, d", [
+        (300, 256), (512, 256), (513, 256), (3 * 512 + 7, 256),
+        (1000, 32), (4096, 32), (3 * 4096 + 77, 32),
+    ])
+    def test_equals_per_block_products(self, monkeypatch, n, d, kappa):
+        rows = ROW_BLOCK_ELEMENTS // d
+        assert rows == {256: 512, 32: 4096}[d]
+        data = Dataset(X=conditioned_design(n, d, kappa, np.random.default_rng(60)))
+        svd = thin_svd(data)
+        assert (svd.basis is data.X) == (kappa == 2.0)
+        norms = np.concatenate([
+            np.einsum("ij,ij->i", B, B)
+            for B in (svd.basis[i:i + rows] @ svd.factor for i in range(0, n, rows))
+        ])
+        assert np.array_equal(leverage_scores(svd).ell, np.clip(norms, LEVERAGE_FLOOR, 1.0))
+
+        cdfs = []
+        run = kaczmarz._kaczmarz
+
+        def spy(cdf, *args):
+            cdfs.append(cdf.copy())
+            return run(cdf, *args)
+
+        monkeypatch.setattr(kaczmarz, "_kaczmarz", spy)
+        kaczmarz_exact(svd, data.X @ np.ones(d), 1, RngStream(61))
+        assert np.array_equal(cdfs[0], np.cumsum(norms))
 
 
 class TestLeverageScores:

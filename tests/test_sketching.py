@@ -33,8 +33,8 @@ from cullsq import (
 )
 from cullsq import sketching
 from cullsq.designs import conditioned_design
+from cullsq.regression import ROW_BLOCK_ELEMENTS
 from cullsq.sketching import (
-    CACHE_BLOCK_ELEMENTS,
     HADAMARD_MIN_BLOCK,
     IDENTITY,
     SRHT,
@@ -92,9 +92,9 @@ def reference_fwht(M):
 
 
 def fwht_block_rows(m):
-    """Rows of m columns in a 1 MB (CACHE_BLOCK_ELEMENTS) block, rounded
+    """Rows of m columns in a 1 MB (ROW_BLOCK_ELEMENTS) block, rounded
     down to a power of two."""
-    return 1 << ((CACHE_BLOCK_ELEMENTS // m).bit_length() - 1)
+    return 1 << ((ROW_BLOCK_ELEMENTS // m).bit_length() - 1)
 
 
 class TestFwht:
@@ -506,7 +506,7 @@ class TestApproxLeverage:
     @pytest.mark.parametrize("n", [300, 512, 513, 3 * 512 + 7])
     def test_blocked_equals_one_shot_sketch(self, n):
         d = r2 = 256
-        assert CACHE_BLOCK_ELEMENTS // r2 == 512
+        assert ROW_BLOCK_ELEMENTS // r2 == 512
         X = np.random.default_rng(29).standard_normal((n, d))
         precond = build_preconditioner(X, make_srht(n, 512, RngStream(30)))
         XR = precond.x_times_inverse(X)    # every row at once
@@ -546,7 +546,7 @@ class TestFastSetupLeverage:
     @pytest.mark.parametrize("n", [1000, 4096, 3 * 4096 + 77])
     def test_exact_row_norms_of_x_r_inverse(self, n):
         d = 32
-        assert CACHE_BLOCK_ELEMENTS // d == 4096
+        assert ROW_BLOCK_ELEMENTS // d == 4096
         X = np.random.default_rng(44).standard_normal((n, d)) * np.logspace(0, 3, d)
         setup = fast_setup(X, FastSolverConfig(), RngStream(45))
         assert setup.row_op.kind == IDENTITY and setup.row_op.r == d

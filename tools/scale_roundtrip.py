@@ -17,7 +17,8 @@ reads from them; no n x d array besides X is allowed.  The
 default size is the scale target, n = 10^6 and d = 50, with the paper's
 k = n / (d + sqrt n) and 200 subsets.  The exact Kaczmarz solve takes
 its leverage weights from one sweep of U's rows formed block by block,
-and forms its sampled rows; its 1000 iterations are about twice the
+sums them in place into the cumulative weights it draws from, and forms
+its sampled rows; its 1000 iterations are about twice the
 d ln(n / d) it needs on this well conditioned X (the labels carry noise,
 so the run measures time and memory, not convergence).
 
